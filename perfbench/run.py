@@ -5,13 +5,14 @@
 
 With ``--trace 0`` the run reports the end-to-end metrics of BENCHMARK.json:
 the median set-up time of fresh interpreters started between the passes
-(``setup_s``), the median wall time of one pass (``wall_s``), the peak
-resident memory of this process over the passes (``peak_rss_mb``) and the
-share of ops whose output checked correct (``ok_ratio``).  With
-``--trace 1`` it reports the per-layer metrics of the median traced pass:
-half the time runs untraced passes, half traced ones, and spans go to
-``.perfbench/`` in the checkout.  Output checks run after the timed
-passes and never stop the run; a failed op only counts against it.
+(``setup_s``) and the median wall time of one pass (``wall_s``), both at the
+reference machine speed (see :func:`reference`), the peak resident memory of
+this process over the passes (``peak_rss_mb``) and the share of ops whose
+output checked correct (``ok_ratio``).  With ``--trace 1`` it reports the
+per-layer metrics of the median traced pass: half the time runs untraced
+passes, half traced ones, and spans go to ``.perfbench/`` in the checkout.
+Output checks run after the timed passes and never stop the run; a failed
+op only counts against it.
 
 ``--workload all`` runs every workload in its own interpreter and prints a
 table of the metrics, with ``fail_ratio`` and the op counts.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import resource
 import statistics
@@ -33,32 +35,73 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SETUP_PROBES = 15
 MIN_PASSES = 3
+# the median time of reference() on the 2-core VM the benchmark was built
+# on, Python 3.11, in a quiet spell; wall_s and setup_s are given at this
+# speed
+REFERENCE_S = 0.055
 
 
 def _spec() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
+def _descents(p) -> int:
+    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+
+def _updown(p) -> str:
+    return "".join("U" if a < b else "D" for a, b in zip(p, p[1:]))
+
+
+def reference() -> float:
+    """Seconds taken by a fixed piece of pure-Python work.
+
+    The work is like the program's own (tuples, comparisons, generators,
+    strings, a dict tally) but uses none of its code.  The host's speed
+    swings by up to 2x in spells of tens of seconds, and a pass or a set-up
+    slows with it; the time of this loop, taken just before and just after
+    one, tells how fast the machine ran it.
+    """
+    t0 = time.perf_counter()
+    tally: dict = {}
+    for p in itertools.islice(itertools.permutations(range(1, 9)), 20000):
+        key = (_descents(p), _updown(p).count("UD"))
+        tally[key] = tally.get(key, 0) + 1
+    return time.perf_counter() - t0
+
+
 class Passes:
-    """Walls of the passes of one phase; outputs of the first pass, and of
-    every later pass whose outputs differ from it."""
+    """Walls of the passes of one phase, each with the reference time
+    around it when asked for; outputs of the first pass, and of every
+    later pass whose outputs differ from it."""
 
     def __init__(self):
         self.walls: list[float] = []
+        self.refs: list[float] = []
         self.first = None
         self.odd: list = []
 
+    def scaled_walls(self) -> list[float]:
+        """Pass walls at the reference machine speed."""
+        return [w * REFERENCE_S / r for w, r in zip(self.walls, self.refs)]
+
 
 def measure(workload, inputs, budget: float, span, min_passes: int,
-            after_pass=None) -> Passes:
-    """Run passes from a cold state until ``budget`` seconds are used."""
+            after_pass=None, scaled: bool = False) -> Passes:
+    """Run passes from a cold state until ``budget`` seconds are used.
+
+    With ``scaled``, :func:`reference` runs just before and just after
+    each pass, and the mean of the two is kept with the pass."""
     log = Passes()
     start = time.perf_counter()
     while True:
         gc.collect()
+        before = reference() if scaled else 0.0
         t0 = time.perf_counter()
         out = workload.run(inputs, span)
         log.walls.append(time.perf_counter() - t0)
+        if scaled:
+            log.refs.append((before + reference()) / 2)
         if after_pass is not None:
             after_pass((time.perf_counter() - start) / budget)
         if log.first is None:
@@ -96,24 +139,35 @@ def run_plain(name: str, seed: int, seconds: float) -> tuple[int, int, dict]:
     workload = WORKLOADS[name]
     inputs = workload.build(seed)
     probes: list[float] = []
+    probe_refs: list[float] = []
 
     def probe_on_schedule(progress: float) -> None:
         # spread the set-up probes over the run, between passes, so that
         # they meet the machine in the same states as the passes do
         while len(probes) < min(SETUP_PROBES, SETUP_PROBES * progress):
+            before = reference()
             probes.append(setup_probe(name, seed))
+            probe_refs.append((before + reference()) / 2)
 
     log = measure(workload, inputs, seconds, no_span, MIN_PASSES,
-                  after_pass=probe_on_schedule)
+                  after_pass=probe_on_schedule, scaled=True)
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     probe_on_schedule(1.0)
     attempted, failed = verdicts(workload, inputs, log)
-    print(f"{name}: {len(log.walls)} passes, wall quartiles "
-          f"{[round(q, 4) for q in statistics.quantiles(log.walls, n=4)]} s; "
-          f"pass walls {json.dumps(log.walls)}", file=sys.stderr)
+    scaled = log.scaled_walls()
+    setups = [p * REFERENCE_S / r for p, r in zip(probes, probe_refs)]
+    print(f"{name}: {len(log.walls)} passes; median wall "
+          f"{statistics.median(log.walls):.4f} s as measured, "
+          f"{statistics.median(scaled):.4f} s at the reference speed; "
+          f"median reference {statistics.median(log.refs):.4f} s against "
+          f"{REFERENCE_S} s; median set-up {statistics.median(probes):.4f} s "
+          f"as measured, {statistics.median(setups):.4f} s at the reference "
+          f"speed\n"
+          f"pass walls {json.dumps(log.walls)}\n"
+          f"references {json.dumps(log.refs)}", file=sys.stderr)
     return attempted, failed, {
-        "setup_s": statistics.median(probes),
-        "wall_s": statistics.median(log.walls),
+        "setup_s": statistics.median(setups),
+        "wall_s": statistics.median(scaled),
         "peak_rss_mb": peak_kib / 1024,
         "ok_ratio": (attempted - failed) / attempted,
     }

@@ -107,10 +107,6 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _perm_summary(p) -> dict:
-    return all_stats(p)
-
-
 def _dyck_summary(d: str) -> dict:
     return {
         "uud": dyck.uud_count(d),
@@ -137,7 +133,7 @@ def _cmd_map(args) -> int:
     summary: dict = {}
     for tag, kind, item in (("input", in_kind, value), ("image", out_kind, image)):
         if kind == "perm":
-            summary.update({f"{tag}_{k}": v for k, v in _perm_summary(item).items()})
+            summary.update({f"{tag}_{k}": v for k, v in all_stats(item).items()})
         elif kind == "dyck":
             summary.update({f"{tag}_{k}": v for k, v in _dyck_summary(item).items()})
     if args.format == "json":

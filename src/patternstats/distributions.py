@@ -100,6 +100,12 @@ def _merge(into: dict[str, dict[int, int]], part: dict[str, dict[int, int]]) -> 
 
 
 def _oracle_rows(basis_key: tuple, n: int, workers: int = 1) -> dict[str, dict[int, int]]:
+    # the cap of the route gen_class takes, checked before the cache so that
+    # a hit cannot pass a size the configured cap refuses
+    if basis_key in generate.STRUCTURED:
+        generate._check_cap(n, generate.STRUCTURED_CAP, "class")
+    else:
+        generate._check_cap(n, generate.GEN_ALL_CAP, "permutation")
     cached = _oracle_cache.get((basis_key, n))
     if cached is not None:
         return cached
@@ -445,10 +451,6 @@ def _check_psi_hat(max_n: int, workers: int = 1) -> VerifyReport:
     return acc.done()
 
 
-def _count_factor(s: str, f: str) -> int:
-    return sum(1 for i in range(len(s) - len(f) + 1) if s.startswith(f, i))
-
-
 def _check_enc_132_213(max_n: int, workers: int = 1) -> VerifyReport:
     acc = _Acc("ENC_132_213_TRANSPORT", max_n)
     for n in range(1, max_n + 1):
@@ -460,10 +462,10 @@ def _check_enc_132_213(max_n: int, workers: int = 1) -> VerifyReport:
             st = all_stats(p)
             acc.eq(st["asc"], bits.count("1"), f"ascents for {bits}")
             acc.eq(st["des"], bits.count("0"), f"descents for {bits}")
-            acc.eq(st["dasc"], _count_factor(bits, "11"), f"dasc for {bits}")
-            acc.eq(st["ddes"], _count_factor(bits, "00"), f"ddes for {bits}")
-            acc.eq(st["pk"], _count_factor(bits, "10"), f"peaks for {bits}")
-            acc.eq(st["vl"], _count_factor(bits, "01"), f"valleys for {bits}")
+            acc.eq(st["dasc"], factor_count(bits, "11"), f"dasc for {bits}")
+            acc.eq(st["ddes"], factor_count(bits, "00"), f"ddes for {bits}")
+            acc.eq(st["pk"], factor_count(bits, "10"), f"peaks for {bits}")
+            acc.eq(st["vl"], factor_count(bits, "01"), f"valleys for {bits}")
     return acc.done()
 
 
@@ -478,10 +480,10 @@ def _check_enc_213_231(max_n: int, workers: int = 1) -> VerifyReport:
             st = all_stats(p)
             acc.eq(st["asc"], bits.count("1"), f"ascents for {bits}")
             acc.eq(st["des"], bits.count("0"), f"descents for {bits}")
-            acc.eq(st["dasc"], _count_factor(bits, "11"), f"dasc for {bits}")
-            acc.eq(st["ddes"], _count_factor(bits, "00"), f"ddes for {bits}")
-            acc.eq(st["pk"], _count_factor(bits, "10"), f"peaks for {bits}")
-            acc.eq(st["vl"], _count_factor(bits, "01"), f"valleys for {bits}")
+            acc.eq(st["dasc"], factor_count(bits, "11"), f"dasc for {bits}")
+            acc.eq(st["ddes"], factor_count(bits, "00"), f"ddes for {bits}")
+            acc.eq(st["pk"], factor_count(bits, "10"), f"peaks for {bits}")
+            acc.eq(st["vl"], factor_count(bits, "01"), f"valleys for {bits}")
     return acc.done()
 
 
@@ -496,13 +498,13 @@ def _check_enc_123_132(max_n: int, workers: int = 1) -> VerifyReport:
             st = all_stats(p)
             initial0 = 1 if bits.startswith("0") else 0
             initial00 = 1 if bits.startswith("00") else 0
-            n10 = _count_factor(bits, "10")
+            n10 = factor_count(bits, "10")
             acc.eq(st["asc"], initial0 + n10, f"ascents for {bits}")
             acc.eq(st["des"], n - 1 - initial0 - n10, f"descents for {bits}")
             acc.eq(st["dasc"], 0, f"dasc for {bits}")
-            pairs = _count_factor(bits, "00") + _count_factor(bits, "11")
+            pairs = factor_count(bits, "00") + factor_count(bits, "11")
             acc.eq(st["ddes"], pairs - initial00, f"ddes for {bits}")
-            acc.eq(st["pk"], _count_factor(bits, "01"), f"peaks for {bits}")
+            acc.eq(st["pk"], factor_count(bits, "01"), f"peaks for {bits}")
             acc.eq(st["vl"], n10 + initial00, f"valleys for {bits}")
     return acc.done()
 

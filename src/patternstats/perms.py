@@ -206,8 +206,7 @@ def avoids(host: Perm, pattern: Perm) -> bool:
 
 def normalize_basis(patterns) -> tuple[Perm, ...]:
     """Canonical (sorted, duplicate-checked) form of a pattern set."""
-    pats = [check_perm(p) if not isinstance(p, tuple) else check_perm(p)
-            for p in patterns]
+    pats = [check_perm(p) for p in patterns]
     if not pats:
         raise BasisError("pattern set must be nonempty")
     if any(len(p) == 0 for p in pats):

@@ -8,16 +8,23 @@ Operations never consult terms beyond the truncation degree.
 Five named series are exposed:
 
 * ``series_des_321`` — descent counts over 321-avoiders: the unique
-  power-series solution G of z(1 - z + qz) G^2 - G + 1 = 0 with G(0) = 1,
-  obtained by fixed-point iteration.
-* ``series_pk_321`` — peak counts over 321-avoiders, 1 + z G^2.
+  power-series solution G of z(1 - z + qz) G^2 - G + 1 = 0 with G(0) = 1.
+  It is solved forward, one row per step: row n of G is
+  S_{n-1} + (q - 1) S_{n-2}, where S = G^2, and row m of S needs only
+  rows 0..m of G.  Each row is computed once, so a solve to degree N
+  takes O(N^2) products of rows.
+* ``series_pk_321`` — peak counts over 321-avoiders, 1 + z G^2, read off
+  the rows of S built by the same solve.
 * ``series_indec_uud`` — UUD counts over indecomposable Dyck words,
-  (G - 1) / G.
+  (G - 1) / G.  Since G - 1 = z(1 - z + qz) G^2, this equals
+  z(1 - z + qz) G, so it needs no division.
 * ``series_indec_interior_uud`` — interior UUD counts over indecomposable
   Dyck words, z G.
 * ``series_ddes_132_213`` — double-descent counts over {132,213}-avoiders:
   the rational function (1 - qz) / (1 - z - z^2 - qz + qz^2) expanded via
   its row recurrence.
+
+Every ``series_*`` function raises ``ValueError`` for a negative degree.
 """
 
 from __future__ import annotations
@@ -26,32 +33,19 @@ Row = tuple[int, ...]
 
 
 def _trim(row) -> Row:
-    row = list(row)
-    while row and row[-1] == 0:
-        row.pop()
-    return tuple(row)
+    row = tuple(row)
+    end = len(row)
+    while end and row[end - 1] == 0:
+        end -= 1
+    return row[:end]
 
 
-def _poly_add(a, b) -> Row:
-    size = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(size))
-
-
-def _poly_sub(a, b) -> Row:
-    size = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                 for i in range(size))
-
-
-def _poly_mul(a, b) -> Row:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+def _combine(*terms) -> Row:
+    """Sum of factor * q^shift * row over the (factor, shift, row) terms."""
+    out = [0] * max((shift + len(row) for _, shift, row in terms), default=0)
+    for factor, shift, row in terms:
+        for k, c in enumerate(row, shift):
+            out[k] += factor * c
     return _trim(out)
 
 
@@ -93,45 +87,42 @@ class BivariateSeries:
         return f"BivariateSeries(degree={self.degree})"
 
 
-def _mul(x: list[Row], y: list[Row], n_max: int) -> list[Row]:
-    out: list[Row] = [()] * (n_max + 1)
-    for a in range(n_max + 1):
-        if not x[a]:
-            continue
-        for b in range(n_max + 1 - a):
-            if y[b]:
-                out[a + b] = _poly_add(out[a + b], _poly_mul(x[a], y[b]))
-    return out
+def _check_max_n(max_n: int) -> None:
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative: {max_n}")
 
 
-def _add(x: list[Row], y: list[Row]) -> list[Row]:
-    return [_poly_add(a, b) for a, b in zip(x, y)]
+def _times_w(x: list[Row], n: int) -> Row:
+    """Row n of z(1 - z + qz) X, from rows X_0..X_{n-1}."""
+    if n < 2:
+        return x[0] if n == 1 else ()
+    return _combine((1, 0, x[n - 1]), (-1, 0, x[n - 2]), (1, 1, x[n - 2]))
 
 
-def _div(x: list[Row], y: list[Row], n_max: int) -> list[Row]:
-    # requires y to have constant term 1 (as a polynomial in q)
-    assert y[0] == (1,)
-    out: list[Row] = []
-    for n in range(n_max + 1):
-        acc = x[n]
-        for m in range(1, n + 1):
-            if y[m] and out[n - m]:
-                acc = _poly_sub(acc, _poly_mul(y[m], out[n - m]))
-        out.append(acc)
-    return out
+def _square_row(g: list[Row], m: int) -> Row:
+    """Row m of G^2 from rows G_0..G_m, by the symmetric half of the
+    convolution."""
+    terms = [(2 * x, i, g[m - a]) for a in range((m + 1) // 2)
+             for i, x in enumerate(g[a]) if x]
+    if m % 2 == 0:
+        terms += [(x, i, g[m // 2]) for i, x in enumerate(g[m // 2]) if x]
+    return _combine(*terms)
 
 
-def _des_321_rows(max_n: int) -> list[Row]:
-    w: list[Row] = [()] * (max_n + 1)
-    if max_n >= 1:
-        w[1] = (1,)
-    if max_n >= 2:
-        w[2] = (-1, 1)
-    one: list[Row] = [(1,)] + [()] * max_n
-    g = list(one)
-    for _ in range(max_n + 1):
-        g = _add(one, _mul(w, _mul(g, g, max_n), max_n))
-    return g
+def _solve_321(max_n: int) -> tuple[list[Row], list[Row]]:
+    """Rows of G = 1 + z(1 - z + qz) G^2 to degree max_n, and of S = G^2 to
+    degree max_n - 1.
+
+    Row n of G needs only S_0..S_{n-1}, and S_m only G_0..G_m, so each
+    step adds one row of S and then one row of G.
+    """
+    _check_max_n(max_n)
+    g: list[Row] = [(1,)]
+    s: list[Row] = []
+    for n in range(1, max_n + 1):
+        s.append(_square_row(g, n - 1))
+        g.append(_times_w(s, n))
+    return g, s
 
 
 def series_des_321(max_n: int) -> BivariateSeries:
@@ -139,7 +130,7 @@ def series_des_321(max_n: int) -> BivariateSeries:
 
     Equivalently, Dyck words of semilength n with k UUD factors.
     """
-    return BivariateSeries(_des_321_rows(max_n))
+    return BivariateSeries(_solve_321(max_n)[0])
 
 
 def series_pk_321(max_n: int) -> BivariateSeries:
@@ -147,17 +138,13 @@ def series_pk_321(max_n: int) -> BivariateSeries:
 
     Equivalently, Dyck words of semilength n with k interior UUD factors.
     """
-    g = _des_321_rows(max_n)
-    g2 = _mul(g, g, max_n)
-    rows: list[Row] = [(1,)] + [g2[n - 1] for n in range(1, max_n + 1)]
-    return BivariateSeries(rows)
+    return BivariateSeries([(1,)] + _solve_321(max_n)[1])
 
 
 def series_indec_uud(max_n: int) -> BivariateSeries:
     """Coefficient of z^n q^k counts indecomposable words with k UUD factors."""
-    g = _des_321_rows(max_n)
-    g_minus_1 = [_poly_sub(g[0], (1,))] + list(g[1:])
-    return BivariateSeries(_div(g_minus_1, g, max_n))
+    g = _solve_321(max_n)[0]
+    return BivariateSeries([_times_w(g, n) for n in range(max_n + 1)])
 
 
 def series_indec_interior_uud(max_n: int) -> BivariateSeries:
@@ -165,9 +152,8 @@ def series_indec_interior_uud(max_n: int) -> BivariateSeries:
 
     This is the z-shift of :func:`series_des_321`.
     """
-    g = _des_321_rows(max_n)
-    rows: list[Row] = [()] + g[:max_n]
-    return BivariateSeries(rows)
+    g = _solve_321(max_n)[0]
+    return BivariateSeries([()] + g[:max_n])
 
 
 def series_ddes_132_213(max_n: int) -> BivariateSeries:
@@ -175,17 +161,12 @@ def series_ddes_132_213(max_n: int) -> BivariateSeries:
 
     Rows follow the recurrence F_n = (1 + q) F_{n-1} + (1 - q) F_{n-2}
     with corrections +1 at n = 0 and -q at n = 1, which expands the
-    rational form (1 - qz) / (1 - z - z^2 - qz + qz^2).
+    rational form (1 - qz) / (1 - z - z^2 - qz + qz^2).  The corrections
+    make F_0 = F_1 = 1.
     """
-    rows: list[Row] = []
-    for n in range(max_n + 1):
-        if n == 0:
-            rows.append((1,))
-            continue
-        acc = _poly_mul((1, 1), rows[n - 1])
-        if n >= 2:
-            acc = _poly_add(acc, _poly_mul((1, -1), rows[n - 2]))
-        if n == 1:
-            acc = _poly_sub(acc, (0, 1))
-        rows.append(acc)
+    _check_max_n(max_n)
+    rows: list[Row] = [(1,), (1,)][:max_n + 1]
+    for n in range(2, max_n + 1):
+        a, b = rows[n - 1], rows[n - 2]
+        rows.append(_combine((1, 0, a), (1, 1, a), (1, 0, b), (-1, 1, b)))
     return BivariateSeries(rows)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from patternstats import distributions, formulas
+from patternstats import distributions, formulas, generate
 from patternstats.distributions import (
     UnsupportedMethodError,
     class_size,
@@ -128,3 +128,10 @@ def test_reports_json_shape():
         "FORMULA_PK231", "IOTA_INVOLUTION"]
     assert set(blob["reports"][0]) == {"name", "max_n", "passed", "checked",
                                        "failure"}
+
+
+def test_cache_hit_does_not_skip_generation_cap(monkeypatch):
+    distribution("des", [(1, 3, 2)], 6)
+    monkeypatch.setattr(generate, "GEN_ALL_CAP", 5)
+    with pytest.raises(generate.CapExceededError):
+        distribution("des", [(1, 3, 2)], 6)

@@ -1,7 +1,8 @@
 import pytest
 
+from patternstats.cli import main
 from patternstats.dyck import interior_uud_count, uud_count
-from patternstats.formulas import catalan
+from patternstats.formulas import catalan, closed_form_row
 from patternstats.generate import gen_bits, gen_dyck, gen_indec
 from patternstats.series import (
     series_ddes_132_213,
@@ -87,3 +88,125 @@ def test_degree_zero():
     a = series_des_321(0)
     assert a.degree == 0
     assert a.row_counts(0) == {0: 1}
+
+
+ALL_SERIES = (series_des_321, series_pk_321, series_indec_uud,
+              series_indec_interior_uud, series_ddes_132_213)
+
+
+def _trim(row):
+    row = list(row)
+    while row and row[-1] == 0:
+        row.pop()
+    return tuple(row)
+
+
+def _ref_mul(x, y, n_max):
+    """Rows 0..n_max of the product of two series, by the full convolution."""
+    width = max(map(len, x)) + max(map(len, y))
+    out = [[0] * width for _ in range(n_max + 1)]
+    for a in range(n_max + 1):
+        for b in range(n_max + 1 - a):
+            for i, u in enumerate(x[a]):
+                for j, v in enumerate(y[b]):
+                    out[a + b][i + j] += u * v
+    return [_trim(r) for r in out]
+
+
+def _ref_div(x, y, n_max):
+    """Rows 0..n_max of x / y for y with constant term 1, by long division."""
+    out = []
+    for n in range(n_max + 1):
+        acc = list(x[n]) if n < len(x) else []
+        for m in range(1, min(n, len(y) - 1) + 1):
+            for i, u in enumerate(y[m]):
+                for j, v in enumerate(out[n - m]):
+                    acc += [0] * (i + j + 1 - len(acc))
+                    acc[i + j] -= u * v
+        out.append(_trim(acc))
+    return out
+
+
+def _reference_rows(n_max):
+    """Every series by an independent route: G by fixed-point iteration, B by
+    division, ddes132213 by dividing out its rational form."""
+    w = [(), (1,), (-1, 1)] + [()] * n_max  # z(1 - z + qz)
+    g = [(1,)] + [()] * n_max
+    for _ in range(n_max + 1):
+        # G <- 1 + w G^2; w has no constant term, so row 0 stays 1
+        g = [(1,)] + _ref_mul(w, _ref_mul(g, g, n_max), n_max)[1:]
+    g_minus_1 = [()] + g[1:]
+    return {
+        series_des_321: g,
+        series_pk_321: [(1,)] + _ref_mul(g, g, n_max)[:n_max],
+        series_indec_uud: _ref_div(g_minus_1, g, n_max),
+        series_indec_interior_uud: [()] + g[:n_max],
+        series_ddes_132_213: _ref_div([(1,), (0, -1)],
+                                      [(1,), (-1, -1), (-1, 1)], n_max),
+    }
+
+
+def test_every_series_matches_the_reference_route():
+    want = _reference_rows(20)
+    for fn in ALL_SERIES:
+        for m in range(21):
+            assert fn(m).rows == tuple(want[fn][:m + 1]), (fn.__name__, m)
+
+
+def test_des_321_solves_its_functional_equation():
+    # G = 1 + z(1 - z + qz) G^2, checked through n = 60
+    g = series_des_321(60).rows
+    sq = _ref_mul(g, g, 60)
+    for n in range(1, 61):
+        want = list(sq[n - 1]) + [0]
+        if n >= 2:
+            for k, c in enumerate(sq[n - 2]):
+                want[k] -= c
+                want[k + 1] += c
+        assert g[n] == _trim(want), n
+
+
+def test_321_row_sums_are_catalan_far_past_brute_force():
+    a, c = series_des_321(100), series_pk_321(100)
+    for n in range(101):
+        assert a.row_sum(n) == c.row_sum(n) == catalan(n)
+
+
+def test_indec_uud_is_shifted_peak_triangle_of_231():
+    # B = z(1 - q) + sum_{n >= 0} PK231(n, k) q^(k+1) z^(n+1)
+    b = series_indec_uud(61)
+    assert b.row_counts(0) == {} and b.row_counts(1) == {0: 1}
+    for n in range(1, 61):
+        want = {k + 1: v for k, v in closed_form_row("PK231", n).items()}
+        assert b.row_counts(n + 1) == want, n
+
+
+def test_indec_interior_uud_is_z_times_des_321():
+    assert series_indec_interior_uud(60).rows == ((),) + series_des_321(59).rows
+
+
+def test_ddes_132_213_satisfies_its_rational_form():
+    # (1 - z - z^2 - qz + qz^2) F = 1 - qz, checked through n = 300
+    f = series_ddes_132_213(300).rows
+    for n in range(301):
+        acc = list(f[n]) + [0]
+        for sign, q_shift, z_lag in ((-1, 0, 1), (-1, 1, 1), (-1, 0, 2),
+                                     (1, 1, 2)):
+            if n >= z_lag:
+                for k, c in enumerate(f[n - z_lag]):
+                    acc[k + q_shift] += sign * c
+        assert _trim(acc) == {0: (1,), 1: (0, -1)}.get(n, ()), n
+
+
+@pytest.mark.parametrize("fn", ALL_SERIES, ids=lambda fn: fn.__name__)
+def test_negative_degree_raises(fn):
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(-1)
+
+
+def test_cli_rejects_negative_degree(capsys):
+    code = main(["series", "--name", "des321", "--max-n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nonnegative" in captured.err

@@ -3,8 +3,9 @@
 Seven maps, each with its inverse where the map is not an involution:
 
 * ``to_dyck_231`` / ``from_dyck_231`` — S_n(231) <-> Dyck words of
-  semilength n, by recursive splitting at the maximum.  Peaks correspond
-  to DUU factors of the image.
+  semilength n: the operation word of stack sorting, U for a push and D
+  for a pop (Knuth, TAOCP §2.2.1).  Peaks correspond to DUU factors of
+  the image.
 * ``to_dyck_321`` / ``from_dyck_321`` — S_n(321) <-> Dyck words of
   semilength n, via the lattice path through the non-left-to-right-maxima
   points.  Peaks correspond to UUD factors strictly before the last
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .dyck import check_dyck, decompose, semilength, uud_count
+from .dyck import check_dyck, semilength, uud_count
 from .perms import Perm, check_perm, contains, format_perm, ltr_maxima, reduce_word
 from .stats import des
 
@@ -75,38 +76,42 @@ def check_bits(bits: str) -> str:
 def to_dyck_231(p: Perm) -> str:
     """Map a 231-avoiding permutation to a Dyck word of equal semilength.
 
-    The word for ``a (max) b`` is ``word(a) U word(b) D``; singletons map
-    to UD and the empty permutation to the empty word.
+    Stack-sort ``p``: before pushing an entry, pop every smaller entry off
+    the stack; at the end, pop the rest.  A push is U and a pop is D.  The
+    word for ``a (max) b`` is ``word(a) U word(b) D``; singletons map to UD
+    and the empty permutation to the empty word.
     """
     p = _require_avoiding(p, (2, 3, 1))
-    return _dyck_231(p)
-
-
-def _dyck_231(p: Perm) -> str:
-    if not p:
-        return ""
-    i = p.index(len(p))
-    left = reduce_word(p[:i])
-    right = reduce_word(p[i + 1:])
-    return _dyck_231(left) + "U" + _dyck_231(right) + "D"
+    out = []
+    stack: list[int] = []
+    for x in p:
+        while stack and stack[-1] < x:
+            stack.pop()
+            out.append("D")
+        stack.append(x)
+        out.append("U")
+    out.append("D" * len(stack))
+    return "".join(out)
 
 
 def from_dyck_231(d: str) -> Perm:
-    """Inverse of :func:`to_dyck_231`."""
+    """Inverse of :func:`to_dyck_231`.
+
+    A 231-avoider stack-sorts to 1..n, so the k-th pop outputs k: each U
+    pushes the rank, among all Ds, of its matching D.
+    """
     check_dyck(d)
-    return _perm_231(d)
-
-
-def _perm_231(d: str) -> Perm:
-    if not d:
-        return ()
-    parts = decompose(d)
-    left = _perm_231("".join(parts[:-1]))
-    right = _perm_231(parts[-1][1:-1])
-    a = len(left)
-    n = a + len(right) + 1
-    # entries before the maximum are exactly 1..a in a 231-avoider
-    return left + (n,) + tuple(x + a for x in right)
+    out: list[int] = []
+    pending: list[int] = []  # indices in ``out`` of the unmatched Us
+    rank = 0
+    for step in d:
+        if step == "U":
+            pending.append(len(out))
+            out.append(0)
+        else:
+            rank += 1
+            out[pending.pop()] = rank
+    return tuple(out)
 
 
 # -- S_n(321) <-> Dyck ------------------------------------------------------

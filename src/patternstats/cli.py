@@ -19,8 +19,6 @@ from . import bijections, distributions, dyck, formulas, generate, oeis, series
 from .perms import InvalidPermError, format_perm, normalize_basis, parse_perm
 from .stats import STATS, all_stats
 
-SERIES_CAP = 24
-
 _SERIES = {
     "des321": series.series_des_321,
     "pk321": series.series_pk_321,
@@ -64,15 +62,14 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _apply_caps(cfg: dict[str, str]) -> None:
-    for key, attr in (("gen_cap", "GEN_ALL_CAP"), ("dyck_cap", "DYCK_CAP"),
-                      ("bits_cap", "BITS_CAP"),
-                      ("structured_cap", "STRUCTURED_CAP")):
-        if key in cfg:
-            setattr(generate, attr, int(cfg[key]))
-    global SERIES_CAP
-    if "series_cap" in cfg:
-        SERIES_CAP = int(cfg["series_cap"])
+# config key -> Caps field
+_CAP_KEYS = {"gen_cap": "perm", "dyck_cap": "dyck", "bits_cap": "bits",
+             "structured_cap": "structured", "series_cap": "series"}
+
+
+def _caps(cfg: dict[str, str]) -> generate.Caps:
+    return generate.Caps(**{field: int(cfg[key])
+                            for key, field in _CAP_KEYS.items() if key in cfg})
 
 
 def _parse_ns(text: str) -> list[int]:
@@ -97,7 +94,7 @@ def _render_rows(rows: list[tuple[int, int, int]], fmt: str) -> str:
 def _cmd_dist(args) -> int:
     basis = normalize_basis(parse_perm(part) for part in args.avoid.split(","))
     table = distributions.dist_table(args.stat, basis, _parse_ns(args.n),
-                                     method=args.method, workers=args.workers)
+                                     method=args.method, caps=args.caps)
     if args.format == "json":
         print(table.to_json())
     else:
@@ -146,8 +143,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.max_n > SERIES_CAP:
-        print(f"max-n {args.max_n} exceeds series cap {SERIES_CAP}",
+    if args.max_n > args.caps.series:
+        print(f"max-n {args.max_n} exceeds series cap {args.caps.series}",
               file=sys.stderr)
         return 2
     s = _SERIES[args.name](args.max_n)
@@ -179,7 +176,7 @@ def _cmd_verify(args) -> int:
             print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
             return 2
     reports = distributions.verify_all(args.max_n, selection=selection,
-                                       workers=args.workers)
+                                       caps=args.caps)
     if args.format == "json":
         print(distributions.reports_json(reports))
     else:
@@ -232,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("oracle", "closed_form", "series"))
     p.add_argument("--format", default="json",
                    choices=("json", "csv", "markdown"))
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("map", help="apply a bijection to one object")
@@ -254,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--only", action="append", help="check name (repeatable)")
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--list", action="store_true", help="list check names")
     p.set_defaults(func=_cmd_verify)
@@ -278,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.config_values = _load_config(args.config)
-        _apply_caps(args.config_values)
+        args.caps = _caps(args.config_values)
         return args.func(args)
     except oeis.OeisOfflineError as exc:
         print(f"network unavailable: {exc}", file=sys.stderr)

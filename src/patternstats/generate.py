@@ -5,22 +5,36 @@ are reproducible: full symmetric groups and binary words come out in
 lexicographic order, Dyck words in lexicographic order with D < U, and
 structured class generators in a fixed recursive order of their own.
 
-Generation caps are configuration, not hard constants; every function
-takes an optional ``cap`` overriding the module default.
+Generation caps are configuration, not hard constants.  A run's caps
+arrive as one :class:`Caps` value, and every function takes an optional
+``cap`` that defaults to the matching field of ``Caps()``.  A structured
+class generator checks only the class cap: the Dyck and binary words it
+decodes are not capped again.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from . import bijections
 from .perms import Perm, avoids_all, normalize_basis
 
-GEN_ALL_CAP = 10
-DYCK_CAP = 14
-BITS_CAP = 30
-STRUCTURED_CAP = 14
+
+@dataclass(frozen=True)
+class Caps:
+    """Size caps for one run: generation by kind, and the series degree."""
+
+    perm: int = 10        # gen_all, and so the filter route
+    dyck: int = 14        # gen_dyck and gen_indec
+    bits: int = 30        # gen_bits
+    structured: int = 14  # structured class generators
+    series: int = 24      # the CLI's series degree
+
+
+_DEFAULT = Caps()
 
 
 class CapExceededError(ValueError):
@@ -40,20 +54,27 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 
 def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic order."""
-    _check_cap(n, GEN_ALL_CAP if cap is None else cap, "permutation")
+    _check_cap(n, _DEFAULT.perm if cap is None else cap, "permutation")
     return iter(itertools.permutations(range(1, n + 1)))
 
 
 def gen_bits(length: int, cap: int | None = None) -> Iterator[str]:
     """All binary words of the given length in lexicographic order."""
-    _check_cap(length, BITS_CAP if cap is None else cap, "binary word")
+    _check_cap(length, _DEFAULT.bits if cap is None else cap, "binary word")
+    return _bit_words(length)
+
+
+def _bit_words(length: int) -> Iterator[str]:
     return ("".join(bits) for bits in itertools.product("01", repeat=length))
 
 
 def gen_dyck(n: int, cap: int | None = None) -> Iterator[str]:
     """All Dyck words of semilength n, lexicographically with D < U."""
-    _check_cap(n, DYCK_CAP if cap is None else cap, "Dyck word")
+    _check_cap(n, _DEFAULT.dyck if cap is None else cap, "Dyck word")
+    return _dyck_words(n)
 
+
+def _dyck_words(n: int) -> Iterator[str]:
     steps: list[str] = []
 
     def rec(ups: int, downs: int) -> Iterator[str]:
@@ -74,7 +95,7 @@ def gen_dyck(n: int, cap: int | None = None) -> Iterator[str]:
 
 def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
     """All indecomposable Dyck words of semilength n (none for n = 0)."""
-    _check_cap(n, DYCK_CAP if cap is None else cap, "Dyck word")
+    _check_cap(n, _DEFAULT.dyck if cap is None else cap, "Dyck word")
     if n == 0:
         return iter(())
     return ("U" + d + "D" for d in gen_dyck(n - 1, cap=cap))
@@ -94,7 +115,7 @@ def _gen_231(n: int) -> Iterator[Perm]:
 
 
 def _gen_321(n: int) -> Iterator[Perm]:
-    for d in gen_dyck(n, cap=STRUCTURED_CAP):
+    for d in _dyck_words(n):
         yield bijections.from_dyck_321(d)
 
 
@@ -110,28 +131,15 @@ def _gen_213_312(n: int) -> Iterator[Perm]:
             yield prefix + (n,) + suffix
 
 
-def _gen_132_213(n: int) -> Iterator[Perm]:
+def _gen_decoded(decode: str, n: int) -> Iterator[Perm]:
+    # the classes with a binary encoding: one member per word of length
+    # n - 1; the decoder is looked up per call, so a wrapped one is seen
     if n == 0:
         yield ()
         return
-    for bits in gen_bits(n - 1):
-        yield bijections.decode_132_213(bits)
-
-
-def _gen_213_231(n: int) -> Iterator[Perm]:
-    if n == 0:
-        yield ()
-        return
-    for bits in gen_bits(n - 1):
-        yield bijections.decode_213_231(bits)
-
-
-def _gen_123_132(n: int) -> Iterator[Perm]:
-    if n == 0:
-        yield ()
-        return
-    for bits in gen_bits(n - 1):
-        yield bijections.decode_123_132(bits)
+    fn = getattr(bijections, decode)
+    for bits in _bit_words(n - 1):
+        yield fn(bits)
 
 
 def _gen_132_321(n: int) -> Iterator[Perm]:
@@ -150,9 +158,12 @@ STRUCTURED = {
     normalize_basis([(2, 3, 1)]): _gen_231,
     normalize_basis([(3, 2, 1)]): _gen_321,
     normalize_basis([(2, 1, 3), (3, 1, 2)]): _gen_213_312,
-    normalize_basis([(1, 3, 2), (2, 1, 3)]): _gen_132_213,
-    normalize_basis([(2, 1, 3), (2, 3, 1)]): _gen_213_231,
-    normalize_basis([(1, 2, 3), (1, 3, 2)]): _gen_123_132,
+    normalize_basis([(1, 3, 2), (2, 1, 3)]):
+        partial(_gen_decoded, "decode_132_213"),
+    normalize_basis([(2, 1, 3), (2, 3, 1)]):
+        partial(_gen_decoded, "decode_213_231"),
+    normalize_basis([(1, 2, 3), (1, 3, 2)]):
+        partial(_gen_decoded, "decode_123_132"),
     normalize_basis([(1, 3, 2), (3, 2, 1)]): _gen_132_321,
 }
 
@@ -177,7 +188,7 @@ def gen_class(n: int, basis, method: str = "auto",
         if key not in STRUCTURED:
             raise UnsupportedBasisError(
                 f"no structured generator for basis {key!r}")
-        _check_cap(n, STRUCTURED_CAP if cap is None else cap, "class")
+        _check_cap(n, _DEFAULT.structured if cap is None else cap, "class")
         return STRUCTURED[key](n)
     if method != "filter":
         raise ValueError(f"unknown method {method!r}")

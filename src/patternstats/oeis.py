@@ -20,8 +20,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -137,6 +135,11 @@ def fetch(sid: str, cache: str | os.PathLike | None = None,
         if path.exists():
             return OeisRef(sid, parse_bfile(path.read_text()), time.time(),
                            "cache")
+        # imported here: the network stack is costly to load, and only a
+        # cold-cache fetch needs it
+        import urllib.error
+        import urllib.request
+
         url = _URL.format(sid=sid, digits=sid[1:])
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:
@@ -177,33 +180,23 @@ class SequenceEntry:
     skip_remote: int = 0
 
 
-def _formula_rows(fid: str, start_n: int, max_n: int) -> list[int]:
+def _flatten(row_of: Callable[[int], dict[int, int]], start_n: int,
+             max_n: int) -> list[int]:
+    """Rows n = start_n..max_n, each read for k = 0..its largest k."""
     out: list[int] = []
     for n in range(start_n, max_n + 1):
-        row = formulas.closed_form_row(fid, n)
+        row = row_of(n)
         top = max(row) if row else 0
         out.extend(row.get(k, 0) for k in range(top + 1))
     return out
 
 
-def _narayana_terms(max_n: int) -> list[int]:
-    return [formulas.closed_form("ASC231", n, k)
-            for n in range(1, max_n + 1) for k in range(n)]
-
-
-def _pascal_terms(max_n: int) -> list[int]:
-    return [formulas.closed_form("ASC_213_312", n, k)
-            for n in range(1, max_n + 1) for k in range(n)]
+def _formula_rows(fid: str, start_n: int, max_n: int) -> list[int]:
+    return _flatten(lambda n: formulas.closed_form_row(fid, n), start_n, max_n)
 
 
 def _ddes_132_213_terms(max_n: int) -> list[int]:
-    f = series.series_ddes_132_213(max_n)
-    out: list[int] = []
-    for n in range(1, max_n + 1):
-        row = f.row_counts(n)
-        top = max(row) if row else 0
-        out.extend(row.get(k, 0) for k in range(top + 1))
-    return out
+    return _flatten(series.series_ddes_132_213(max_n).row_counts, 1, max_n)
 
 
 REGISTRY: dict[str, SequenceEntry] = {}
@@ -216,9 +209,11 @@ def _entry(sid: str, description: str, local_terms, skip_remote: int = 0) -> Non
 _entry("A000108", "Catalan numbers: single-pattern class sizes, n >= 0",
        lambda max_n: [formulas.catalan(n) for n in range(max_n + 1)])
 _entry("A001263", "Narayana triangle: ascents over one-pattern classes, "
-       "rows n >= 1, k = 0..n-1", _narayana_terms)
+       "rows n >= 1, k = 0..n-1",
+       lambda max_n: _formula_rows("ASC231", 1, max_n))
 _entry("A007318", "Pascal's triangle: ascents over S_n(213,312), "
-       "rows n >= 1, k = 0..n-1", _pascal_terms)
+       "rows n >= 1, k = 0..n-1",
+       lambda max_n: _formula_rows("ASC_213_312", 1, max_n))
 _entry("A091894", "peaks over S_n(231): rows n >= 1; the remote triangle "
        "carries a leading row for the empty permutation",
        lambda max_n: _formula_rows("PK231", 1, max_n), skip_remote=1)

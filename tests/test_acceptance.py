@@ -136,33 +136,37 @@ def test_c12_oeis_cross_checks(tmp_path):
     assert not bad
 
 
-def test_c13_performance_and_determinism(capsys):
+def test_c13_performance_and_determinism(capsys, tmp_path):
     distributions.clear_caches()
     start = time.monotonic()
-    reports = verify_all(8, workers=1)
+    reports = verify_all(8)
     elapsed8 = time.monotonic() - start
     assert all(r.passed for r in reports)
     assert elapsed8 < 120.0, f"verify --all --max-n 8 took {elapsed8:.1f}s"
 
     distributions.clear_caches()
     start = time.monotonic()
-    reports = verify_all(9, workers=1)
+    reports = verify_all(9)
     elapsed9 = time.monotonic() - start
     assert all(r.passed for r in reports)
     assert elapsed9 < 600.0, f"verify --all --max-n 9 took {elapsed9:.1f}s"
 
-    outputs = []
-    for workers in ("1", "4"):
-        distributions.clear_caches()
-        code = main(["verify", "--all", "--max-n", "6", "--workers", workers,
-                     "--format", "json"])
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1], "reports differ across worker counts"
-    assert json.loads(outputs[0])["passed"] is True
+    # the second run follows a capped run and starts from a warm cache
+    argv = ["verify", "--all", "--max-n", "6", "--format", "json"]
+    capped = tmp_path / "caps.cfg"
+    capped.write_text("gen_cap = 5\n")
+    distributions.clear_caches()
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["--config", str(capped), *argv]) == 2
+    assert "permutation size 6 exceeds cap 5" in capsys.readouterr().err
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert first == second, "reports differ between runs"
+    assert json.loads(first)["passed"] is True
     print(f"ACCEPTANCE PASS criterion-13 performance "
           f"(max-n 8: {elapsed8:.1f}s, max-n 9: {elapsed9:.1f}s, "
-          "worker outputs byte-identical)")
+          "outputs byte-identical across runs and a capped run)")
 
 
 def test_class_equidistribution_132_213_vs_213_231():

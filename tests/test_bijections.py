@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from patternstats.bijections import (
@@ -52,6 +54,34 @@ def test_dyck_231_roundtrip_and_peak_transport():
             assert from_dyck_231(d) == p
             duu = factor_count(d, "DUU") if d else 0
             assert duu == naive_stat("pk", p)
+
+
+def _random_dyck(rng, n):
+    # cycle lemma: of the rotations of a word with n Us and n + 1 Ds, exactly
+    # the one starting after the walk's first minimum stays at or above its
+    # start until the final D
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    h = low = cut = 0
+    for i, s in enumerate(steps):
+        h += 1 if s == "U" else -1
+        if h < low:
+            low, cut = h, i + 1
+    return "".join(steps[cut:] + steps[:cut])[:-1]
+
+
+def test_dyck_231_large_sizes():
+    p = tuple(range(3000, 0, -1))
+    d = to_dyck_231(p)
+    assert d == "U" * 3000 + "D" * 3000
+    assert from_dyck_231(d) == p
+    rng = random.Random(2018)
+    for _ in range(20):
+        d = _random_dyck(rng, 500)
+        p = from_dyck_231(d)
+        assert sorted(p) == list(range(1, 501))
+        assert to_dyck_231(p) == d
+        assert factor_count(d, "DUU") == naive_stat("pk", p)
 
 
 def test_to_dyck_321_known_values():

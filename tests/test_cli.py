@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
-from patternstats import distributions, formulas, generate
+from patternstats import distributions, formulas
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
 
@@ -209,8 +211,7 @@ def test_oeis_offline_check_exits_3(capsys, tmp_path):
     assert code == 3 and "network" in err
 
 
-def test_config_file_sets_caps(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(generate, "GEN_ALL_CAP", generate.GEN_ALL_CAP)
+def test_config_file_sets_caps(capsys, tmp_path):
     distributions.clear_caches()
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("# caps\ngen_cap = 5\n")
@@ -220,6 +221,29 @@ def test_config_file_sets_caps(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "--config", str(cfg), "dist", "--stat", "asc",
                      "--avoid", "132", "--n", "5")
     assert code == 0
+
+
+def test_config_caps_last_one_invocation(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("gen_cap = 5\nseries_cap = 3\n")
+    code, _, _ = run(capsys, "--config", str(cfg), "dist", "--stat", "asc",
+                     "--avoid", "123", "--n", "5")
+    assert code == 0
+    code, out, err = run(capsys, "dist", "--stat", "asc", "--avoid", "123",
+                         "--n", "7")
+    assert code == 0, err
+    assert sum(json.loads(out)["counts"].values()) == catalan(7)
+    code, _, err = run(capsys, "series", "--name", "des321", "--max-n", "5")
+    assert code == 0, err
+
+
+def test_cli_import_loads_no_network_or_pool_modules():
+    heavy = ("urllib.request", "http.client", "ssl", "concurrent.futures")
+    code = ("import sys, patternstats.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_cache_dir_feeds_oeis_check(capsys, tmp_path):

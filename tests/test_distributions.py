@@ -56,14 +56,6 @@ def test_unsupported_methods():
         distribution("maj", [(3, 2, 1)], 4)
 
 
-def test_workers_do_not_change_results():
-    distributions.clear_caches()
-    solo = distribution("pk", [(3, 1, 2)], 7, workers=1)
-    distributions.clear_caches()
-    pooled = distribution("pk", [(3, 1, 2)], 7, workers=4)
-    assert solo == pooled
-
-
 def test_dist_table_json_schema():
     table = dist_table("pk", [(2, 3, 1)], [4], method="oracle")
     row = table.row_json(4)
@@ -130,8 +122,17 @@ def test_reports_json_shape():
                                        "failure"}
 
 
-def test_cache_hit_does_not_skip_generation_cap(monkeypatch):
+def test_structured_route_checks_only_the_class_cap():
+    distributions.clear_caches()
+    words_capped = generate.Caps(dyck=2, bits=2)
+    for basis in ([(3, 2, 1)], [(1, 3, 2), (2, 1, 3)], [(1, 2, 3), (1, 3, 2)]):
+        assert (distribution("pk", basis, 6, caps=words_capped)
+                == naive_dist("pk", 6, basis))
+    with pytest.raises(generate.CapExceededError, match="class size 6"):
+        distribution("pk", [(3, 2, 1)], 6, caps=generate.Caps(structured=5))
+
+
+def test_cache_hit_does_not_skip_generation_cap():
     distribution("des", [(1, 3, 2)], 6)
-    monkeypatch.setattr(generate, "GEN_ALL_CAP", 5)
     with pytest.raises(generate.CapExceededError):
-        distribution("des", [(1, 3, 2)], 6)
+        distribution("des", [(1, 3, 2)], 6, caps=generate.Caps(perm=5))

@@ -57,6 +57,13 @@ class InvalidBitsError(ValueError):
     """Input is not a word over {0, 1}."""
 
 
+class InvariantError(ValueError):
+    """A map's internal invariant failed on an input that passed its checks.
+
+    Raised in place of ``assert``, so that the checks also run under -O.
+    """
+
+
 def _require_avoiding(p: Perm, *patterns: Perm) -> Perm:
     p = check_perm(p)
     for pattern in patterns:
@@ -252,7 +259,8 @@ def uud_des_involution(d: str) -> str:
         body = d[2 * i:]
         j = len(body) - len(body.rstrip("D"))
         core = body[:len(body) - j]
-        assert i >= 1 and j >= 1 and core.endswith("DU")
+        if not (i >= 1 and j >= 1 and core.endswith("DU")):
+            raise InvariantError(f"{d} is not (UD)^i d' DU D^j with i, j >= 1")
         return core[:-2] + "DU" + "U" * i + "D" * (i + j)
     # s == t + 1
     if d == "U" * n + "D" * n:
@@ -261,7 +269,8 @@ def uud_des_involution(d: str) -> str:
     rest = d[:len(d) - j]
     i = len(rest) - len(rest.rstrip("U"))
     head = rest[:len(rest) - i]
-    assert i >= 2 and j >= i and head.endswith("D")
+    if not (i >= 2 and j >= i and head.endswith("D")):
+        raise InvariantError(f"{d} is not d' D U^i D^j with j >= i >= 2")
     return "UD" * (i - 1) + head[:-1] + "DU" + "D" * (j - i + 1)
 
 
@@ -303,7 +312,8 @@ def encode_213_231(p: Perm) -> str:
             out.append("0")
             hi -= 1
         else:
-            assert v == lo
+            if v != lo:
+                raise InvariantError(f"{v} is neither end of its suffix in {p}")
             out.append("1")
             lo += 1
     return "".join(out)
@@ -345,7 +355,8 @@ def encode_123_132(p: Perm) -> str:
             bits.append("1")
             q = reduce_word(q[:-1])
         else:
-            assert q[-2] == 1
+            if q[-2] != 1:
+                raise InvariantError(f"1 is not in the last two positions of {q}")
             bits.append("0")
             q = reduce_word(q[:-2] + (q[-1],))
     return "".join(reversed(bits))

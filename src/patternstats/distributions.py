@@ -64,7 +64,9 @@ _oracle_cache: dict[tuple, dict[str, dict[int, int]]] = {}
 
 
 def clear_caches() -> None:
+    """Forget the cached oracle rows and the filter's containment tables."""
     _oracle_cache.clear()
+    generate.clear_tables()
 
 
 def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:

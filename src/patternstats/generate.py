@@ -5,6 +5,17 @@ are reproducible: full symmetric groups and binary words come out in
 lexicographic order, Dyck words in lexicographic order with D < U, and
 structured class generators in a fixed recursive order of their own.
 
+The filter route tests membership with :func:`~patternstats.perms.contains`
+over all of S_n, and shares that work between requests.  For each n it
+keeps one containment table: a ``bytearray`` with one entry per
+permutation of S_n, in the order of :func:`gen_all`, whose bit i is set
+when the permutation contains the i-th pattern of :data:`PATTERNS3`.  A
+bit is filled the first time a basis needs its pattern at that n, by one
+scan of S_n; after that every basis made only of length-3 patterns is
+selected from the table without testing a permutation again.  A basis
+with a pattern of any other length is scanned with ``avoids_all`` as it
+is requested.  :func:`clear_tables` empties the tables.
+
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value, and every function takes an optional
 ``cap`` that defaults to the matching field of ``Caps()``.  A structured
@@ -17,10 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from math import factorial
 from typing import Iterator
 
 from . import bijections
-from .perms import Perm, avoids_all, normalize_basis
+from .perms import Perm, avoids_all, contains, normalize_basis
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,43 @@ def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic order."""
     _check_cap(n, _DEFAULT.perm if cap is None else cap, "permutation")
     return iter(itertools.permutations(range(1, n + 1)))
+
+
+# -- the filter route's containment tables ----------------------------------
+
+PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))  # bit i <-> PATTERNS3[i]
+
+# n -> (table, mask of the bits filled so far)
+_tables: dict[int, tuple[bytearray, int]] = {}
+
+
+def clear_tables() -> None:
+    """Forget every containment table."""
+    _tables.clear()
+
+
+def _containment_table(n: int, key: tuple[Perm, ...]) -> bytearray:
+    """The table for S_n, with the bit of every pattern in ``key`` filled."""
+    table, done = _tables.get(n) or (bytearray(factorial(n)), 0)
+    for pattern in key:
+        bit = 1 << PATTERNS3.index(pattern)
+        if done & bit:
+            continue
+        hits = bytes(map(contains, itertools.permutations(range(1, n + 1)),
+                         itertools.repeat(pattern)))
+        # set the bit in every entry at once, as one integer OR
+        table[:] = (int.from_bytes(table, "little")
+                    | int.from_bytes(hits, "little") * bit).to_bytes(
+                        len(table), "little")
+        done |= bit
+        _tables[n] = table, done
+    return table
+
+
+def _avoid_table(key: tuple[Perm, ...]) -> bytes:
+    # translation of a table entry to 1 when it contains no pattern of key
+    bits = sum(1 << PATTERNS3.index(p) for p in key)
+    return bytes(not v & bits for v in range(256))
 
 
 def gen_bits(length: int, cap: int | None = None) -> Iterator[str]:
@@ -180,6 +229,11 @@ def gen_class(n: int, basis, method: str = "auto",
     (use a registered class-specific generator), or "auto" (structured
     when available).  Filter output is lexicographic; structured output
     order is generator-specific but fixed.
+
+    The filter route checks the cap first.  A basis of length-3 patterns
+    is then selected from the shared containment table for n, which scans
+    S_n only for patterns no earlier request at n has needed; any other
+    basis is scanned with ``avoids_all``.
     """
     key = normalize_basis(basis)
     if method == "auto":
@@ -192,4 +246,8 @@ def gen_class(n: int, basis, method: str = "auto",
         return STRUCTURED[key](n)
     if method != "filter":
         raise ValueError(f"unknown method {method!r}")
-    return (p for p in gen_all(n, cap=cap) if avoids_all(p, key))
+    members = gen_all(n, cap=cap)
+    if all(len(p) == 3 for p in key):
+        table = _containment_table(n, key)
+        return itertools.compress(members, table.translate(_avoid_table(key)))
+    return (p for p in members if avoids_all(p, key))

@@ -39,20 +39,31 @@ def check_perm(values: Iterable[int]) -> Perm:
 
 
 def parse_perm(text: str) -> Perm:
-    """Parse a one-line permutation written as a digit string, e.g. "231".
+    """Parse a one-line permutation, e.g. "231" or "2,3,1".
 
-    Only lengths up to 9 are representable this way.
+    The digit-string form only reaches length 9; the comma-separated form
+    takes any length.
+
+    >>> parse_perm("1,2,3,4,5,6,7,8,10,9")
+    (1, 2, 3, 4, 5, 6, 7, 8, 10, 9)
     """
     if not text:
         return ()
-    if not text.isdigit():
-        raise InvalidPermError(f"permutation must be a digit string: {text!r}")
-    return check_perm(int(ch) for ch in text)
+    parts = text.split(",") if "," in text else list(text)
+    if not all(part.isdigit() for part in parts):
+        raise InvalidPermError(
+            f"permutation must be a digit string or comma-separated: {text!r}")
+    return check_perm(int(part) for part in parts)
 
 
 def format_perm(p: Perm) -> str:
+    """The digit string of ``p``, or its comma-separated form from length 10.
+
+    >>> format_perm((2, 3, 1))
+    '231'
+    """
     if len(p) > 9:
-        raise InvalidPermError("digit-string form only exists for length <= 9")
+        return ",".join(str(x) for x in p)
     return "".join(str(x) for x in p)
 
 

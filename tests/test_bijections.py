@@ -1,9 +1,13 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
+from patternstats import bijections
 from patternstats.bijections import (
     InvalidBitsError,
+    InvariantError,
     PatternViolation,
     decode_123_132,
     decode_132_213,
@@ -205,3 +209,29 @@ def test_encodings_are_bijections(encode, decode, basis):
             seen.add(p)
         assert len(seen) == 2 ** (n - 1)
         assert seen == set(map(tuple, naive_class(n, basis)))
+
+
+@pytest.mark.parametrize("fn,arg,patch", [
+    # the two branches of iota, each fed a wrong descent count
+    (uud_des_involution, "UUDD", ("des", lambda p: 2)),
+    (uud_des_involution, "UUDUDD", ("des", lambda p: 0)),
+    # the encoders, each fed a permutation outside its domain
+    (encode_213_231, (2, 1, 3), ("_require_avoiding", lambda p, *pats: p)),
+    (encode_123_132, (1, 2, 3), ("_require_avoiding", lambda p, *pats: p)),
+])
+def test_broken_invariants_raise_invariant_error(monkeypatch, fn, arg, patch):
+    monkeypatch.setattr(bijections, *patch)
+    with pytest.raises(InvariantError):
+        fn(arg)
+
+
+def test_invariants_still_checked_under_optimize():
+    code = ("from patternstats import bijections as b\n"
+            "b._require_avoiding = lambda p, *pats: p\n"
+            "try:\n"
+            "    b.encode_213_231((2, 1, 3))\n"
+            "except b.InvariantError:\n"
+            "    print('raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "raised"

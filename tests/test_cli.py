@@ -96,6 +96,18 @@ def test_map_encoding(capsys):
     assert json.loads(out)["image"] == "11001"
 
 
+def test_map_round_trips_twelve_entries(capsys):
+    code, out, _ = run(capsys, "map", "--bijection", "dec132213",
+                       "--input", "01101001011")
+    assert code == 0
+    perm = out.splitlines()[0]
+    assert perm == "12,9,10,11,7,8,6,4,5,1,2,3"
+    code, out, _ = run(capsys, "map", "--bijection", "enc132213",
+                       "--input", perm, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["image"] == "01101001011"
+
+
 def test_map_alphabet_flag(capsys):
     code, out, _ = run(capsys, "map", "--bijection", "iota", "--input",
                        "1100", "--alphabet", "10")

@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 
+from patternstats import distributions, generate
 from patternstats.dyck import check_dyck, is_indecomposable
 from patternstats.formulas import binom, catalan
 from patternstats.generate import (
+    PATTERNS3,
     CapExceededError,
+    Caps,
     UnsupportedBasisError,
     gen_all,
     gen_bits,
@@ -12,7 +17,7 @@ from patternstats.generate import (
     gen_indec,
     structured_bases,
 )
-from patternstats.perms import normalize_basis
+from patternstats.perms import avoids_all, normalize_basis
 
 from helpers import naive_class
 
@@ -97,3 +102,56 @@ def test_structured_bases_registered():
     assert normalize_basis([(2, 3, 1)]) in keys
     assert normalize_basis([(3, 2, 1)]) in keys
     assert len(keys) == 7
+
+
+# -- the filter route's shared containment tables -----------------------------
+
+def _scan(n, key):
+    return [p for p in gen_all(n) if avoids_all(p, key)]
+
+
+def test_filter_table_matches_scan_for_every_length3_basis():
+    generate.clear_tables()
+    bases = [key for r in range(1, 7)
+             for key in itertools.combinations(PATTERNS3, r)]
+    assert len(bases) == 63
+    for n in range(8):
+        for key in bases:
+            assert list(gen_class(n, key, method="filter")) == _scan(n, key)
+
+
+def test_filter_fallback_for_other_pattern_lengths():
+    generate.clear_tables()
+    for key in ([(2, 1)], [(1, 2), (3, 2, 1)], [(2, 1, 4, 3)],
+                [(1, 3, 2), (4, 3, 2, 1)]):
+        for n in range(7):
+            got = list(gen_class(n, key, method="filter"))
+            assert got == _scan(n, normalize_basis(key))
+            assert got == naive_class(n, key)
+    assert not generate._tables
+
+
+def test_filter_cap_checked_on_a_warm_table():
+    generate.clear_tables()
+    assert sum(1 for _ in gen_class(6, [(1, 2, 3)], method="filter")) == 132
+    with pytest.raises(CapExceededError, match="permutation size 6 exceeds cap 5"):
+        distributions.class_size(6, [(1, 2, 3)], method="filter",
+                                 caps=Caps(perm=5))
+
+
+def test_clear_caches_empties_the_tables():
+    list(gen_class(5, [(1, 3, 2)], method="filter"))
+    assert generate._tables
+    distributions.clear_caches()
+    assert not generate._tables
+
+
+def test_filter_independent_of_request_order():
+    a, b = ((1, 2, 3),), ((1, 3, 2),)
+
+    def run(order):
+        generate.clear_tables()
+        rows = {key: list(gen_class(6, key, method="filter")) for key in order}
+        return rows, bytes(generate._tables[6][0])
+
+    assert run([a, b]) == run([b, a])

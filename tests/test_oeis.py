@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -93,6 +94,8 @@ def test_formula_sequence_map_is_registered():
         assert sid in oeis.REGISTRY, (name, sid)
 
 
+@pytest.mark.skipif(os.environ.get("PATTERNSTATS_ONLINE") != "1",
+                    reason="contacts oeis.org; set PATTERNSTATS_ONLINE=1")
 def test_network_fetch_if_available(tmp_path):
     try:
         ref = oeis.fetch("A000108", cache=tmp_path, timeout=10.0)

@@ -52,6 +52,14 @@ def test_parse_and_format():
         parse_perm("221")
     with pytest.raises(InvalidPermError):
         parse_perm("x1")
+    assert parse_perm("2,3,1") == (2, 3, 1)
+    assert format_perm((2, 3, 1)) == "231"
+    p = (10, *range(1, 10))
+    assert format_perm(p) == "10,1,2,3,4,5,6,7,8,9"
+    assert parse_perm(format_perm(p)) == p
+    for bad in ("1,,2", "1,3", ",", "1, 2", "2,x,1"):
+        with pytest.raises(InvalidPermError):
+            parse_perm(bad)
 
 
 def test_contains_known_values():

@@ -3,8 +3,11 @@
 Row sums of the descent and peak series over 321-avoiders recover the
 Catalan numbers; the rational series for the 2^(n-1) class sums to powers
 of two.  The final section renders a b-file of locally computed terms and,
-when the network is reachable, compares them with the published data.
+when PATTERNSTATS_ONLINE=1 is set and the network is reachable, compares
+them with the published data.
 """
+
+import os
 
 from patternstats import series_ddes_132_213, series_des_321, series_pk_321
 from patternstats.oeis import OeisOfflineError, check_sequence, local_bfile
@@ -27,7 +30,8 @@ def main():
         print(" ", line)
 
     try:
-        report = check_sequence("PK231", 12)
+        report = check_sequence(
+            "PK231", 12, offline=os.environ.get("PATTERNSTATS_ONLINE") != "1")
         print(f"\nA091894 comparison: matched prefix {report.matched_prefix}, "
               f"mismatch {report.first_mismatch}")
     except OeisOfflineError:

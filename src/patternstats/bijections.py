@@ -153,33 +153,34 @@ def to_dyck_321(p: Perm) -> str:
 def from_dyck_321(d: str) -> Perm:
     """Inverse of :func:`to_dyck_321`."""
     check_dyck(d)
-    n = semilength(d)
-    if n == 0:
-        return ()
-    # corners of the U-run/D-run blocks are the non-left-to-right-maxima
-    # points (position, value); the final corner at column n + 1 is not one
-    placed = []
+    # each U-run/D-run block ends at a corner (position, value) of a
+    # non-left-to-right maximum; the last block ends at column n + 1
+    corners = []
     x, y = 1, 0
-    i = 0
-    while i < len(d):
-        j = i
-        while j < len(d) and d[j] == "U":
-            j += 1
-        k = j
-        while k < len(d) and d[k] == "D":
-            k += 1
-        x += j - i
-        y += k - j
-        if x <= n:
-            placed.append((x, y))
-        i = k
-    out = [0] * n
-    for pos, val in placed:
-        out[pos - 1] = val
-    rest = iter(sorted(set(range(1, n + 1)) - {val for _, val in placed}))
-    for idx in range(n):
-        if out[idx] == 0:
-            out[idx] = next(rest)
+    for block in d.replace("DU", "D U").split()[:-1]:
+        up = block.index("D")
+        x += up
+        y += len(block) - up
+        corners.append((x, y))
+    return fill_321(semilength(d), corners)
+
+
+def fill_321(n: int, corners) -> Perm:
+    """The 321-avoider of length n whose non-maxima sit at ``corners``.
+
+    ``corners`` lists the (position, value) points of the entries that are
+    not left-to-right maxima, by increasing position and so by increasing
+    value; the maxima take the remaining values in increasing order.  This
+    is the decoding core of :func:`from_dyck_321`, shared with the class
+    generator, which reads the corners off each Dyck word as it builds it.
+    """
+    out = list(range(1, n + 1))
+    # values rise with positions: deleting from the top and inserting from
+    # the left leaves every earlier deletion or insertion in place
+    for _, val in reversed(corners):
+        del out[val - 1]
+    for pos, val in corners:
+        out.insert(pos - 1, val)
     return tuple(out)
 
 

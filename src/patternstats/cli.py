@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import bijections, distributions, dyck, formulas, generate, oeis, series
@@ -73,10 +74,16 @@ def _caps(cfg: dict[str, str]) -> generate.Caps:
 
 
 def _parse_ns(text: str) -> list[int]:
-    if "-" in text:
-        lo, _, hi = text.partition("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """The lengths of ``--n``: one length N, or a range LO-HI with LO <= HI."""
+    match = re.fullmatch(r"\s*(\d+)\s*(?:-\s*(\d+)\s*)?", text)
+    if match is None:
+        raise ValueError(f"--n expects a length N or a range LO-HI of "
+                         f"nonnegative integers, got {text!r}")
+    lo = int(match[1])
+    hi = lo if match[2] is None else int(match[2])
+    if lo > hi:
+        raise ValueError(f"--n range {text!r} is reversed: {lo} > {hi}")
+    return list(range(lo, hi + 1))
 
 
 def _render_rows(rows: list[tuple[int, int, int]], fmt: str) -> str:

@@ -18,6 +18,7 @@ passes a size the caps refuse.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -43,7 +44,7 @@ from .perms import (
     normalize_basis,
     reverse,
 )
-from .stats import STATS, all_stats
+from .stats import STATS, all_stats, up_down, word_stats
 
 _SINGLE_BASES = ("123", "132", "213", "231", "312", "321")
 _PAIR_BASES = ("123,321", "213,312", "132,213", "213,231", "123,132", "132,321")
@@ -70,11 +71,15 @@ def clear_caches() -> None:
 
 
 def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
+    # every statistic is a function of the up-down word, so each distinct
+    # word is evaluated once; words come in order of first appearance, so
+    # every row's keys are inserted in the order a member-by-member tally
+    # would insert them
     rows: dict[str, dict[int, int]] = {s: {} for s in STATS}
-    for p in members:
-        for s, v in all_stats(p).items():
+    for w, count in Counter(map(up_down, members)).items():
+        for s, v in word_stats(w).items():
             row = rows[s]
-            row[v] = row.get(v, 0) + 1
+            row[v] = row.get(v, 0) + count
     return rows
 
 

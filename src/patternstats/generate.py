@@ -14,7 +14,20 @@ bit is filled the first time a basis needs its pattern at that n, by one
 scan of S_n; after that every basis made only of length-3 patterns is
 selected from the table without testing a permutation again.  A basis
 with a pattern of any other length is scanned with ``avoids_all`` as it
-is requested.  :func:`clear_tables` empties the tables.
+is requested.  :func:`clear_tables` empties the tables.  A pattern's bit
+is filled in chunks of ``_FILL_CHUNK`` entries, so a fill holds only a
+few chunk-sized buffers beside the table.
+
+The structured generators do work in proportion to their output.  Av(231)
+splits every member at its maximum into a prefix and a shifted suffix; it
+lists the classes of sizes 0..n-2 once per call, shifts a suffix list once
+per split, and streams the two end splits, which need S_{n-1}(231), from
+those lists, so no list larger than the class of size n - 2 is held.
+Av(321) walks the Dyck words in the order of :func:`gen_dyck`, records
+each corner (column, row) of psi^-1 at a DU turn as the word grows, and
+fills each finished word from its corners with
+:func:`~patternstats.bijections.fill_321`, the decoding core it shares
+with ``from_dyck_321``.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value, and every function takes an optional
@@ -74,6 +87,8 @@ def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
 
 PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))  # bit i <-> PATTERNS3[i]
 
+_FILL_CHUNK = 1 << 16  # table entries filled per integer OR
+
 # n -> (table, mask of the bits filled so far)
 _tables: dict[int, tuple[bytearray, int]] = {}
 
@@ -90,12 +105,16 @@ def _containment_table(n: int, key: tuple[Perm, ...]) -> bytearray:
         bit = 1 << PATTERNS3.index(pattern)
         if done & bit:
             continue
-        hits = bytes(map(contains, itertools.permutations(range(1, n + 1)),
-                         itertools.repeat(pattern)))
-        # set the bit in every entry at once, as one integer OR
-        table[:] = (int.from_bytes(table, "little")
-                    | int.from_bytes(hits, "little") * bit).to_bytes(
-                        len(table), "little")
+        members = itertools.permutations(range(1, n + 1))
+        for start in range(0, len(table), _FILL_CHUNK):
+            hits = bytes(map(contains, itertools.islice(members, _FILL_CHUNK),
+                             itertools.repeat(pattern)))
+            # set the bit in every entry of the chunk at once, as one
+            # integer OR, so the extra memory is a few chunk-sized buffers
+            end = start + len(hits)
+            table[start:end] = (int.from_bytes(table[start:end], "little")
+                                | int.from_bytes(hits, "little") * bit
+                                ).to_bytes(len(hits), "little")
         done |= bit
         _tables[n] = table, done
     return table
@@ -153,19 +172,57 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
 # -- structured class generators ---------------------------------------------
 
 def _gen_231(n: int) -> Iterator[Perm]:
-    # split at the maximum: prefix on 1..i-1, suffix on i..n-1
+    # the classes of sizes 0..n-2 are listed once; S_n and the S_{n-1}
+    # its two end splits need are streamed from them
     if n == 0:
         yield ()
         return
-    for i in range(1, n + 1):
-        for a in _gen_231(i - 1):
-            for b in _gen_231(n - i):
-                yield a + (n,) + tuple(x + i - 1 for x in b)
+    classes: list[list[Perm]] = [[()]]
+    for m in range(1, n - 1):
+        classes.append(list(_split_231(m, classes)))
+    yield from _split_231(n, classes)
+
+
+def _split_231(m: int, classes: list[list[Perm]]) -> Iterator[Perm]:
+    # S_m(231) split at the maximum: prefix on 1..i-1, suffix on i..m-1.
+    # ``classes`` holds at least the classes of sizes 0..m-2, so a part of
+    # size m-1 is streamed, and it is the suffix only when the prefix is
+    # empty (i = 1, no shift) and the prefix only when the suffix is empty.
+    top = (m,)
+    for i in range(1, m + 1):
+        prefixes = _class_231(i - 1, classes)
+        suffixes = _class_231(m - i, classes)
+        if i > 1:
+            suffixes = [tuple([x + i - 1 for x in b]) for b in suffixes]
+        for a in prefixes:
+            a += top
+            for b in suffixes:
+                yield a + b
+
+
+def _class_231(m: int, classes: list[list[Perm]]):
+    return classes[m] if m < len(classes) else _split_231(m, classes)
 
 
 def _gen_321(n: int) -> Iterator[Perm]:
-    for d in _dyck_words(n):
-        yield bijections.from_dyck_321(d)
+    # the words of _dyck_words, in the same order, built one D-run and U at
+    # a time; a U after a D-run turns at a corner (column, row) of psi^-1,
+    # and each finished word is filled from its corners
+    fill = bijections.fill_321
+    corners: list[tuple[int, int]] = []
+
+    def rec(ups: int, downs: int) -> Iterator[Perm]:
+        if ups == 0:  # only the final D-run is left
+            yield fill(n, corners)
+            return
+        # k Ds then a U; more Ds first, as D < U
+        for k in range(downs - ups, 0, -1):
+            corners.append((n - ups + 1, n - downs + k))
+            yield from rec(ups - 1, downs - k)
+            corners.pop()
+        yield from rec(ups - 1, downs)
+
+    return rec(n, n)
 
 
 def _gen_213_312(n: int) -> Iterator[Perm]:

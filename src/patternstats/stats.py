@@ -4,9 +4,19 @@ Each statistic counts windows of adjacent positions: ascents and descents
 use windows of length 2; double ascents, double descents, peaks, and
 valleys use windows of length 3.  Every statistic of the empty and the
 singleton permutation is 0.
+
+All six depend only on the up-down word of a permutation, the bytes
+``w[i] = [p[i] < p[i+1]]``: asc counts the 1s and des the 0s, pk counts
+the factors 10 and vl the factors 01, and dasc = asc - vl - [w starts
+with 1], ddes = des - pk - [w starts with 0].  :func:`all_stats` reads
+them off that word with byte counts, and a tally over a class evaluates
+:func:`word_stats` once per distinct word; the one-statistic functions
+:func:`asc` ... :func:`vl` keep the window definitions.
 """
 
 from __future__ import annotations
+
+from operator import lt
 
 from .perms import Perm, reduce_word
 
@@ -54,27 +64,30 @@ def stat(kind: str, p: Perm) -> int:
         raise ValueError(f"unknown statistic {kind!r}; expected one of {STATS}") from None
 
 
+def up_down(p: Perm) -> bytes:
+    """The up-down word of ``p``: byte i is 1 when p[i] < p[i+1], else 0."""
+    return bytes(map(lt, p, p[1:]))
+
+
+def word_stats(w: bytes) -> dict[str, int]:
+    """All six statistics of any permutation whose up-down word is ``w``.
+
+    Each run of ascents adds one ascent less than its length to dasc, and
+    a run starts at the front or after a valley; descents likewise.
+    """
+    a = w.count(1)
+    d = len(w) - a
+    peaks = w.count(b"\x01\x00")
+    valleys = w.count(b"\x00\x01")
+    return {"asc": a, "des": d,
+            "dasc": a - valleys - w.startswith(b"\x01"),
+            "ddes": d - peaks - w.startswith(b"\x00"),
+            "pk": peaks, "vl": valleys}
+
+
 def all_stats(p: Perm) -> dict[str, int]:
-    """All six statistics in a single pass over ``p``."""
-    a = d = da = dd = peaks = valleys = 0
-    prev_up = None
-    for i in range(len(p) - 1):
-        up = p[i] < p[i + 1]
-        if up:
-            a += 1
-        else:
-            d += 1
-        if prev_up is not None:
-            if prev_up and up:
-                da += 1
-            elif prev_up and not up:
-                peaks += 1
-            elif not prev_up and up:
-                valleys += 1
-            else:
-                dd += 1
-        prev_up = up
-    return {"asc": a, "des": d, "dasc": da, "ddes": dd, "pk": peaks, "vl": valleys}
+    """All six statistics of ``p``, read off its up-down word."""
+    return word_stats(up_down(p))
 
 
 def consec3_count(p: Perm, pattern: Perm) -> int:

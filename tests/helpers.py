@@ -48,3 +48,15 @@ def naive_dist(kind, n, patterns):
         v = naive_stat(kind, p)
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+def split_at_max_231(n):
+    """S_n(231) in the generator's order: split at the maximum n, with the
+    prefix on 1..i-1 and the suffix on i..n-1, rebuilt for every prefix."""
+    if n == 0:
+        yield ()
+        return
+    for i in range(1, n + 1):
+        for a in split_at_max_231(i - 1):
+            for b in split_at_max_231(n - i):
+                yield a + (n,) + tuple(x + i - 1 for x in b)

@@ -63,6 +63,20 @@ def test_dist_range(capsys):
     assert [r["n"] for r in rows] == [2, 3, 4]
 
 
+@pytest.mark.parametrize("ns, message", [
+    ("5-3", "--n range '5-3' is reversed: 5 > 3"),
+    ("-1", "--n expects a length N or a range LO-HI"),
+    ("3-", "--n expects a length N or a range LO-HI"),
+    ("2-x", "--n expects a length N or a range LO-HI"),
+])
+def test_dist_bad_range_exits_2(capsys, ns, message):
+    code, out, err = run(capsys, "dist", "--stat", "pk", "--avoid", "231",
+                         "--n", ns)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_dist_bad_basis_exits_2(capsys):
     code, _, err = run(capsys, "dist", "--stat", "pk", "--avoid", "2x1",
                        "--n", "4")

@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
 
-from patternstats import distributions, formulas, generate
+from patternstats import distributions, formulas, generate, stats
 from patternstats.distributions import (
     UnsupportedMethodError,
     class_size,
@@ -136,3 +137,27 @@ def test_cache_hit_does_not_skip_generation_cap():
     distribution("des", [(1, 3, 2)], 6)
     with pytest.raises(generate.CapExceededError):
         distribution("des", [(1, 3, 2)], 6, caps=generate.Caps(perm=5))
+
+
+def _tally_by_member(members):
+    # the tally through the one-statistic definitions, member by member
+    rows = {s: {} for s in stats.STATS}
+    for p in members:
+        for s in stats.STATS:
+            v = stats.stat(s, p)
+            rows[s][v] = rows[s].get(v, 0) + 1
+    return rows
+
+
+def test_tally_by_word_matches_tally_by_member():
+    # equal rows, with keys in the same order, so every repr is unchanged
+    cases = [itertools.permutations(range(1, n + 1)) for n in range(9)]
+    cases += [generate.gen_class(n, key, method="structured")
+              for key in generate.structured_bases() for n in range(11)]
+    for members in cases:
+        members = list(members)
+        got = distributions._tally(members)
+        want = _tally_by_member(members)
+        assert got == want
+        assert [list(row.items()) for row in got.values()] == \
+            [list(row.items()) for row in want.values()]

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from patternstats import distributions, generate
+from patternstats import bijections, distributions, generate
 from patternstats.dyck import check_dyck, is_indecomposable
 from patternstats.formulas import binom, catalan
 from patternstats.generate import (
@@ -17,9 +18,9 @@ from patternstats.generate import (
     gen_indec,
     structured_bases,
 )
-from patternstats.perms import avoids_all, normalize_basis
+from patternstats.perms import avoids_all, format_basis, normalize_basis
 
-from helpers import naive_class
+from helpers import naive_class, split_at_max_231
 
 
 def test_gen_all_counts_and_order():
@@ -90,6 +91,61 @@ def test_structured_agrees_with_filter_and_naive():
             assert structured == sorted(naive_class(n, key))
 
 
+def test_structured_sequences_match_plain_references():
+    # the same members in the same order as a plain route, for n <= 10
+    decoded = {"132,213": bijections.decode_132_213,
+               "213,231": bijections.decode_213_231,
+               "123,132": bijections.decode_123_132}
+    for n in range(11):
+        assert (list(gen_class(n, [(2, 3, 1)], method="structured"))
+                == list(split_at_max_231(n)))
+        assert (list(gen_class(n, [(3, 2, 1)], method="structured"))
+                == [bijections.from_dyck_321(d) for d in gen_dyck(n)])
+        for text, decode in decoded.items():
+            key = normalize_basis(
+                [tuple(map(int, part)) for part in text.split(",")])
+            want = [decode(b) for b in gen_bits(n - 1)] if n else [()]
+            assert list(gen_class(n, key, method="structured")) == want
+
+
+# sha256 prefix of repr(list(members)) over n = 0..10, in the documented
+# order of each structured generator
+_STRUCTURED_ORDER = {
+    "231": "45ee8acc6baab22e",
+    "321": "fdb4101e2f586169",
+    "213,312": "5828761c42494cec",
+    "132,213": "a4c4de3da6f07eff",
+    "213,231": "e0266cce7526d407",
+    "123,132": "bbb2a9d787b10695",
+    "132,321": "f567da1e1b109c1f",
+}
+
+
+def test_structured_order_is_pinned():
+    for key in structured_bases():
+        digest = hashlib.sha256()
+        for n in range(11):
+            digest.update(
+                repr(list(gen_class(n, key, method="structured"))).encode())
+        assert digest.hexdigest()[:16] == _STRUCTURED_ORDER[format_basis(key)]
+
+
+def test_gen_231_lists_no_class_above_n_minus_2(monkeypatch):
+    # only the classes of sizes 0..n-2 are listed; S_{n-1} is streamed
+    listed = []
+    real = generate._split_231
+
+    def spy(m, classes):
+        listed.append(len(classes) - 1)
+        return real(m, classes)
+
+    monkeypatch.setattr(generate, "_split_231", spy)
+    for n in range(2, 11):
+        listed.clear()
+        assert sum(1 for _ in generate._gen_231(n)) == catalan(n)
+        assert max(listed) <= n - 2
+
+
 def test_gen_class_method_errors():
     with pytest.raises(UnsupportedBasisError):
         next(gen_class(3, [(1, 2, 3)], method="structured"))
@@ -137,6 +193,15 @@ def test_filter_cap_checked_on_a_warm_table():
     with pytest.raises(CapExceededError, match="permutation size 6 exceeds cap 5"):
         distributions.class_size(6, [(1, 2, 3)], method="filter",
                                  caps=Caps(perm=5))
+
+
+def test_filter_table_filled_in_chunks(monkeypatch):
+    # a chunk that does not divide n! puts boundaries inside every scan
+    monkeypatch.setattr(generate, "_FILL_CHUNK", 7)
+    generate.clear_tables()
+    for key in itertools.combinations(PATTERNS3, 2):
+        assert list(gen_class(6, key, method="filter")) == _scan(6, key)
+    generate.clear_tables()
 
 
 def test_clear_caches_empties_the_tables():

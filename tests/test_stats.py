@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from patternstats.perms import complement, parse_perm, reverse
-from patternstats.stats import STATS, all_stats, consec3_count, stat
+from patternstats.stats import STATS, all_stats, consec3_count, stat, up_down
 
 from helpers import naive_stat
 
 small_perms = st.integers(0, 8).flatmap(
+    lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))
+perms_to_200 = st.integers(0, 200).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))
 
 
@@ -25,6 +27,7 @@ def test_empty_and_singleton_are_zero():
     for kind in STATS:
         assert stat(kind, ()) == 0
         assert stat(kind, (1,)) == 0
+    assert all_stats(()) == all_stats((1,)) == dict.fromkeys(STATS, 0)
 
 
 def test_unknown_stat():
@@ -32,11 +35,13 @@ def test_unknown_stat():
         stat("maj", (1, 2))
 
 
-@given(small_perms)
+@given(perms_to_200)
 def test_all_stats_matches_definitions(p):
     bundle = all_stats(p)
+    assert list(bundle) == list(STATS)
     for kind in STATS:
-        assert bundle[kind] == naive_stat(kind, p)
+        assert bundle[kind] == stat(kind, p) == naive_stat(kind, p)
+    assert len(up_down(p)) == max(len(p) - 1, 0)
 
 
 def test_consec3_known_values():

@@ -5,24 +5,36 @@ are reproducible: full symmetric groups and binary words come out in
 lexicographic order, Dyck words in lexicographic order with D < U, and
 structured class generators in a fixed recursive order of their own.
 
-The filter route tests membership with :func:`~patternstats.perms.contains`
-over all of S_n, and shares that work between requests.  For each n it
-keeps one containment table: a ``bytearray`` with one entry per
-permutation of S_n, in the order of :func:`gen_all`, whose bit i is set
-when the permutation contains the i-th pattern of :data:`PATTERNS3`.  A
-bit is filled the first time a basis needs its pattern at that n, by one
-scan of S_n; after that every basis made only of length-3 patterns is
-selected from the table without testing a permutation again.  A basis
-with a pattern of any other length is scanned with ``avoids_all`` as it
-is requested.  :func:`clear_tables` empties the tables.  A pattern's bit
-is filled in chunks of ``_FILL_CHUNK`` entries, so a fill holds only a
-few chunk-sized buffers beside the table.
+The filter route shares its work between requests.  For each n it keeps
+one containment table: a ``bytearray`` with one entry per permutation of
+S_n, in the order of :func:`gen_all`, whose bit i is set when the
+permutation contains the i-th pattern of :data:`PATTERNS3`.  A bit is
+filled the first time a basis needs its pattern at that n; after that
+every basis made only of length-3 patterns is selected from the table
+without testing a permutation again.  A basis with a pattern of any other
+length is scanned with ``avoids_all`` as it is requested.
+:func:`clear_tables` empties the tables.
+
+A bit is filled by prefix recursion, with no per-permutation work.  In
+lexicographic order S_n is n blocks, block b being b followed by S_{n-1}
+with the values above b shifted, so a member of block b contains the
+pattern when its rest does or when b starts an occurrence.  Whether b
+starts one is a threshold map over S_{n-1}, with the values below b low
+and the others high; for each pattern it is one of six kinds (two high
+values rising or falling, two low values rising or falling, a low value
+before a high one, or the reverse).  A threshold map over S_m is m blocks
+again, by the first entry c: all ones when c alone decides, otherwise the
+map over S_{m-1} at the same or the next lower threshold.  So a fill is
+byte joins and integer ORs of whole blocks.  It keeps the maps of one level
+only, and reads the last two levels off those over S_{n-2} in pieces of
+(n-2)! entries, each ORed straight into the table.
 
 The structured generators do work in proportion to their output.  Av(231)
 splits every member at its maximum into a prefix and a shifted suffix; it
-lists the classes of sizes 0..n-2 once per call, shifts a suffix list once
-per split, and streams the two end splits, which need S_{n-1}(231), from
-those lists, so no list larger than the class of size n - 2 is held.
+lists the classes of sizes 0..n-3 once per call, shifts a suffix list once
+per split, and streams the four outer splits, which need S_{n-1}(231) or
+S_{n-2}(231) beside a part with one member, from those lists, so no list
+larger than the class of size n - 3 is held.
 Av(321) walks the Dyck words in the order of :func:`gen_dyck`, records
 each corner (column, row) of psi^-1 at a DU turn as the word grows, and
 fills each finished word from its corners with
@@ -45,7 +57,7 @@ from math import factorial
 from typing import Iterator
 
 from . import bijections
-from .perms import Perm, avoids_all, contains, normalize_basis
+from .perms import Perm, avoids_all, normalize_basis
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,17 @@ def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
 
 PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))  # bit i <-> PATTERNS3[i]
 
-_FILL_CHUNK = 1 << 16  # table entries filled per integer OR
+# pattern -> when the first entry c of a member of S_m alone shows that
+# the member holds what must follow the pattern's first entry (noted on
+# the right), with the values <= t low and the others high
+_STARTS = {
+    (1, 2, 3): lambda c, t, m: t < c < m,     # two high values, rising
+    (1, 3, 2): lambda c, t, m: c > t + 1,     # two high values, falling
+    (2, 1, 3): lambda c, t, m: c <= t < m,    # a low value, then a high one
+    (2, 3, 1): lambda c, t, m: 0 < t < c,     # a high value, then a low one
+    (3, 1, 2): lambda c, t, m: c < t,         # two low values, rising
+    (3, 2, 1): lambda c, t, m: 1 < c <= t,    # two low values, falling
+}
 
 # n -> (table, mask of the bits filled so far)
 _tables: dict[int, tuple[bytearray, int]] = {}
@@ -103,21 +125,55 @@ def _containment_table(n: int, key: tuple[Perm, ...]) -> bytearray:
     table, done = _tables.get(n) or (bytearray(factorial(n)), 0)
     for pattern in key:
         bit = 1 << PATTERNS3.index(pattern)
-        if done & bit:
-            continue
-        members = itertools.permutations(range(1, n + 1))
-        for start in range(0, len(table), _FILL_CHUNK):
-            hits = bytes(map(contains, itertools.islice(members, _FILL_CHUNK),
-                             itertools.repeat(pattern)))
-            # set the bit in every entry of the chunk at once, as one
-            # integer OR, so the extra memory is a few chunk-sized buffers
-            end = start + len(hits)
-            table[start:end] = (int.from_bytes(table[start:end], "little")
-                                | int.from_bytes(hits, "little") * bit
-                                ).to_bytes(len(hits), "little")
-        done |= bit
-        _tables[n] = table, done
+        if not done & bit:
+            _fill(table, n, pattern, bit)
+            done |= bit
+            _tables[n] = table, done
     return table
+
+
+def _fill(table: bytearray, n: int, pattern: Perm, bit: int) -> None:
+    # S_m in lex order is m blocks; block t holds t + 1 followed by S_{m-1}
+    # with the values above t + 1 shifted down, so a member contains the
+    # pattern when its rest does or when t + 1 starts an occurrence, which
+    # is the start map over S_{m-1} at threshold t
+    starts = _STARTS[pattern]
+    maps = [b"\0"]    # the start maps over S_0, by threshold
+    column = b"\0"    # 1 where a member of S_0 contains the pattern
+    for m in range(1, n - 1):
+        column = b"".join(map(_or, itertools.repeat(column), maps))
+        maps = [_start_map(starts, maps, m, t) for t in range(m + 1)]
+    # the two last levels are read off those over S_{n-2} piece by piece:
+    # the piece of S_n with first entry t + 1 and its rest in block c of
+    # S_{n-1} is ORed straight into the table, so no level n - 1 map or
+    # column is built whole
+    size = len(column)
+    maps = [int.from_bytes(s, "little") for s in maps]
+    rests = [int.from_bytes(column, "little") | s for s in maps]
+    ones = int.from_bytes(b"\1" * size, "little")
+    start = 0
+    for t in range(n):
+        for c in range(1, n):
+            hits = (ones if starts(c, t, n - 1)
+                    else rests[c - 1] | maps[t - (c <= t)])
+            piece = slice(start, start + size)
+            table[piece] = (int.from_bytes(table[piece], "little")
+                            | hits * bit).to_bytes(size, "little")
+            start += size
+
+
+def _start_map(starts, maps: list[bytes], m: int, t: int) -> bytes:
+    # the start map over S_m at threshold t, from those over S_{m-1}: a
+    # block is all ones when its first entry c decides, else the map at
+    # t - 1 if c is low (c <= t) and at t if c is high
+    ones = b"\1" * len(maps[0])
+    return b"".join(ones if starts(c, t, m) else maps[t - (c <= t)]
+                    for c in range(1, m + 1))
+
+
+def _or(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "little")
+            | int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def _avoid_table(key: tuple[Perm, ...]) -> bytes:
@@ -172,28 +228,30 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
 # -- structured class generators ---------------------------------------------
 
 def _gen_231(n: int) -> Iterator[Perm]:
-    # the classes of sizes 0..n-2 are listed once; S_n and the S_{n-1}
-    # its two end splits need are streamed from them
+    # the classes of sizes 0..n-3 are listed once; S_n and the S_{n-1} and
+    # S_{n-2} its four outer splits need are streamed from them
     if n == 0:
         yield ()
         return
     classes: list[list[Perm]] = [[()]]
-    for m in range(1, n - 1):
+    for m in range(1, n - 2):
         classes.append(list(_split_231(m, classes)))
     yield from _split_231(n, classes)
 
 
 def _split_231(m: int, classes: list[list[Perm]]) -> Iterator[Perm]:
     # S_m(231) split at the maximum: prefix on 1..i-1, suffix on i..m-1.
-    # ``classes`` holds at least the classes of sizes 0..m-2, so a part of
-    # size m-1 is streamed, and it is the suffix only when the prefix is
-    # empty (i = 1, no shift) and the prefix only when the suffix is empty.
+    # ``classes`` holds at least the classes of sizes 0..m-3, so a part of
+    # size m-1 or m-2 is streamed; its other part, of size 0 or 1, has one
+    # member, so a streamed suffix is read once and shifted as it streams
     top = (m,)
     for i in range(1, m + 1):
         prefixes = _class_231(i - 1, classes)
         suffixes = _class_231(m - i, classes)
         if i > 1:
-            suffixes = [tuple([x + i - 1 for x in b]) for b in suffixes]
+            suffixes = (tuple([x + i - 1 for x in b]) for b in suffixes)
+            if m - i < len(classes):
+                suffixes = list(suffixes)
         for a in prefixes:
             a += top
             for b in suffixes:
@@ -288,9 +346,9 @@ def gen_class(n: int, basis, method: str = "auto",
     order is generator-specific but fixed.
 
     The filter route checks the cap first.  A basis of length-3 patterns
-    is then selected from the shared containment table for n, which scans
-    S_n only for patterns no earlier request at n has needed; any other
-    basis is scanned with ``avoids_all``.
+    is then selected from the shared containment table for n, which fills
+    only the patterns no earlier request at n has needed; any other basis
+    is scanned with ``avoids_all``.
     """
     key = normalize_basis(basis)
     if method == "auto":

@@ -1,9 +1,10 @@
 """OEIS b-file client with a local cache, plus sequence flattenings.
 
 ``fetch`` downloads a sequence's b-file once and caches the raw bytes in a
-directory of one file per sequence; warm-cache fetches never touch the
-network.  The cache directory is, in order of precedence, the explicit
-argument, the ``PATTERNSTATS_OEIS_CACHE`` environment variable, or
+directory of one file per sequence, renamed into place once fully
+written; warm-cache fetches never touch the network.  The cache directory
+is, in order of precedence, the explicit argument, the
+``PATTERNSTATS_OEIS_CACHE`` environment variable, or
 ``~/.cache/patternstats/oeis``.
 
 Locally computed reference terms come from the package's own formulas and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,9 +29,6 @@ from . import formulas, series
 _ID_RE = re.compile(r"\AA\d{6}\Z")
 _URL = "https://oeis.org/{sid}/b{digits}.txt"
 _ENV_VAR = "PATTERNSTATS_OEIS_CACHE"
-
-_locks: dict[str, threading.Lock] = {}
-_locks_guard = threading.Lock()
 
 
 class OeisError(Exception):
@@ -116,11 +113,6 @@ def parse_bfile(text: str) -> list[int]:
     return terms
 
 
-def _lock_for(sid: str) -> threading.Lock:
-    with _locks_guard:
-        return _locks.setdefault(sid, threading.Lock())
-
-
 def fetch(sid: str, cache: str | os.PathLike | None = None,
           offline: bool = False, timeout: float = 20.0) -> OeisRef:
     """Terms of a sequence, from the cache when warm, else one HTTP GET."""
@@ -131,28 +123,33 @@ def fetch(sid: str, cache: str | os.PathLike | None = None,
         return OeisRef(sid, parse_bfile(path.read_text()), time.time(), "cache")
     if offline:
         raise OeisOfflineError(f"offline and no cached terms for {sid}")
-    with _lock_for(sid):
-        if path.exists():
-            return OeisRef(sid, parse_bfile(path.read_text()), time.time(),
-                           "cache")
-        # imported here: the network stack is costly to load, and only a
-        # cold-cache fetch needs it
-        import urllib.error
-        import urllib.request
+    # imported here: the network stack is costly to load, and only a
+    # cold-cache fetch needs it
+    import urllib.error
+    import urllib.request
 
-        url = _URL.format(sid=sid, digits=sid[1:])
-        try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
-                body = resp.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                raise OeisNotFoundError(f"no such sequence {sid}") from exc
-            raise OeisOfflineError(f"HTTP {exc.code} fetching {sid}") from exc
-        except (urllib.error.URLError, OSError) as exc:
-            raise OeisOfflineError(f"cannot reach OEIS for {sid}: {exc}") from exc
-        terms = parse_bfile(body.decode("utf-8"))
-        directory.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(body)
+    url = _URL.format(sid=sid, digits=sid[1:])
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            body = resp.read()
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404:
+            raise OeisNotFoundError(f"no such sequence {sid}") from exc
+        raise OeisOfflineError(f"HTTP {exc.code} fetching {sid}") from exc
+    except (urllib.error.URLError, OSError) as exc:
+        raise OeisOfflineError(f"cannot reach OEIS for {sid}: {exc}") from exc
+    terms = parse_bfile(body.decode("utf-8"))
+    directory.mkdir(parents=True, exist_ok=True)
+    # written beside the cache file and renamed over it, so a failed write
+    # never leaves a truncated b-file that a later run reads as the cache;
+    # the process id keeps two processes sharing the cache apart
+    tmp = directory / f".{sid}.{os.getpid()}.tmp"
+    try:
+        tmp.write_bytes(body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return OeisRef(sid, terms, time.time(), "network")
 
 

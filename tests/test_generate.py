@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from math import factorial
 
 import pytest
 
@@ -18,7 +19,13 @@ from patternstats.generate import (
     gen_indec,
     structured_bases,
 )
-from patternstats.perms import avoids_all, format_basis, normalize_basis
+from patternstats.perms import (
+    avoids_all,
+    complement,
+    contains,
+    format_basis,
+    normalize_basis,
+)
 
 from helpers import naive_class, split_at_max_231
 
@@ -130,8 +137,9 @@ def test_structured_order_is_pinned():
         assert digest.hexdigest()[:16] == _STRUCTURED_ORDER[format_basis(key)]
 
 
-def test_gen_231_lists_no_class_above_n_minus_2(monkeypatch):
-    # only the classes of sizes 0..n-2 are listed; S_{n-1} is streamed
+def test_gen_231_lists_no_class_above_n_minus_3(monkeypatch):
+    # only the classes of sizes 0..n-3 are listed; S_{n-1} and S_{n-2}
+    # are streamed
     listed = []
     real = generate._split_231
 
@@ -143,7 +151,7 @@ def test_gen_231_lists_no_class_above_n_minus_2(monkeypatch):
     for n in range(2, 11):
         listed.clear()
         assert sum(1 for _ in generate._gen_231(n)) == catalan(n)
-        assert max(listed) <= n - 2
+        assert max(listed) <= max(n - 3, 0)
 
 
 def test_gen_class_method_errors():
@@ -195,12 +203,49 @@ def test_filter_cap_checked_on_a_warm_table():
                                  caps=Caps(perm=5))
 
 
-def test_filter_table_filled_in_chunks(monkeypatch):
-    # a chunk that does not divide n! puts boundaries inside every scan
-    monkeypatch.setattr(generate, "_FILL_CHUNK", 7)
+def _scan_bits(n):
+    # the containment table as a contains scan over gen_all would fill it
+    return bytes(sum(contains(p, q) << i for i, q in enumerate(PATTERNS3))
+                 for p in gen_all(n))
+
+
+def _bit_column(table, i):
+    return bytes(table).translate(bytes((v >> i) & 1 for v in range(256)))
+
+
+def test_filter_table_equals_contains_scan():
+    for n in range(9):
+        generate.clear_tables()
+        table = generate._containment_table(n, PATTERNS3)
+        assert len(table) == factorial(n)
+        assert bytes(table) == _scan_bits(n)
     generate.clear_tables()
-    for key in itertools.combinations(PATTERNS3, 2):
-        assert list(gen_class(6, key, method="filter")) == _scan(6, key)
+
+
+def test_filter_table_complement_identity():
+    # complement sends lex rank i to n! - 1 - i and pattern q to c(q)
+    for n in range(10):
+        generate.clear_tables()
+        table = generate._containment_table(n, PATTERNS3)
+        for i, q in enumerate(PATTERNS3):
+            j = PATTERNS3.index(complement(q))
+            assert _bit_column(table, j) == _bit_column(table, i)[::-1]
+    generate.clear_tables()
+
+
+def test_filter_table_filled_one_request_at_a_time():
+    # each request fills only its own pattern's bit, beside those before it
+    want = _scan_bits(7)
+    generate.clear_tables()
+    mask = 0
+    for pattern in (PATTERNS3[4], PATTERNS3[1], PATTERNS3[5], PATTERNS3[0],
+                    PATTERNS3[3], PATTERNS3[2]):
+        assert list(gen_class(7, [pattern], method="filter")) == _scan(
+            7, (pattern,))
+        mask |= 1 << PATTERNS3.index(pattern)
+        table, done = generate._tables[7]
+        assert done == mask
+        assert bytes(table) == bytes(v & mask for v in want)
     generate.clear_tables()
 
 

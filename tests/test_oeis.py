@@ -1,5 +1,7 @@
 import os
 import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,65 @@ def test_warm_cache_is_used_offline(tmp_path):
     assert ref.source == "cache"
     assert ref.terms[:5] == [catalan(n) for n in range(5)]
     assert path.read_bytes() == before  # cache round trip is byte-stable
+
+
+class _Response:
+    def __init__(self, body):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def _serve(monkeypatch, body):
+    # stands in for the network: every urlopen returns ``body``
+    calls = []
+
+    def urlopen(url, timeout):
+        calls.append(url)
+        return _Response(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return calls
+
+
+def test_served_body_is_cached_and_reread(tmp_path, monkeypatch):
+    body = "".join(f"{n} {catalan(n)}\n" for n in range(12)).encode()
+    calls = _serve(monkeypatch, body)
+    ref = oeis.fetch("A000108", cache=tmp_path / "cache")
+    assert ref.source == "network"
+    assert ref.terms == [catalan(n) for n in range(12)]
+    assert calls == ["https://oeis.org/A000108/b000108.txt"]
+    again = oeis.fetch("A000108", cache=tmp_path / "cache")
+    assert again.source == "cache"
+    assert again.terms == ref.terms
+    assert len(calls) == 1
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["A000108.txt"]
+    assert (tmp_path / "cache" / "A000108.txt").read_bytes() == body
+
+
+def test_failed_cache_write_leaves_no_bfile(tmp_path, monkeypatch):
+    body = "".join(f"{n} {catalan(n)}\n" for n in range(12)).encode()
+    _serve(monkeypatch, body)
+    real = Path.write_bytes
+
+    def truncated(self, data):
+        real(self, data[:len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", truncated)
+    with pytest.raises(OSError, match="no space left"):
+        oeis.fetch("A000108", cache=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(Path, "write_bytes", real)
+    with pytest.raises(oeis.OeisOfflineError):
+        oeis.fetch("A000108", cache=tmp_path, offline=True)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

@@ -50,8 +50,12 @@ _MAPS = {
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from None
     cfg = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -59,18 +63,29 @@ def _load_config(path: str | None) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"known keys: {', '.join(_CONFIG_KEYS)}")
+            cfg[key] = value.strip()
     return cfg
 
 
 # config key -> Caps field
 _CAP_KEYS = {"gen_cap": "perm", "dyck_cap": "dyck", "bits_cap": "bits",
              "structured_cap": "structured", "series_cap": "series"}
+_CONFIG_KEYS = sorted([*_CAP_KEYS, "cache_dir"])
 
 
 def _caps(cfg: dict[str, str]) -> generate.Caps:
-    return generate.Caps(**{field: int(cfg[key])
-                            for key, field in _CAP_KEYS.items() if key in cfg})
+    caps = {}
+    for key, field in _CAP_KEYS.items():
+        if key in cfg:
+            if not re.fullmatch(r"[0-9]+", cfg[key]):
+                raise ValueError(f"config key {key} must be a nonnegative "
+                                 f"integer, got {cfg[key]!r}")
+            caps[field] = int(cfg[key])
+    return generate.Caps(**caps)
 
 
 def _parse_ns(text: str) -> list[int]:

@@ -8,6 +8,13 @@ agree; ``verify_all`` checks that, every bijection property, every series
 identity, and the reverse/complement symmetry identities, and reports the
 first counterexample of each failing check.
 
+Each check is registered once, in the order ``verify --list`` prints, as a
+function that records its comparisons on a :class:`VerifyReport`.  One
+runner makes the report, applies the check's size bound, and reports an
+error a map raises on an image another map produced (a pattern violation,
+a broken invariant, a malformed bit or Dyck word) as the check's failure.
+Cap errors, any other error, and a negative ``max_n`` still raise.
+
 Oracle rows are cached per (basis, n); a single class enumeration tallies
 all six statistics at once.  Generation caps arrive as a
 :class:`~patternstats.generate.Caps` value; the cap of the route an
@@ -20,18 +27,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
-from . import bijections, formulas, generate, series
-from .bijections import (
-    from_dyck_231,
-    from_dyck_321,
-    rewrite_312_to_321,
-    rewrite_321_to_312,
-    to_dyck_231,
-    to_dyck_321,
-    uud_des_involution,
-)
+from . import bijections, dyck, formulas, generate, series
 from .dyck import factor_count, interior_uud_count, uud_count
 from .generate import Caps
 from .perms import (
@@ -108,20 +107,14 @@ def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, in
     return cached
 
 
-_SERIES_FOR: dict[tuple[str, tuple], Callable[[int], series.BivariateSeries]] = {}
-
-
-def _register_series() -> None:
-    b321 = _parse_basis("321")
-    _SERIES_FOR[("des", b321)] = series.series_des_321
-    _SERIES_FOR[("pk", b321)] = series.series_pk_321
-    for text in ("132,213", "213,231"):
-        key = _parse_basis(text)
-        _SERIES_FOR[("dasc", key)] = series.series_ddes_132_213
-        _SERIES_FOR[("ddes", key)] = series.series_ddes_132_213
-
-
-_register_series()
+# (statistic, basis) -> name of its series function in ``series``, looked
+# up when called
+_SERIES_FOR = {
+    ("des", _parse_basis("321")): "series_des_321",
+    ("pk", _parse_basis("321")): "series_pk_321",
+    **{(stat, _parse_basis(text)): "series_ddes_132_213"
+       for stat in ("dasc", "ddes") for text in ("132,213", "213,231")},
+}
 
 
 def distribution(stat: str, basis, n: int, method: str = "oracle",
@@ -139,11 +132,11 @@ def distribution(stat: str, basis, n: int, method: str = "oracle",
                 f"no closed form for {stat} over {format_basis(key)}")
         return formulas.closed_form_row(spec.id, n)
     if method == "series":
-        fn = _SERIES_FOR.get((stat, key))
-        if fn is None:
+        name = _SERIES_FOR.get((stat, key))
+        if name is None:
             raise UnsupportedMethodError(
                 f"no series for {stat} over {format_basis(key)}")
-        return fn(n).row_counts(n)
+        return getattr(series, name)(n).row_counts(n)
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
@@ -189,11 +182,24 @@ def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
 
 @dataclass
 class VerifyReport:
+    """One check's outcome: its comparisons and the first that failed."""
+
     name: str
     max_n: int
-    passed: bool
-    checked: int
+    passed: bool = True
+    checked: int = 0
     failure: str | None = None
+
+    def eq(self, got, want, where: str) -> None:
+        self.checked += 1
+        if self.passed and got != want:
+            self.passed = False
+            self.failure = f"{where}: got {got!r}, expected {want!r}"
+
+    def ok(self, cond: bool, where: str) -> None:
+        self.checked += 1
+        if self.passed and not cond:
+            self.passed, self.failure = False, where
 
     def to_dict(self) -> dict:
         return {
@@ -205,233 +211,235 @@ class VerifyReport:
         }
 
 
-class _Acc:
-    """Comparison accumulator remembering the first failure."""
+# check name -> (fn(report, max_n, caps), largest n it runs to), in the
+# order ``verify --list`` prints
+_CHECKS: dict[str, tuple[Callable, int | None]] = {}
 
-    def __init__(self, name: str, max_n: int):
-        self.name = name
-        self.max_n = max_n
-        self.checked = 0
-        self.failure: str | None = None
-
-    def eq(self, got, want, where: str) -> None:
-        self.checked += 1
-        if self.failure is None and got != want:
-            self.failure = f"{where}: got {got!r}, expected {want!r}"
-
-    def ok(self, cond: bool, where: str) -> None:
-        self.checked += 1
-        if self.failure is None and not cond:
-            self.failure = where
-
-    def done(self) -> VerifyReport:
-        return VerifyReport(self.name, self.max_n, self.failure is None,
-                            self.checked, self.failure)
+# raised by a map on an image another map produced: the check fails, and
+# the run goes on
+_MAP_ERRORS = (bijections.PatternViolation, bijections.InvariantError,
+               bijections.InvalidBitsError, dyck.InvalidDyckError)
 
 
-def _check_card_single(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("CARD_SINGLE_CATALAN", max_n)
+def _check(name: str, bound: int | None = None):
+    """Register fn(report, max_n, caps) as check ``name``, to n <= bound."""
+    def register(fn):
+        _CHECKS[name] = (fn, bound)
+        return fn
+    return register
+
+
+def _run_check(name: str, max_n: int, caps: Caps) -> VerifyReport:
+    fn, bound = _CHECKS[name]
+    report = VerifyReport(name, max_n if bound is None else min(max_n, bound))
+    try:
+        fn(report, report.max_n, caps)
+    except _MAP_ERRORS as exc:
+        report.ok(False, f"raised {type(exc).__name__}: {exc}")
+    return report
+
+
+def _tally_words(words: Iterable[str], count) -> dict[int, int]:
+    """How many of the words take each value of ``count``."""
+    return dict(Counter(map(count, words)))
+
+
+def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
+               max_n: int, caps: Caps) -> None:
+    """Compare the oracle rows of two (statistic, basis) pairs, n <= max_n."""
+    (left_stat, left_key), (right_stat, right_key) = left, right
+    for n in range(max_n + 1):
+        report.eq(_oracle_rows(left_key, n, caps)[left_stat],
+                  _oracle_rows(right_key, n, caps)[right_stat], f"{where} at n={n}")
+
+
+@_check("CARD_SINGLE_CATALAN")
+def _check_card_single(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for text in _SINGLE_BASES:
         key = _parse_basis(text)
         for n in range(max_n + 1):
-            acc.eq(class_size(n, key, method="filter", caps=caps),
-                   formulas.catalan(n), f"|S_{n}({text})| by filter")
-    return acc.done()
+            report.eq(class_size(n, key, method="filter", caps=caps),
+                      formulas.catalan(n), f"|S_{n}({text})| by filter")
 
 
-def _check_card_pairs(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("CARD_PAIRS", max_n)
+@_check("CARD_PAIRS")
+def _check_card_pairs(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for text in ("213,312", "132,213", "213,231", "123,132"):
         key = _parse_basis(text)
         for n in range(1, max_n + 1):
-            acc.eq(class_size(n, key, caps=caps), 2 ** (n - 1),
-                   f"|S_{n}({text})|")
+            report.eq(class_size(n, key, caps=caps), 2 ** (n - 1),
+                      f"|S_{n}({text})|")
     key = _parse_basis("132,321")
     for n in range(1, max_n + 1):
-        acc.eq(class_size(n, key, caps=caps), formulas.binom(n, 2) + 1,
-               f"|S_{n}(132,321)|")
-    return acc.done()
+        report.eq(class_size(n, key, caps=caps), formulas.binom(n, 2) + 1,
+                  f"|S_{n}(132,321)|")
 
 
-def _check_card_123_321(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("CARD_123_321_EMPTY", max_n)
+@_check("CARD_123_321_EMPTY")
+def _check_card_123_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = _parse_basis("123,321")
     for n in range(5, max_n + 1):
-        acc.eq(class_size(n, key, caps=caps), 0, f"|S_{n}(123,321)|")
-    return acc.done()
+        report.eq(class_size(n, key, caps=caps), 0, f"|S_{n}(123,321)|")
 
 
-def _check_structured_filter(max_n: int, caps: Caps) -> VerifyReport:
-    bound = min(max_n, 9)
-    acc = _Acc("STRUCTURED_MATCHES_FILTER", bound)
+@_check("STRUCTURED_MATCHES_FILTER", bound=9)
+def _check_structured_filter(report: VerifyReport, max_n: int,
+                             caps: Caps) -> None:
     for key in generate.structured_bases():
-        for n in range(bound + 1):
+        for n in range(max_n + 1):
             structured = sorted(_members(n, key, caps, "structured"))
-            acc.ok(len(set(structured)) == len(structured),
-                   f"duplicates from structured {format_basis(key)} at n={n}")
+            report.ok(len(set(structured)) == len(structured),
+                      f"duplicates from structured {format_basis(key)} at n={n}")
             filtered = sorted(_members(n, key, caps, "filter"))
-            acc.eq(structured, filtered,
-                   f"structured vs filter for {format_basis(key)} at n={n}")
-    return acc.done()
+            report.eq(structured, filtered,
+                      f"structured vs filter for {format_basis(key)} at n={n}")
 
 
-def _check_formula(fid: str, max_n: int, caps: Caps) -> VerifyReport:
+def _check_formula(fid: str, report: VerifyReport, max_n: int,
+                   caps: Caps) -> None:
     spec = formulas.formula(fid)
-    acc = _Acc(f"FORMULA_{fid}", max_n)
     for n in range(spec.min_n, max_n + 1):
         want = {k: v for k in range(n + 1) if (v := spec.fn(n, k))}
         got = _oracle_rows(spec.basis, n, caps)[spec.stat]
-        acc.eq(got, want, f"{spec.stat} over {format_basis(spec.basis)} at n={n}")
-    return acc.done()
+        report.eq(got, want,
+                  f"{spec.stat} over {format_basis(spec.basis)} at n={n}")
 
 
-def _check_series_des321(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("SERIES_DES321_ORACLE", max_n)
-    a = series.series_des_321(max_n)
-    key = _parse_basis("321")
+for _fid in formulas.formula_ids():
+    _check(f"FORMULA_{_fid}")(partial(_check_formula, _fid))
+
+
+def _check_series(series_name: str, basis: str, rows: list[tuple[str, str]],
+                  report: VerifyReport, max_n: int, caps: Caps) -> None:
+    """Rows of ``series.<series_name>`` against the oracle's rows of each
+    (statistic, label) pair over the basis."""
+    expansion = getattr(series, series_name)(max_n)
+    key = _parse_basis(basis)
     for n in range(max_n + 1):
-        acc.eq(a.row_counts(n), _oracle_rows(key, n, caps)["des"],
-               f"descent row at n={n}")
-    return acc.done()
+        oracle = _oracle_rows(key, n, caps)
+        for stat, label in rows:
+            report.eq(expansion.row_counts(n), oracle[stat],
+                      f"{label} at n={n}")
 
 
-def _check_series_pk321(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("SERIES_PK321_ORACLE", max_n)
-    c = series.series_pk_321(max_n)
-    key = _parse_basis("321")
-    for n in range(max_n + 1):
-        acc.eq(c.row_counts(n), _oracle_rows(key, n, caps)["pk"],
-               f"peak row at n={n}")
-    return acc.done()
+_check("SERIES_DES321_ORACLE")(partial(
+    _check_series, "series_des_321", "321", [("des", "descent row")]))
+_check("SERIES_PK321_ORACLE")(partial(
+    _check_series, "series_pk_321", "321", [("pk", "peak row")]))
 
 
-def _check_series_b(max_n: int, caps: Caps) -> VerifyReport:
+@_check("SERIES_B_PK231")
+def _check_series_b(report: VerifyReport, max_n: int, caps: Caps) -> None:
     # identity: B = z(1 - q) + sum a(n,k) q^(k+1) z^(n+1) over the
     # peak counts for 231-avoiders, whose n = 0 row is the single empty
     # permutation; the corrections collapse the z^1 row to exactly 1.
-    acc = _Acc("SERIES_B_PK231", max_n)
     b = series.series_indec_uud(max_n)
-    acc.eq(b.row_counts(0), {}, "empty-word row")
+    report.eq(b.row_counts(0), {}, "empty-word row")
     if max_n >= 1:
-        acc.eq(b.row_counts(1), {0: 1}, "row n=1")
+        report.eq(b.row_counts(1), {0: 1}, "row n=1")
     for n in range(1, max_n):
         want = {k + 1: v for k in range(n + 1)
                 if (v := formulas.closed_form("PK231", n, k))}
-        acc.eq(b.row_counts(n + 1), want, f"row n={n + 1} vs shifted counts")
-    bound = min(max_n, 10)
-    for n in range(bound + 1):
-        got = {}
-        for w in generate.gen_indec(n, cap=caps.dyck):
-            v = uud_count(w)
-            got[v] = got.get(v, 0) + 1
-        acc.eq(got, b.row_counts(n), f"indecomposable UUD tally at n={n}")
-    return acc.done()
+        report.eq(b.row_counts(n + 1), want, f"row n={n + 1} vs shifted counts")
+    for n in range(min(max_n, 10) + 1):
+        report.eq(_tally_words(generate.gen_indec(n, cap=caps.dyck), uud_count),
+                  b.row_counts(n), f"indecomposable UUD tally at n={n}")
 
 
-def _check_interior_uud_indec(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("INTERIOR_UUD_INDEC_DES", max_n)
+_check("SERIES_DDES_132_213_ORACLE")(partial(
+    _check_series, "series_ddes_132_213", "132,213",
+    [("ddes", "double-descent row"), ("dasc", "double-ascent row")]))
+
+
+@_check("UUD_DES_EQUIDISTRIBUTION")
+def _check_uud_des_equidist(report: VerifyReport, max_n: int,
+                            caps: Caps) -> None:
+    key = _parse_basis("321")
+    for n in range(max_n + 1):
+        report.eq(_tally_words(generate.gen_dyck(n, cap=caps.dyck), uud_count),
+                  _oracle_rows(key, n, caps)["des"],
+                  f"UUD tally vs descents at n={n}")
+
+
+@_check("INTERIOR_UUD_INDEC_DES")
+def _check_interior_uud_indec(report: VerifyReport, max_n: int,
+                              caps: Caps) -> None:
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
     key = _parse_basis("321")
     for n in range(max_n + 1):
-        tally: dict[int, int] = {}
-        for w in generate.gen_indec(n + 1, cap=caps.dyck):
-            v = interior_uud_count(w)
-            tally[v] = tally.get(v, 0) + 1
-        want = _oracle_rows(key, n, caps)["des"]
-        acc.eq(tally, want, f"interior UUD over indecomposables at n={n + 1}")
-        acc.eq(d.row_counts(n + 1), a.row_counts(n), f"z-shift at n={n}")
-    return acc.done()
+        report.eq(_tally_words(generate.gen_indec(n + 1, cap=caps.dyck),
+                               interior_uud_count),
+                  _oracle_rows(key, n, caps)["des"],
+                  f"interior UUD over indecomposables at n={n + 1}")
+        report.eq(d.row_counts(n + 1), a.row_counts(n), f"z-shift at n={n}")
 
 
-def _check_uud_des_equidist(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("UUD_DES_EQUIDISTRIBUTION", max_n)
-    key = _parse_basis("321")
+@_check("IOTA_INVOLUTION", bound=8)
+def _check_iota(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for n in range(max_n + 1):
-        tally: dict[int, int] = {}
-        for w in generate.gen_dyck(n, cap=caps.dyck):
-            v = uud_count(w)
-            tally[v] = tally.get(v, 0) + 1
-        acc.eq(tally, _oracle_rows(key, n, caps)["des"],
-               f"UUD tally vs descents at n={n}")
-    return acc.done()
-
-
-def _check_iota(max_n: int, caps: Caps) -> VerifyReport:
-    bound = min(max_n, 8)
-    acc = _Acc("IOTA_INVOLUTION", bound)
-    for n in range(bound + 1):
         for d in generate.gen_dyck(n, cap=caps.dyck):
             s = uud_count(d)
-            t = all_stats(from_dyck_321(d))["des"]
-            e = uud_des_involution(d)
-            acc.eq(uud_des_involution(e), d, f"involution at {d}")
+            t = all_stats(bijections.from_dyck_321(d))["des"]
+            e = bijections.uud_des_involution(d)
+            report.eq(bijections.uud_des_involution(e), d, f"involution at {d}")
             if s == t:
-                acc.eq(e, d, f"fixed point at {d}")
+                report.eq(e, d, f"fixed point at {d}")
             else:
-                got = (uud_count(e), all_stats(from_dyck_321(e))["des"])
-                acc.eq(got, (t, s), f"population swap at {d}")
-    return acc.done()
+                got = (uud_count(e), all_stats(bijections.from_dyck_321(e))["des"])
+                report.eq(got, (t, s), f"population swap at {d}")
 
 
-def _check_pk_312_321(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("PK_312_EQ_321", max_n)
-    k312 = _parse_basis("312")
-    k321 = _parse_basis("321")
-    for n in range(max_n + 1):
-        acc.eq(_oracle_rows(k312, n, caps)["pk"],
-               _oracle_rows(k321, n, caps)["pk"], f"peak rows at n={n}")
-    return acc.done()
+@_check("PK_312_EQ_321")
+def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
+    _same_rows(report, ("pk", _parse_basis("312")), ("pk", _parse_basis("321")),
+               "peak rows", max_n, caps)
 
 
-def _check_zeta(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("ZETA_PROPERTIES", max_n)
+@_check("ZETA_PROPERTIES")
+def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = _parse_basis("312")
     for n in range(max_n + 1):
         for p in _members(n, key, caps):
-            q = rewrite_312_to_321(p)
-            acc.ok(avoids_all(q, [(3, 2, 1)]), f"image avoids 321 for {p}")
-            acc.eq(ltr_maxima(q), ltr_maxima(p), f"maxima preserved for {p}")
-            acc.eq(all_stats(q)["pk"], all_stats(p)["pk"],
-                   f"peaks preserved for {p}")
-            acc.eq(rewrite_321_to_312(q), p, f"round trip for {p}")
-    return acc.done()
+            q = bijections.rewrite_312_to_321(p)
+            report.ok(avoids_all(q, [(3, 2, 1)]), f"image avoids 321 for {p}")
+            report.eq(ltr_maxima(q), ltr_maxima(p), f"maxima preserved for {p}")
+            report.eq(all_stats(q)["pk"], all_stats(p)["pk"],
+                      f"peaks preserved for {p}")
+            report.eq(bijections.rewrite_321_to_312(q), p, f"round trip for {p}")
 
 
-def _check_phi231(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("PHI231_TRANSPORT", max_n)
+@_check("PHI231_TRANSPORT")
+def _check_phi231(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = _parse_basis("231")
     for n in range(max_n + 1):
         for p in _members(n, key, caps):
-            d = to_dyck_231(p)
-            acc.eq(from_dyck_231(d), p, f"round trip for {p}")
-            acc.eq(factor_count(d, "DUU") if d else 0, all_stats(p)["pk"],
-                   f"DUU count for {p}")
-    return acc.done()
+            d = bijections.to_dyck_231(p)
+            report.eq(bijections.from_dyck_231(d), p, f"round trip for {p}")
+            report.eq(factor_count(d, "DUU") if d else 0, all_stats(p)["pk"],
+                      f"DUU count for {p}")
 
 
-def _check_psi321(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("PSI321_TRANSPORT", max_n)
+@_check("PSI321_TRANSPORT")
+def _check_psi321(report: VerifyReport, max_n: int, caps: Caps) -> None:
     rt_bound = min(max_n, 8)
     for n in range(max_n + 1):
         for d in generate.gen_dyck(n, cap=caps.dyck):
-            p = from_dyck_321(d)
-            acc.ok(avoids_all(p, [(3, 2, 1)]), f"image avoids 321 for {d}")
-            acc.eq(all_stats(p)["pk"], interior_uud_count(d),
-                   f"interior UUD count for {d}")
+            p = bijections.from_dyck_321(d)
+            report.ok(avoids_all(p, [(3, 2, 1)]), f"image avoids 321 for {d}")
+            report.eq(all_stats(p)["pk"], interior_uud_count(d),
+                      f"interior UUD count for {d}")
             if n <= rt_bound:
-                acc.eq(to_dyck_321(p), d, f"round trip for {d}")
-    return acc.done()
+                report.eq(bijections.to_dyck_321(p), d, f"round trip for {d}")
 
 
-def _check_psi_hat(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("PSI_HAT_DES_TRANSPORT", max_n)
+@_check("PSI_HAT_DES_TRANSPORT")
+def _check_psi_hat(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for n in range(max_n + 1):
         for d in generate.gen_dyck(n, cap=caps.dyck):
-            p = from_dyck_321(d)
-            acc.eq(all_stats(p)["des"], interior_uud_count("U" + d + "D"),
-                   f"descents vs wrapped interior UUD for {d}")
-    return acc.done()
+            p = bijections.from_dyck_321(d)
+            report.eq(all_stats(p)["des"], interior_uud_count("U" + d + "D"),
+                      f"descents vs wrapped interior UUD for {d}")
 
 
 def _ascent_word_stats(bits: str) -> dict[str, int]:
@@ -463,21 +471,24 @@ _STAT_LABELS = {"asc": "ascents", "des": "descents", "dasc": "dasc",
                 "ddes": "ddes", "pk": "peaks", "vl": "valleys"}
 
 
-def _check_encoding(tag: str, max_n: int, caps: Caps) -> VerifyReport:
+def _check_encoding(tag: str, report: VerifyReport, max_n: int,
+                    caps: Caps) -> None:
     basis, word_stats = _ENCODINGS[tag]
     decode = getattr(bijections, f"decode_{tag}")
     encode = getattr(bijections, f"encode_{tag}")
-    acc = _Acc(f"ENC_{tag}_TRANSPORT", max_n)
     for n in range(1, max_n + 1):
         for bits in generate.gen_bits(n - 1, cap=caps.bits):
             p = decode(bits)
-            acc.ok(avoids_all(p, basis),
-                   f"decoded member avoids basis for {bits}")
-            acc.eq(encode(p), bits, f"round trip for {bits}")
+            report.ok(avoids_all(p, basis),
+                      f"decoded member avoids basis for {bits}")
+            report.eq(encode(p), bits, f"round trip for {bits}")
             st = all_stats(p)
             for stat, want in word_stats(bits).items():
-                acc.eq(st[stat], want, f"{_STAT_LABELS[stat]} for {bits}")
-    return acc.done()
+                report.eq(st[stat], want, f"{_STAT_LABELS[stat]} for {bits}")
+
+
+for _tag in _ENCODINGS:
+    _check(f"ENC_{_tag}_TRANSPORT")(partial(_check_encoding, _tag))
 
 
 _FAMILIES = {
@@ -500,98 +511,57 @@ def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
     raise ValueError(f"unknown transform {transform!r}")
 
 
+def _symmetry_rows(report: VerifyReport, family: str, key: tuple,
+                   transform: str, max_n: int, caps: Caps) -> None:
+    left_stat, right_stat = _FAMILIES[family][transform]
+    image = transform_basis(key, transform)
+    _same_rows(report, (left_stat, key), (right_stat, image),
+               f"{left_stat}({format_basis(key)}) vs "
+               f"{right_stat}({format_basis(image)})", max_n, caps)
+
+
 def symmetry_check(family: str, basis, transform: str, max_n: int,
                    caps: Caps = Caps()) -> VerifyReport:
     """Compare one symmetry identity's two oracle tables up to max_n."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    left_stat, right_stat = _FAMILIES[family][transform]
     key = normalize_basis(basis)
-    image = transform_basis(key, transform)
-    name = f"SYMMETRY_{family.upper()}_{format_basis(key)}_{transform}"
-    acc = _Acc(name, max_n)
-    for n in range(max_n + 1):
-        acc.eq(_oracle_rows(key, n, caps)[left_stat],
-               _oracle_rows(image, n, caps)[right_stat],
-               f"{left_stat}({format_basis(key)}) vs "
-               f"{right_stat}({format_basis(image)}) at n={n}")
-    return acc.done()
+    report = VerifyReport(
+        f"SYMMETRY_{family.upper()}_{format_basis(key)}_{transform}", max_n)
+    _symmetry_rows(report, family, key, transform, max_n, caps)
+    return report
 
 
-def _check_symmetry_family(family: str, max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc(f"SYMMETRY_{family.upper()}", max_n)
+def _check_symmetry_family(family: str, report: VerifyReport, max_n: int,
+                           caps: Caps) -> None:
     for text in _SINGLE_BASES + _PAIR_BASES:
         for transform in ("r", "c", "rc"):
-            sub = symmetry_check(family, _parse_basis(text), transform,
-                                 max_n, caps)
-            acc.checked += sub.checked
-            if acc.failure is None and not sub.passed:
-                acc.failure = sub.failure
-    return acc.done()
+            _symmetry_rows(report, family, _parse_basis(text), transform,
+                           max_n, caps)
 
 
-def _check_132_213_eq_213_231(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("CLASS_132_213_EQ_213_231", max_n)
-    a = _parse_basis("132,213")
-    b = _parse_basis("213,231")
+for _family in _FAMILIES:
+    _check(f"SYMMETRY_{_family.upper()}")(
+        partial(_check_symmetry_family, _family))
+
+
+@_check("CLASS_132_213_EQ_213_231")
+def _check_132_213_eq_213_231(report: VerifyReport, max_n: int,
+                              caps: Caps) -> None:
+    a, b = _parse_basis("132,213"), _parse_basis("213,231")
     for stat in STATS:
-        for n in range(max_n + 1):
-            acc.eq(_oracle_rows(a, n, caps)[stat],
-                   _oracle_rows(b, n, caps)[stat],
-                   f"{stat} rows at n={n}")
-    return acc.done()
-
-
-def _check_series_ddes_132_213(max_n: int, caps: Caps) -> VerifyReport:
-    acc = _Acc("SERIES_DDES_132_213_ORACLE", max_n)
-    f = series.series_ddes_132_213(max_n)
-    key = _parse_basis("132,213")
-    for n in range(max_n + 1):
-        rows = _oracle_rows(key, n, caps)
-        acc.eq(f.row_counts(n), rows["ddes"], f"double-descent row at n={n}")
-        acc.eq(f.row_counts(n), rows["dasc"], f"double-ascent row at n={n}")
-    return acc.done()
+        _same_rows(report, (stat, a), (stat, b), f"{stat} rows", max_n, caps)
 
 
 def checks() -> dict[str, Callable[..., VerifyReport]]:
     """All registered verification checks, name -> fn(max_n, caps)."""
-    out: dict[str, Callable[..., VerifyReport]] = {
-        "CARD_SINGLE_CATALAN": _check_card_single,
-        "CARD_PAIRS": _check_card_pairs,
-        "CARD_123_321_EMPTY": _check_card_123_321,
-        "STRUCTURED_MATCHES_FILTER": _check_structured_filter,
-    }
-    for fid in formulas.formula_ids():
-        out[f"FORMULA_{fid}"] = (
-            lambda max_n, caps, fid=fid: _check_formula(fid, max_n, caps))
-    out.update({
-        "SERIES_DES321_ORACLE": _check_series_des321,
-        "SERIES_PK321_ORACLE": _check_series_pk321,
-        "SERIES_B_PK231": _check_series_b,
-        "SERIES_DDES_132_213_ORACLE": _check_series_ddes_132_213,
-        "UUD_DES_EQUIDISTRIBUTION": _check_uud_des_equidist,
-        "INTERIOR_UUD_INDEC_DES": _check_interior_uud_indec,
-        "IOTA_INVOLUTION": _check_iota,
-        "PK_312_EQ_321": _check_pk_312_321,
-        "ZETA_PROPERTIES": _check_zeta,
-        "PHI231_TRANSPORT": _check_phi231,
-        "PSI321_TRANSPORT": _check_psi321,
-        "PSI_HAT_DES_TRANSPORT": _check_psi_hat,
-    })
-    for tag in _ENCODINGS:
-        out[f"ENC_{tag}_TRANSPORT"] = (
-            lambda max_n, caps, tag=tag: _check_encoding(tag, max_n, caps))
-    for family in _FAMILIES:
-        out[f"SYMMETRY_{family.upper()}"] = (
-            lambda max_n, caps, family=family: _check_symmetry_family(
-                family, max_n, caps))
-    out["CLASS_132_213_EQ_213_231"] = _check_132_213_eq_213_231
-    return out
+    return {name: partial(_run_check, name) for name in _CHECKS}
 
 
 def verify_all(max_n: int, selection=None,
                caps: Caps = Caps()) -> list[VerifyReport]:
     """Run all (or the selected) checks and collect their reports."""
+    series._check_max_n(max_n)
     registry = checks()
     if selection is None:
         names = list(registry)

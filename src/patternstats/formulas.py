@@ -47,7 +47,6 @@ class FormulaSpec:
     basis: tuple[Perm, ...]
     fn: Callable[[int, int], int]
     min_n: int
-    oeis: str | None = None
 
 
 def _pk231(n: int, k: int) -> int:
@@ -154,43 +153,41 @@ def _vl_132_321(n: int, k: int) -> int:
 FORMULAS: dict[str, FormulaSpec] = {}
 
 
-def _register(fid: str, stat: str, basis: str, fn, min_n: int = 1,
-              oeis: str | None = None) -> None:
+def _register(fid: str, stat: str, basis: str, fn, min_n: int = 1) -> None:
     patterns = normalize_basis(
         [tuple(int(ch) for ch in part) for part in basis.split(",")])
-    FORMULAS[fid] = FormulaSpec(fid, stat, patterns, fn, min_n, oeis)
+    FORMULAS[fid] = FormulaSpec(fid, stat, patterns, fn, min_n)
 
 
-_register("PK231", "pk", "231", _pk231, oeis="A091894")
+_register("PK231", "pk", "231", _pk231)
 
 for _single in ("132", "213", "231", "312"):
-    _register(f"ASC{_single}", "asc", _single, _narayana, oeis="A001263")
-    _register(f"DES{_single}", "des", _single, _narayana, oeis="A001263")
+    _register(f"ASC{_single}", "asc", _single, _narayana)
+    _register(f"DES{_single}", "des", _single, _narayana)
 
 for _pair in ("213,312", "132,213", "213,231"):
     _tag = _pair.replace(",", "_")
-    _register(f"ASC_{_tag}", "asc", _pair, _pascal, oeis="A007318")
-    _register(f"DES_{_tag}", "des", _pair, _pascal, oeis="A007318")
+    _register(f"ASC_{_tag}", "asc", _pair, _pascal)
+    _register(f"DES_{_tag}", "des", _pair, _pascal)
 
-_register("DASC_213_312", "dasc", "213,312", _dasc_213_312, oeis="A299927")
-_register("DDES_213_312", "ddes", "213,312", _dasc_213_312, oeis="A299927")
+_register("DASC_213_312", "dasc", "213,312", _dasc_213_312)
+_register("DDES_213_312", "ddes", "213,312", _dasc_213_312)
 # the k = 1 case goes negative at n = 1, where the class has one member
 _register("PK_213_312", "pk", "213,312", _pk_213_312, min_n=2)
 _register("VL_213_312", "vl", "213,312", _vl_213_312)
 
 for _pair in ("132,213", "213,231"):
     _tag = _pair.replace(",", "_")
-    _register(f"PK_{_tag}", "pk", _pair, _choose_odd, oeis="A034867")
-    _register(f"VL_{_tag}", "vl", _pair, _choose_odd, oeis="A034867")
+    _register(f"PK_{_tag}", "pk", _pair, _choose_odd)
+    _register(f"VL_{_tag}", "vl", _pair, _choose_odd)
 
-_register("ASC_123_132", "asc", "123,132", _asc_123_132, oeis="A034839")
-_register("DES_123_132", "des", "123,132", _des_123_132, oeis="A109446")
+_register("ASC_123_132", "asc", "123,132", _asc_123_132)
+_register("DES_123_132", "des", "123,132", _des_123_132)
 _register("DASC_123_132", "dasc", "123,132", _dasc_123_132, min_n=3)
-_register("DDES_123_132", "ddes", "123,132", _ddes_123_132, min_n=3,
-          oeis="A093560")
-_register("PK_123_132", "pk", "123,132", _choose_odd, oeis="A034867")
+_register("DDES_123_132", "ddes", "123,132", _ddes_123_132, min_n=3)
+_register("PK_123_132", "pk", "123,132", _choose_odd)
 # 2 C(0, 0) = 2 overcounts the single length-1 permutation
-_register("VL_123_132", "vl", "123,132", _vl_123_132, min_n=2, oeis="A119462")
+_register("VL_123_132", "vl", "123,132", _vl_123_132, min_n=2)
 
 _register("ASC_132_321", "asc", "132,321", _asc_132_321)
 _register("DES_132_321", "des", "132,321", _des_132_321)

@@ -262,6 +262,7 @@ def sequence_for(name: str) -> SequenceEntry:
 
 def local_bfile(name: str, max_n: int) -> str:
     """Locally computed terms rendered in b-file format, indexed from 1."""
+    series._check_max_n(max_n)
     entry = sequence_for(name)
     terms = entry.local_terms(max_n)
     return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=1))
@@ -271,6 +272,7 @@ def check_sequence(name: str, max_n: int,
                    cache: str | os.PathLike | None = None,
                    offline: bool = False) -> MatchReport:
     """Compare the local flattening against fetched data."""
+    series._check_max_n(max_n)
     entry = sequence_for(name)
     ref = fetch(entry.id, cache=cache, offline=offline)
     return compare(entry.local_terms(max_n), ref, offset=entry.skip_remote)

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from patternstats import distributions, formulas
+from patternstats import bijections, distributions, formulas
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
 
@@ -290,3 +291,89 @@ def test_bad_config_exits_2(capsys, tmp_path):
     cfg.write_text("gen_cap\n")
     code, _, err = run(capsys, "--config", str(cfg), "verify", "--list")
     assert code == 2 and "key=value" in err
+
+
+def test_unreadable_config_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run(capsys, "--config", str(missing), "verify", "--list")
+    assert (code, out) == (2, "")
+    assert f"cannot read config {missing}" in err
+
+
+def test_unknown_config_key_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("# caps\ngen-cap = 5\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--list")
+    assert (code, out) == (2, "")
+    assert f"{cfg}:2: unknown key 'gen-cap'" in err
+    assert ("known keys: bits_cap, cache_dir, dyck_cap, gen_cap, series_cap, "
+            "structured_cap") in err
+
+
+@pytest.mark.parametrize("value", ["five", "-3", "2.5", ""])
+def test_non_integer_cap_exits_2(capsys, tmp_path, value):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text(f"dyck_cap = 4\ngen_cap = {value}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--list")
+    assert (code, out) == (2, "")
+    assert f"config key gen_cap must be a nonnegative integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--only", "CARD_PAIRS", "--max-n", "-1"),
+    ("verify", "--all", "--max-n", "-1"),
+    ("oeis", "--formula", "PK231", "--max-n", "-1"),
+    ("oeis", "--formula", "PK231", "--max-n", "-1", "--check", "--offline"),
+])
+def test_negative_max_n_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "max_n must be nonnegative: -1\n")
+
+
+def test_oeis_formula_without_sequence_exits_2(capsys):
+    code, _, err = run(capsys, "oeis", "--formula", "DES_123_132")
+    assert (code, err) == (2, "no registered flattening for 'DES_123_132'\n")
+
+
+def test_verify_reports_a_raising_psi_inverse_as_a_failed_check(capsys,
+                                                                 monkeypatch):
+    # the pyramid's image comes back reversed, as 321; to_dyck_321 raises on it
+    orig = bijections.from_dyck_321
+    monkeypatch.setattr(bijections, "from_dyck_321",
+                        lambda d: orig(d)[::-1] if d == "UUUDDD" else orig(d))
+    code, out, _ = run(capsys, "verify", "--only", "PSI321_TRANSPORT",
+                       "--max-n", "5")
+    assert code == 1
+    assert out == ("FAIL PSI321_TRANSPORT: image avoids 321 for UUUDDD\n"
+                   "0/1 checks passed\n")
+
+
+def test_verify_reports_a_raising_decoder_as_a_failed_check(capsys,
+                                                            monkeypatch):
+    # the word 11 decodes to 132 instead of 123; encode_132_213 raises on it
+    orig = bijections.decode_132_213
+    monkeypatch.setattr(bijections, "decode_132_213",
+                        lambda bits: (1, 3, 2) if bits == "11" else orig(bits))
+    code, out, _ = run(capsys, "verify", "--only", "ENC_132_213_TRANSPORT",
+                       "--max-n", "5")
+    assert code == 1
+    assert out == ("FAIL ENC_132_213_TRANSPORT: decoded member avoids basis "
+                   "for 11\n0/1 checks passed\n")
+
+
+# sha256 of stdout: pins every check's name, order, bound and comparison
+# count; change a digest only with a deliberate change to a check
+_PINNED_STDOUT = {
+    ("verify", "--list"):
+        "c4f49126dd5dd3e98e5d75a928eb2396d99e5a83b5be5914bc985e5b48e365d2",
+    ("verify", "--all", "--max-n", "7", "--format", "json"):
+        "63582228b508ce42df8f063da5c29574eb8ff219100d8e36ee092ba03359d1f1",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_STDOUT))
+def test_verify_stdout_is_pinned(capsys, argv):
+    distributions.clear_caches()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from patternstats import distributions, formulas, generate, stats
+from patternstats import (bijections, distributions, formulas, generate,
+                          series, stats)
 from patternstats.distributions import (
     UnsupportedMethodError,
     class_size,
@@ -111,6 +112,56 @@ def test_injected_off_by_one_formula_fails(monkeypatch):
     reports = verify_all(5, selection="FORMULA_PK231")
     assert not reports[0].passed
     assert "n=1" in reports[0].failure
+
+
+def test_wrapped_series_is_the_one_checked(monkeypatch):
+    # the check looks its series up when it runs, so a wrapped series is seen
+    orig = series.series_des_321
+
+    def bumped(max_n):
+        rows = [list(r) for r in orig(max_n).rows]
+        rows[4][1] += 1
+        return series.BivariateSeries(rows)
+
+    monkeypatch.setattr(series, "series_des_321", bumped)
+    report, = verify_all(6, selection="SERIES_DES321_ORACLE")
+    assert (report.passed, report.checked) == (False, 7)
+    assert report.failure == ("descent row at n=4: got {0: 1, 1: 12, 2: 2}, "
+                              "expected {1: 11, 2: 2, 0: 1}")
+
+
+def test_map_error_after_a_failure_keeps_the_first_failure(monkeypatch):
+    # the pyramid's image 123 comes back reversed, so the avoidance
+    # comparison fails and to_dyck_321 then raises on 321
+    orig = bijections.from_dyck_321
+    monkeypatch.setattr(bijections, "from_dyck_321",
+                        lambda d: orig(d)[::-1] if d == "UUUDDD" else orig(d))
+    report, = verify_all(5, selection="PSI321_TRANSPORT")
+    assert not report.passed
+    assert report.failure == "image avoids 321 for UUUDDD"
+    # 8 words before the pyramid with 3 comparisons each, then the
+    # pyramid's avoidance, peak and raising round-trip comparisons
+    assert report.checked == 8 * 3 + 3
+
+
+def test_map_error_is_reported_as_the_failure(monkeypatch):
+    orig = bijections.uud_des_involution
+    monkeypatch.setattr(bijections, "uud_des_involution",
+                        lambda d: "UUD" if d == "UDUD" else orig(d))
+    report, = verify_all(4, selection="IOTA_INVOLUTION")
+    assert not report.passed
+    assert report.failure == ("raised InvalidDyckError: unbalanced word "
+                              "(position 3)")
+    # two comparisons each for the empty word and UD, then the one raising
+    assert report.checked == 5
+
+
+def test_cap_and_size_errors_still_raise():
+    with pytest.raises(generate.CapExceededError):
+        verify_all(6, selection="CARD_SINGLE_CATALAN",
+                   caps=generate.Caps(perm=5))
+    with pytest.raises(ValueError, match="max_n must be nonnegative: -1"):
+        verify_all(-1, selection="CARD_PAIRS")
 
 
 def test_reports_json_shape():

@@ -11,8 +11,10 @@ S_n, in the order of :func:`gen_all`, whose bit i is set when the
 permutation contains the i-th pattern of :data:`PATTERNS3`.  A bit is
 filled the first time a basis needs its pattern at that n; after that
 every basis made only of length-3 patterns is selected from the table
-without testing a permutation again.  A basis with a pattern of any other
-length is scanned with ``avoids_all`` as it is requested.
+without testing a permutation again; the selection is translated from
+the table one slice at a time as it is read, so no request copies the
+table whole.  A basis with a pattern of any other length is scanned with
+``avoids_all`` as it is requested.
 :func:`clear_tables` empties the tables.
 
 A bit is filled by prefix recursion, with no per-permutation work.  In
@@ -40,19 +42,30 @@ each corner (column, row) of psi^-1 at a DU turn as the word grows, and
 fills each finished word from its corners with
 :func:`~patternstats.bijections.fill_321`, the decoding core it shares
 with ``from_dyck_321``.
+The three pair classes with a binary encoding come out in the lex order of
+their words, as the ``bijections.decode_*`` maps would give them, but with
+no decode call: members that share a prefix share its work.  213,231 and
+123,132 walk the first n - 1 - t bits level by level, t = (n - 1) // 2,
+and join each head to the members of size t + 1 that the other t bits
+give, listed once and shifted (213,231) or given the head's last entry
+(123,132) once per distinct head state.  132,213 is a skew sum of
+increasing runs, so a member is its top run followed by a smaller member;
+the classes up to size n // 2 are listed once and the larger ones
+streamed.  Av(213,312), an increasing prefix, n, then the rest decreasing,
+splits 1..n-1 into a low and a high half and lists each half's subsets
+with their complements once.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value, and every function takes an optional
 ``cap`` that defaults to the matching field of ``Caps()``.  A structured
-class generator checks only the class cap: the Dyck and binary words it
-decodes are not capped again.
+class generator checks only the class cap; it walks no capped Dyck or
+binary word generator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from math import factorial
 from typing import Iterator
 
@@ -65,9 +78,9 @@ class Caps:
     """Size caps for one run: generation by kind, and the series degree."""
 
     perm: int = 10        # gen_all, and so the filter route
-    dyck: int = 14        # gen_dyck and gen_indec
-    bits: int = 30        # gen_bits
-    structured: int = 14  # structured class generators
+    dyck: int = 14        # gen_dyck and gen_indec; not the 321 generator
+    bits: int = 30        # gen_bits; not the binary pair generators
+    structured: int = 14  # every structured class generator
     series: int = 24      # the CLI's series degree
 
 
@@ -182,6 +195,21 @@ def _avoid_table(key: tuple[Perm, ...]) -> bytes:
     return bytes(not v & bits for v in range(256))
 
 
+_SELECT_CHUNK = 1 << 16  # table entries translated at a time
+
+
+def _selection(table: bytearray, key: tuple[Perm, ...]) -> Iterator[int]:
+    # 1 for each entry that contains no pattern of key, translated one slice
+    # at a time as it is read, so the table is never copied whole.  The
+    # key's bits are filled before this is read, and a later fill at the
+    # same n sets only other bits, so a lazy read sees the same selection
+    avoid = _avoid_table(key)
+    size = _SELECT_CHUNK
+    return itertools.chain.from_iterable(
+        table[i:i + size].translate(avoid)
+        for i in range(0, len(table), size))
+
+
 def gen_bits(length: int, cap: int | None = None) -> Iterator[str]:
     """All binary words of the given length in lexicographic order."""
     _check_cap(length, _DEFAULT.bits if cap is None else cap, "binary word")
@@ -284,26 +312,110 @@ def _gen_321(n: int) -> Iterator[Perm]:
 
 
 def _gen_213_312(n: int) -> Iterator[Perm]:
-    # increasing prefix, the maximum, then a decreasing suffix
+    # an increasing prefix on a set P of 1..n-1, the maximum, then the other
+    # values decreasing, by |P| and then P in lex order.  For one size, lex
+    # order of P is the decreasing order of its indicator word, and so the
+    # product order over the words of a low half 1..a and a high half; each
+    # half's sets are listed once with their complements
     if n == 0:
         yield ()
         return
-    values = range(1, n)
+    a = (n - 1) // 2
+    lows = _split_values(range(1, a + 1))
+    highs: dict[int, list[Perm]] = {}
+    for p, rest in _split_values(range(a + 1, n)):
+        highs.setdefault(len(p), []).append(p + (n,) + rest)
     for r in range(n):
-        for prefix in itertools.combinations(values, r):
-            suffix = tuple(sorted(set(values) - set(prefix), reverse=True))
-            yield prefix + (n,) + suffix
+        for p, rest in lows:
+            for middle in highs.get(r - len(p), ()):
+                yield p + middle + rest
 
 
-def _gen_decoded(decode: str, n: int) -> Iterator[Perm]:
-    # the classes with a binary encoding: one member per word of length
-    # n - 1; the decoder is looked up per call, so a wrapped one is seen
+def _split_values(values: range) -> list[tuple[Perm, Perm]]:
+    # (the set increasing, its complement decreasing) for every subset of
+    # the values, in decreasing order of the indicator word
+    level: list[tuple[Perm, Perm]] = [((), ())]
+    for v in values:
+        level = [step for p, rest in level
+                 for step in ((p + (v,), rest), (p, (v,) + rest))]
+    return level
+
+
+def _walk_213_231(bits: int, n: int) -> list[tuple[Perm, int, int]]:
+    # (prefix, lo, hi) after each word of the given length, on 1..n: bit 0
+    # takes the maximum hi of the values left, bit 1 the minimum lo
+    level = [((), 1, n)]
+    for _ in range(bits):
+        level = [step for p, lo, hi in level
+                 for step in ((p + (hi,), lo, hi - 1),
+                              (p + (lo,), lo + 1, hi))]
+    return level
+
+
+def _gen_213_231(n: int) -> Iterator[Perm]:
+    # a head leaves the values lo..lo+t, so its tails are the members of
+    # size t + 1 shifted by lo - 1, listed once per distinct lo
     if n == 0:
         yield ()
         return
-    fn = getattr(bijections, decode)
-    for bits in _bit_words(n - 1):
-        yield fn(bits)
+    t = (n - 1) // 2
+    tails = [p + (lo,) for p, lo, _ in _walk_213_231(t, t + 1)]
+    shifted: dict[int, list[Perm]] = {}
+    for prefix, lo, _ in _walk_213_231(n - 1 - t, n):
+        if lo not in shifted:
+            shifted[lo] = [tuple([x + lo - 1 for x in b]) for b in tails]
+        for b in shifted[lo]:
+            yield prefix + b
+
+
+def _walk_123_132(bits: int, n: int) -> list[tuple[Perm, int]]:
+    # (body, last) after each word of the given length, from the single
+    # entry n: value n - i goes before the last entry (bit 0) or after it
+    # (bit 1); the member is body + (last,)
+    level = [((), n)]
+    for v in range(n - 1, n - 1 - bits, -1):
+        level = [step for body, last in level
+                 for step in ((body + (v,), last), (body + (last,), v))]
+    return level
+
+
+def _gen_123_132(n: int) -> Iterator[Perm]:
+    # a head leaves the values t..1 and its last entry, so its tails are
+    # the members of size t + 1 with t + 1 replaced by that entry, listed
+    # once per distinct last entry
+    if n == 0:
+        yield ()
+        return
+    t = (n - 1) // 2
+    tails = [body + (last,) for body, last in _walk_123_132(t, t + 1)]
+    replaced: dict[int, list[Perm]] = {}
+    for body, last in _walk_123_132(n - 1 - t, n):
+        if last not in replaced:
+            replaced[last] = [tuple([last if x == t + 1 else x for x in b])
+                              for b in tails]
+        for b in replaced[last]:
+            yield body + b
+
+
+def _gen_132_213(n: int) -> Iterator[Perm]:
+    # the classes of sizes 0..n // 2 are listed once; the larger ones are
+    # streamed from them
+    classes: list[list[Perm]] = [[()]]
+    for m in range(1, n // 2 + 1):
+        classes.append(list(_runs_132_213(m, classes)))
+    yield from (classes[n] if n < len(classes)
+                else _runs_132_213(n, classes))
+
+
+def _runs_132_213(m: int, classes: list[list[Perm]]) -> Iterator[Perm]:
+    # a skew sum of increasing runs: the first run is the top r values,
+    # r = 1..m in the lex order of the words, then a member of size m - r
+    for r in range(1, m + 1):
+        run = tuple(range(m - r + 1, m + 1))
+        rests = (classes[m - r] if m - r < len(classes)
+                 else _runs_132_213(m - r, classes))
+        for b in rests:
+            yield run + b
 
 
 def _gen_132_321(n: int) -> Iterator[Perm]:
@@ -322,12 +434,9 @@ STRUCTURED = {
     normalize_basis([(2, 3, 1)]): _gen_231,
     normalize_basis([(3, 2, 1)]): _gen_321,
     normalize_basis([(2, 1, 3), (3, 1, 2)]): _gen_213_312,
-    normalize_basis([(1, 3, 2), (2, 1, 3)]):
-        partial(_gen_decoded, "decode_132_213"),
-    normalize_basis([(2, 1, 3), (2, 3, 1)]):
-        partial(_gen_decoded, "decode_213_231"),
-    normalize_basis([(1, 2, 3), (1, 3, 2)]):
-        partial(_gen_decoded, "decode_123_132"),
+    normalize_basis([(1, 3, 2), (2, 1, 3)]): _gen_132_213,
+    normalize_basis([(2, 1, 3), (2, 3, 1)]): _gen_213_231,
+    normalize_basis([(1, 2, 3), (1, 3, 2)]): _gen_123_132,
     normalize_basis([(1, 3, 2), (3, 2, 1)]): _gen_132_321,
 }
 
@@ -364,5 +473,5 @@ def gen_class(n: int, basis, method: str = "auto",
     members = gen_all(n, cap=cap)
     if all(len(p) == 3 for p in key):
         table = _containment_table(n, key)
-        return itertools.compress(members, table.translate(_avoid_table(key)))
+        return itertools.compress(members, _selection(table, key))
     return (p for p in members if avoids_all(p, key))

@@ -60,3 +60,17 @@ def split_at_max_231(n):
         for a in split_at_max_231(i - 1):
             for b in split_at_max_231(n - i):
                 yield a + (n,) + tuple(x + i - 1 for x in b)
+
+
+def subsets_213_312(n):
+    """S_n(213, 312) in the generator's order: an increasing prefix on each
+    r-subset of 1..n-1, r = 0..n-1 and the subsets in lex order, then n,
+    then the other values decreasing."""
+    if n == 0:
+        yield ()
+        return
+    values = range(1, n)
+    for r in range(n):
+        for prefix in itertools.combinations(values, r):
+            suffix = tuple(sorted(set(values) - set(prefix), reverse=True))
+            yield prefix + (n,) + suffix

@@ -9,6 +9,7 @@ import pytest
 from patternstats import bijections, distributions, formulas
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
+from patternstats.stats import STATS
 
 from helpers import naive_dist
 
@@ -377,3 +378,36 @@ def test_verify_stdout_is_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
+
+
+# sha256 of the stdout of `dist --stat S --avoid B --n 0-12 --format json`
+# for the six statistics in STATS order, one digest per structured basis;
+# pins the rows every structured generator feeds the tally
+_PINNED_DIST_STDOUT = {
+    "231":
+        "efc39fb5e6d35651580f63be6b37ba90ba1e3749ece537580addf491c14bc68a",
+    "321":
+        "781a8dde66d3497acf5b3635c152dc07d4d9574b312ad146a7100eed40569458",
+    "213,312":
+        "b97a797a267e196cff3ae98913daa60dac079c213187b90e786fc6a81f499b50",
+    "132,213":
+        "53709928c26f7b47e3e554468837da1221a451e1e356760558c6da3ed30eb9cc",
+    "213,231":
+        "d1a0b08e716110a1ad12c39001d8e4842ca34bda6a20de51be004d73b65fcb8c",
+    "123,132":
+        "059813cb646b21f2a3978103402adabac09edb86c20b5b4f72c3a7bd3cc49d5f",
+    "132,321":
+        "d65d70593c0b18a9f2db25b876428eccff3c1244743ecd6c350de51cea58147a",
+}
+
+
+@pytest.mark.parametrize("basis", list(_PINNED_DIST_STDOUT))
+def test_dist_stdout_is_pinned(capsys, basis):
+    distributions.clear_caches()
+    digest = hashlib.sha256()
+    for stat in STATS:
+        code, out, _ = run(capsys, "dist", "--stat", stat, "--avoid", basis,
+                           "--n", "0-12", "--format", "json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == _PINNED_DIST_STDOUT[basis]

@@ -27,7 +27,7 @@ from patternstats.perms import (
     normalize_basis,
 )
 
-from helpers import naive_class, split_at_max_231
+from helpers import naive_class, split_at_max_231, subsets_213_312
 
 
 def test_gen_all_counts_and_order():
@@ -98,21 +98,51 @@ def test_structured_agrees_with_filter_and_naive():
             assert structured == sorted(naive_class(n, key))
 
 
+def _decoded(decode):
+    return lambda n: (decode(b) for b in gen_bits(n - 1))
+
+
+# the four classes whose generators build members from shared prefixes,
+# with a plain route that builds each member on its own
+_REBUILT = {
+    "132,213": _decoded(bijections.decode_132_213),
+    "213,231": _decoded(bijections.decode_213_231),
+    "123,132": _decoded(bijections.decode_123_132),
+    "213,312": subsets_213_312,
+}
+
+
+def _key(text):
+    return normalize_basis([tuple(map(int, part)) for part in text.split(",")])
+
+
 def test_structured_sequences_match_plain_references():
-    # the same members in the same order as a plain route, for n <= 10
-    decoded = {"132,213": bijections.decode_132_213,
-               "213,231": bijections.decode_213_231,
-               "123,132": bijections.decode_123_132}
+    # the same members in the same order as a plain route, for n <= 10, and
+    # up to the structured cap for the classes built from shared prefixes
     for n in range(11):
         assert (list(gen_class(n, [(2, 3, 1)], method="structured"))
                 == list(split_at_max_231(n)))
         assert (list(gen_class(n, [(3, 2, 1)], method="structured"))
                 == [bijections.from_dyck_321(d) for d in gen_dyck(n)])
-        for text, decode in decoded.items():
-            key = normalize_basis(
-                [tuple(map(int, part)) for part in text.split(",")])
-            want = [decode(b) for b in gen_bits(n - 1)] if n else [()]
-            assert list(gen_class(n, key, method="structured")) == want
+    for n in range(Caps().structured + 1):
+        for text, reference in _REBUILT.items():
+            want = list(reference(n)) if n else [()]
+            assert list(gen_class(n, _key(text), method="structured")) == want
+
+
+def test_binary_pair_generators_call_no_decoder(monkeypatch):
+    # the generators and bijections.decode_* stay independent routes
+    def refuse(bits):
+        raise AssertionError("a generator called a decoder")
+
+    for name in ("decode_132_213", "decode_213_231", "decode_123_132"):
+        monkeypatch.setattr(bijections, name, refuse)
+    for text in ("132,213", "213,231", "123,132"):
+        key = _key(text)
+        for n in range(9):
+            got = list(gen_class(n, key, method="structured"))
+            assert len(got) == max(2 ** (n - 1), 1)
+            assert sorted(got) == list(gen_class(n, key, method="filter"))
 
 
 # sha256 prefix of repr(list(members)) over n = 0..10, in the documented
@@ -246,6 +276,41 @@ def test_filter_table_filled_one_request_at_a_time():
         table, done = generate._tables[7]
         assert done == mask
         assert bytes(table) == bytes(v & mask for v in want)
+    generate.clear_tables()
+
+
+@pytest.mark.parametrize("chunk", [generate._SELECT_CHUNK, 37])
+def test_selection_equals_whole_table_translate(monkeypatch, chunk):
+    # the sliced selection reads what one translate of the table gives
+    monkeypatch.setattr(generate, "_SELECT_CHUNK", chunk)
+    generate.clear_tables()
+    bases = [key for r in range(1, 7)
+             for key in itertools.combinations(PATTERNS3, r)]
+    for n in range(9):
+        for key in bases:
+            table = generate._containment_table(n, key)
+            whole = table.translate(generate._avoid_table(key))
+            assert bytes(generate._selection(table, key)) == whole
+    generate.clear_tables()
+
+
+def test_selection_read_lazily_across_a_later_fill(monkeypatch):
+    # two selections at one n are read in turns, with a third basis filling
+    # its bit between them; each still gives its own class
+    monkeypatch.setattr(generate, "_SELECT_CHUNK", 16)
+    generate.clear_tables()
+    first = gen_class(7, [(1, 2, 3)], method="filter")
+    second = gen_class(7, [(1, 3, 2), (2, 3, 1)], method="filter")
+    got_first = [next(first) for _ in range(20)]
+    got_second = [next(second) for _ in range(20)]
+    assert generate._tables[7][1] == 0b1011
+    assert list(gen_class(7, [(3, 2, 1)], method="filter")) == _scan(
+        7, ((3, 2, 1),))
+    assert generate._tables[7][1] == 0b101011
+    got_first += first
+    got_second += second
+    assert got_first == _scan(7, ((1, 2, 3),))
+    assert got_second == _scan(7, ((1, 3, 2), (2, 3, 1)))
     generate.clear_tables()
 
 

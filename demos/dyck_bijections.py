@@ -1,8 +1,9 @@
 """Walk through the bijections and what they transport.
 
-Shows the lattice-path map on a length-9 permutation, the recursive
-max-split map, the 312 -> 321 rewriting, the UUD/descent involution on a
-20-step word, and the three binary encodings of the two-pattern classes.
+Shows the lattice-path map on a length-9 permutation, the stack-sorting
+word of a 231-avoider, the 312 -> 321 rewriting, the UUD/descent
+involution on a 20-step word, and the three binary encodings of the
+two-pattern classes.
 """
 
 from patternstats import (
@@ -33,7 +34,7 @@ def main():
 
     q = parse_perm("21534")
     e = to_dyck_231(q)
-    print(f"\nmax-split image of {''.join(map(str, q))}: {e}")
+    print(f"\nstack-sorting word of {''.join(map(str, q))}: {e}")
     print(f"  peaks {all_stats(q)['pk']} == DUU factors "
           f"{factor_count(e, 'DUU')}")
 

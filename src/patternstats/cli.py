@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import bijections, distributions, dyck, formulas, generate, oeis, series
-from .perms import InvalidPermError, format_perm, normalize_basis, parse_perm
+from .perms import format_perm, parse_basis, parse_perm
 from .stats import STATS, all_stats
 
 _SERIES = {
@@ -114,8 +114,8 @@ def _render_rows(rows: list[tuple[int, int, int]], fmt: str) -> str:
 
 
 def _cmd_dist(args) -> int:
-    basis = normalize_basis(parse_perm(part) for part in args.avoid.split(","))
-    table = distributions.dist_table(args.stat, basis, _parse_ns(args.n),
+    table = distributions.dist_table(args.stat, parse_basis(args.avoid),
+                                     _parse_ns(args.n),
                                      method=args.method, caps=args.caps)
     if args.format == "json":
         print(table.to_json())
@@ -303,13 +303,8 @@ def main(argv=None) -> int:
     except oeis.OeisFormatError as exc:
         print(f"bad b-file: {exc}", file=sys.stderr)
         return 3
-    except (InvalidPermError, dyck.InvalidDyckError,
-            bijections.PatternViolation, bijections.InvalidBitsError,
-            formulas.FormulaDomainError, formulas.UnknownFormulaError,
-            distributions.UnsupportedMethodError,
-            generate.CapExceededError, generate.UnsupportedBasisError,
-            oeis.OeisNotFoundError,
-            ValueError) as exc:
+    except (ValueError, formulas.UnknownFormulaError,
+            oeis.OeisNotFoundError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(message, file=sys.stderr)
         return 2

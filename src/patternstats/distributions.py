@@ -18,8 +18,11 @@ Cap errors, any other error, and a negative ``max_n`` still raise.
 Oracle rows are cached per (basis, n); a single class enumeration tallies
 all six statistics at once.  Generation caps arrive as a
 :class:`~patternstats.generate.Caps` value; the cap of the route an
-enumeration takes is checked before the cache, so a cached row never
-passes a size the caps refuse.
+enumeration takes is checked by :func:`~patternstats.generate.class_cap`
+before the cache, so a cached row never passes a size the caps refuse.
+Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
+images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
+:func:`~patternstats.formulas.closed_form_row`.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from . import bijections, dyck, formulas, generate, series
 from .dyck import factor_count, interior_uud_count, uud_count
 from .generate import Caps
 from .perms import (
+    SYMMETRIES,
     Perm,
     avoids_all,
-    complement,
     format_basis,
     format_perm,
     ltr_maxima,
     normalize_basis,
-    reverse,
+    parse_basis,
 )
 from .stats import STATS, all_stats, up_down, word_stats
 
@@ -51,11 +54,6 @@ _PAIR_BASES = ("123,321", "213,312", "132,213", "213,231", "123,132", "132,321")
 
 class UnsupportedMethodError(ValueError):
     """The (statistic, basis, method) combination is not available."""
-
-
-def _parse_basis(text: str) -> tuple[Perm, ...]:
-    return normalize_basis(
-        [tuple(int(ch) for ch in part) for part in text.split(",")])
 
 
 # -- oracle rows --------------------------------------------------------------
@@ -82,24 +80,14 @@ def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
     return rows
 
 
-def _class_cap(key: tuple, caps: Caps, method: str = "auto") -> tuple[int, str]:
-    """The cap of the route gen_class takes, and its name in cap errors."""
-    if method == "auto":
-        method = "structured" if key in generate.STRUCTURED else "filter"
-    if method == "structured":
-        return caps.structured, "class"
-    return caps.perm, "permutation"
-
-
 def _members(n: int, key: tuple, caps: Caps, method: str = "auto"):
-    cap, _ = _class_cap(key, caps, method)
+    cap = generate.class_cap(n, key, method, caps)
     return generate.gen_class(n, key, method=method, cap=cap)
 
 
 def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, int]]:
     # checked before the cache, so that a hit cannot pass a size the caps refuse
-    cap, what = _class_cap(basis_key, caps)
-    generate._check_cap(n, cap, what)
+    cap = generate.class_cap(n, basis_key, "auto", caps)
     cached = _oracle_cache.get((basis_key, n))
     if cached is None:
         cached = _oracle_cache[(basis_key, n)] = _tally(
@@ -110,9 +98,9 @@ def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, in
 # (statistic, basis) -> name of its series function in ``series``, looked
 # up when called
 _SERIES_FOR = {
-    ("des", _parse_basis("321")): "series_des_321",
-    ("pk", _parse_basis("321")): "series_pk_321",
-    **{(stat, _parse_basis(text)): "series_ddes_132_213"
+    ("des", parse_basis("321")): "series_des_321",
+    ("pk", parse_basis("321")): "series_pk_321",
+    **{(stat, parse_basis(text)): "series_ddes_132_213"
        for stat in ("dasc", "ddes") for text in ("132,213", "213,231")},
 }
 
@@ -256,7 +244,7 @@ def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
 @_check("CARD_SINGLE_CATALAN")
 def _check_card_single(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for text in _SINGLE_BASES:
-        key = _parse_basis(text)
+        key = parse_basis(text)
         for n in range(max_n + 1):
             report.eq(class_size(n, key, method="filter", caps=caps),
                       formulas.catalan(n), f"|S_{n}({text})| by filter")
@@ -265,11 +253,11 @@ def _check_card_single(report: VerifyReport, max_n: int, caps: Caps) -> None:
 @_check("CARD_PAIRS")
 def _check_card_pairs(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for text in ("213,312", "132,213", "213,231", "123,132"):
-        key = _parse_basis(text)
+        key = parse_basis(text)
         for n in range(1, max_n + 1):
             report.eq(class_size(n, key, caps=caps), 2 ** (n - 1),
                       f"|S_{n}({text})|")
-    key = _parse_basis("132,321")
+    key = parse_basis("132,321")
     for n in range(1, max_n + 1):
         report.eq(class_size(n, key, caps=caps), formulas.binom(n, 2) + 1,
                   f"|S_{n}(132,321)|")
@@ -277,7 +265,7 @@ def _check_card_pairs(report: VerifyReport, max_n: int, caps: Caps) -> None:
 
 @_check("CARD_123_321_EMPTY")
 def _check_card_123_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
-    key = _parse_basis("123,321")
+    key = parse_basis("123,321")
     for n in range(5, max_n + 1):
         report.eq(class_size(n, key, caps=caps), 0, f"|S_{n}(123,321)|")
 
@@ -299,7 +287,7 @@ def _check_formula(fid: str, report: VerifyReport, max_n: int,
                    caps: Caps) -> None:
     spec = formulas.formula(fid)
     for n in range(spec.min_n, max_n + 1):
-        want = {k: v for k in range(n + 1) if (v := spec.fn(n, k))}
+        want = formulas.closed_form_row(fid, n)
         got = _oracle_rows(spec.basis, n, caps)[spec.stat]
         report.eq(got, want,
                   f"{spec.stat} over {format_basis(spec.basis)} at n={n}")
@@ -314,7 +302,7 @@ def _check_series(series_name: str, basis: str, rows: list[tuple[str, str]],
     """Rows of ``series.<series_name>`` against the oracle's rows of each
     (statistic, label) pair over the basis."""
     expansion = getattr(series, series_name)(max_n)
-    key = _parse_basis(basis)
+    key = parse_basis(basis)
     for n in range(max_n + 1):
         oracle = _oracle_rows(key, n, caps)
         for stat, label in rows:
@@ -338,8 +326,8 @@ def _check_series_b(report: VerifyReport, max_n: int, caps: Caps) -> None:
     if max_n >= 1:
         report.eq(b.row_counts(1), {0: 1}, "row n=1")
     for n in range(1, max_n):
-        want = {k + 1: v for k in range(n + 1)
-                if (v := formulas.closed_form("PK231", n, k))}
+        want = {k + 1: v
+                for k, v in formulas.closed_form_row("PK231", n).items()}
         report.eq(b.row_counts(n + 1), want, f"row n={n + 1} vs shifted counts")
     for n in range(min(max_n, 10) + 1):
         report.eq(_tally_words(generate.gen_indec(n, cap=caps.dyck), uud_count),
@@ -354,7 +342,7 @@ _check("SERIES_DDES_132_213_ORACLE")(partial(
 @_check("UUD_DES_EQUIDISTRIBUTION")
 def _check_uud_des_equidist(report: VerifyReport, max_n: int,
                             caps: Caps) -> None:
-    key = _parse_basis("321")
+    key = parse_basis("321")
     for n in range(max_n + 1):
         report.eq(_tally_words(generate.gen_dyck(n, cap=caps.dyck), uud_count),
                   _oracle_rows(key, n, caps)["des"],
@@ -366,7 +354,7 @@ def _check_interior_uud_indec(report: VerifyReport, max_n: int,
                               caps: Caps) -> None:
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
-    key = _parse_basis("321")
+    key = parse_basis("321")
     for n in range(max_n + 1):
         report.eq(_tally_words(generate.gen_indec(n + 1, cap=caps.dyck),
                                interior_uud_count),
@@ -392,13 +380,13 @@ def _check_iota(report: VerifyReport, max_n: int, caps: Caps) -> None:
 
 @_check("PK_312_EQ_321")
 def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
-    _same_rows(report, ("pk", _parse_basis("312")), ("pk", _parse_basis("321")),
+    _same_rows(report, ("pk", parse_basis("312")), ("pk", parse_basis("321")),
                "peak rows", max_n, caps)
 
 
 @_check("ZETA_PROPERTIES")
 def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
-    key = _parse_basis("312")
+    key = parse_basis("312")
     for n in range(max_n + 1):
         for p in _members(n, key, caps):
             q = bijections.rewrite_312_to_321(p)
@@ -411,7 +399,7 @@ def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
 
 @_check("PHI231_TRANSPORT")
 def _check_phi231(report: VerifyReport, max_n: int, caps: Caps) -> None:
-    key = _parse_basis("231")
+    key = parse_basis("231")
     for n in range(max_n + 1):
         for p in _members(n, key, caps):
             d = bijections.to_dyck_231(p)
@@ -500,15 +488,11 @@ _FAMILIES = {
 
 
 def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
-    """Apply reverse/complement pattern-wise to a basis."""
+    """Apply a symmetry of ``perms.SYMMETRIES`` pattern-wise to a basis."""
     key = normalize_basis(basis)
-    if transform == "r":
-        return normalize_basis([reverse(p) for p in key])
-    if transform == "c":
-        return normalize_basis([complement(p) for p in key])
-    if transform == "rc":
-        return normalize_basis([complement(reverse(p)) for p in key])
-    raise ValueError(f"unknown transform {transform!r}")
+    if transform not in SYMMETRIES:
+        raise ValueError(f"unknown transform {transform!r}")
+    return normalize_basis(map(SYMMETRIES[transform], key))
 
 
 def _symmetry_rows(report: VerifyReport, family: str, key: tuple,
@@ -536,7 +520,7 @@ def _check_symmetry_family(family: str, report: VerifyReport, max_n: int,
                            caps: Caps) -> None:
     for text in _SINGLE_BASES + _PAIR_BASES:
         for transform in ("r", "c", "rc"):
-            _symmetry_rows(report, family, _parse_basis(text), transform,
+            _symmetry_rows(report, family, parse_basis(text), transform,
                            max_n, caps)
 
 
@@ -548,7 +532,7 @@ for _family in _FAMILIES:
 @_check("CLASS_132_213_EQ_213_231")
 def _check_132_213_eq_213_231(report: VerifyReport, max_n: int,
                               caps: Caps) -> None:
-    a, b = _parse_basis("132,213"), _parse_basis("213,231")
+    a, b = parse_basis("132,213"), parse_basis("213,231")
     for stat in STATS:
         _same_rows(report, (stat, a), (stat, b), f"{stat} rows", max_n, caps)
 

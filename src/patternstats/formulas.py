@@ -8,6 +8,9 @@ two-pattern classes separate the parts (``ASC_213_312``).
 Evaluators return 0 for k outside a formula's support.  Each formula also
 carries a smallest valid n; querying below it raises
 :class:`FormulaDomainError` rather than returning a silently wrong number.
+:func:`closed_form_row` is the one builder of a formula's row: the
+verification harness, the closed-form method and the OEIS export all read
+rows through it.
 Binomials use the convention C(a, b) = 0 for b < 0 or b > a, which
 collapses piecewise case lists into single expressions.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .perms import Perm, normalize_basis
+from .perms import Perm, normalize_basis, parse_basis
 
 
 def binom(a: int, b: int) -> int:
@@ -154,9 +157,7 @@ FORMULAS: dict[str, FormulaSpec] = {}
 
 
 def _register(fid: str, stat: str, basis: str, fn, min_n: int = 1) -> None:
-    patterns = normalize_basis(
-        [tuple(int(ch) for ch in part) for part in basis.split(",")])
-    FORMULAS[fid] = FormulaSpec(fid, stat, patterns, fn, min_n)
+    FORMULAS[fid] = FormulaSpec(fid, stat, parse_basis(basis), fn, min_n)
 
 
 _register("PK231", "pk", "231", _pk231)

@@ -57,9 +57,12 @@ with their complements once.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value, and every function takes an optional
-``cap`` that defaults to the matching field of ``Caps()``.  A structured
-class generator checks only the class cap; it walks no capped Dyck or
-binary word generator.
+``cap`` that defaults to the matching field of ``Caps()``.  This module
+alone decides which route a basis and method take and which cap applies:
+:func:`class_cap` checks a size against the route's cap, for
+:func:`gen_class` and for callers that must refuse a size before reading
+a cache.  A structured class generator checks only the class cap; it
+walks no capped Dyck or binary word generator.
 """
 
 from __future__ import annotations
@@ -213,20 +216,12 @@ def _selection(table: bytearray, key: tuple[Perm, ...]) -> Iterator[int]:
 def gen_bits(length: int, cap: int | None = None) -> Iterator[str]:
     """All binary words of the given length in lexicographic order."""
     _check_cap(length, _DEFAULT.bits if cap is None else cap, "binary word")
-    return _bit_words(length)
-
-
-def _bit_words(length: int) -> Iterator[str]:
     return ("".join(bits) for bits in itertools.product("01", repeat=length))
 
 
 def gen_dyck(n: int, cap: int | None = None) -> Iterator[str]:
     """All Dyck words of semilength n, lexicographically with D < U."""
     _check_cap(n, _DEFAULT.dyck if cap is None else cap, "Dyck word")
-    return _dyck_words(n)
-
-
-def _dyck_words(n: int) -> Iterator[str]:
     steps: list[str] = []
 
     def rec(ups: int, downs: int) -> Iterator[str]:
@@ -291,7 +286,7 @@ def _class_231(m: int, classes: list[list[Perm]]):
 
 
 def _gen_321(n: int) -> Iterator[Perm]:
-    # the words of _dyck_words, in the same order, built one D-run and U at
+    # the words of gen_dyck, in the same order, built one D-run and U at
     # a time; a U after a D-run turns at a corner (column, row) of psi^-1,
     # and each finished word is filled from its corners
     fill = bijections.fill_321
@@ -341,6 +336,17 @@ def _split_values(values: range) -> list[tuple[Perm, Perm]]:
     return level
 
 
+def _join(heads, tails: list[Perm], adapt) -> Iterator[Perm]:
+    # every (prefix, state) head followed by each tail of adapt(tails,
+    # state), in order; the tails are adapted once per distinct state
+    adapted: dict[int, list[Perm]] = {}
+    for prefix, state in heads:
+        if state not in adapted:
+            adapted[state] = adapt(tails, state)
+        for b in adapted[state]:
+            yield prefix + b
+
+
 def _walk_213_231(bits: int, n: int) -> list[tuple[Perm, int, int]]:
     # (prefix, lo, hi) after each word of the given length, on 1..n: bit 0
     # takes the maximum hi of the values left, bit 1 the minimum lo
@@ -354,18 +360,15 @@ def _walk_213_231(bits: int, n: int) -> list[tuple[Perm, int, int]]:
 
 def _gen_213_231(n: int) -> Iterator[Perm]:
     # a head leaves the values lo..lo+t, so its tails are the members of
-    # size t + 1 shifted by lo - 1, listed once per distinct lo
+    # size t + 1 shifted by lo - 1
     if n == 0:
         yield ()
         return
     t = (n - 1) // 2
     tails = [p + (lo,) for p, lo, _ in _walk_213_231(t, t + 1)]
-    shifted: dict[int, list[Perm]] = {}
-    for prefix, lo, _ in _walk_213_231(n - 1 - t, n):
-        if lo not in shifted:
-            shifted[lo] = [tuple([x + lo - 1 for x in b]) for b in tails]
-        for b in shifted[lo]:
-            yield prefix + b
+    heads = ((p, lo) for p, lo, _ in _walk_213_231(n - 1 - t, n))
+    yield from _join(heads, tails, lambda members, lo: [
+        tuple([x + lo - 1 for x in b]) for b in members])
 
 
 def _walk_123_132(bits: int, n: int) -> list[tuple[Perm, int]]:
@@ -381,20 +384,15 @@ def _walk_123_132(bits: int, n: int) -> list[tuple[Perm, int]]:
 
 def _gen_123_132(n: int) -> Iterator[Perm]:
     # a head leaves the values t..1 and its last entry, so its tails are
-    # the members of size t + 1 with t + 1 replaced by that entry, listed
-    # once per distinct last entry
+    # the members of size t + 1 with t + 1 replaced by that entry
     if n == 0:
         yield ()
         return
     t = (n - 1) // 2
     tails = [body + (last,) for body, last in _walk_123_132(t, t + 1)]
-    replaced: dict[int, list[Perm]] = {}
-    for body, last in _walk_123_132(n - 1 - t, n):
-        if last not in replaced:
-            replaced[last] = [tuple([last if x == t + 1 else x for x in b])
-                              for b in tails]
-        for b in replaced[last]:
-            yield body + b
+    heads = _walk_123_132(n - 1 - t, n)
+    yield from _join(heads, tails, lambda members, last: [
+        tuple([last if x == t + 1 else x for x in b]) for b in members])
 
 
 def _gen_132_213(n: int) -> Iterator[Perm]:
@@ -445,6 +443,35 @@ def structured_bases() -> tuple[tuple[Perm, ...], ...]:
     return tuple(STRUCTURED)
 
 
+def _route(key: tuple[Perm, ...], method: str) -> str:
+    # "structured" or "filter"; "auto" is structured when a generator is
+    # registered for the key
+    if method == "auto":
+        return "structured" if key in STRUCTURED else "filter"
+    if method == "structured":
+        if key not in STRUCTURED:
+            raise UnsupportedBasisError(
+                f"no structured generator for basis {key!r}")
+    elif method != "filter":
+        raise ValueError(f"unknown method {method!r}")
+    return method
+
+
+def class_cap(n: int, key: tuple[Perm, ...], method: str, caps: Caps) -> int:
+    """The cap of the route :func:`gen_class` takes, with n checked against it.
+
+    ``key`` is a normalized basis.  The structured route is capped by
+    ``caps.structured`` and names the size a "class" size in its error;
+    the filter route is capped by ``caps.perm`` and says "permutation".
+    """
+    if _route(key, method) == "structured":
+        cap, what = caps.structured, "class"
+    else:
+        cap, what = caps.perm, "permutation"
+    _check_cap(n, cap, what)
+    return cap
+
+
 def gen_class(n: int, basis, method: str = "auto",
               cap: int | None = None) -> Iterator[Perm]:
     """All permutations of length n avoiding every pattern in ``basis``.
@@ -452,24 +479,20 @@ def gen_class(n: int, basis, method: str = "auto",
     ``method`` is "filter" (scan the full symmetric group), "structured"
     (use a registered class-specific generator), or "auto" (structured
     when available).  Filter output is lexicographic; structured output
-    order is generator-specific but fixed.
+    order is generator-specific but fixed.  ``cap`` caps whichever route
+    is taken; by default it is that route's field of ``Caps()``.
 
-    The filter route checks the cap first.  A basis of length-3 patterns
-    is then selected from the shared containment table for n, which fills
-    only the patterns no earlier request at n has needed; any other basis
-    is scanned with ``avoids_all``.
+    The cap is checked first, by :func:`class_cap`.  A basis of length-3
+    patterns is then selected from the shared containment table for n,
+    which fills only the patterns no earlier request at n has needed; any
+    other basis is scanned with ``avoids_all``.
     """
     key = normalize_basis(basis)
-    if method == "auto":
-        method = "structured" if key in STRUCTURED else "filter"
-    if method == "structured":
-        if key not in STRUCTURED:
-            raise UnsupportedBasisError(
-                f"no structured generator for basis {key!r}")
-        _check_cap(n, _DEFAULT.structured if cap is None else cap, "class")
+    route = _route(key, method)
+    caps = _DEFAULT if cap is None else Caps(perm=cap, structured=cap)
+    cap = class_cap(n, key, route, caps)
+    if route == "structured":
         return STRUCTURED[key](n)
-    if method != "filter":
-        raise ValueError(f"unknown method {method!r}")
     members = gen_all(n, cap=cap)
     if all(len(p) == 3 for p in key):
         table = _containment_table(n, key)

@@ -10,9 +10,10 @@ is, in order of precedence, the explicit argument, the
 Locally computed reference terms come from the package's own formulas and
 series: no sequence data is embedded in the source.  Each registry entry
 records how a distribution triangle flattens into the sequence (row-by-row
-in k within n) and how many leading remote terms to skip, since triangle
-offsets vary between entries.  ``skip_remote`` values are assumptions
-about the remote convention and are only exercised by online comparisons.
+in k within n, from a formula's first valid n) and how many leading remote
+terms to skip, since triangle offsets vary between entries.
+``skip_remote`` values are assumptions about the remote convention and are
+only exercised by online comparisons.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ def _flatten(row_of: Callable[[int], dict[int, int]], start_n: int,
     return out
 
 
-def _formula_rows(fid: str, start_n: int, max_n: int) -> list[int]:
-    return _flatten(lambda n: formulas.closed_form_row(fid, n), start_n, max_n)
+def _formula_rows(fid: str, max_n: int) -> list[int]:
+    """A formula's rows from its first valid n to max_n."""
+    return _flatten(lambda n: formulas.closed_form_row(fid, n),
+                    formulas.formula(fid).min_n, max_n)
 
 
 def _ddes_132_213_terms(max_n: int) -> list[int]:
@@ -207,28 +210,28 @@ _entry("A000108", "Catalan numbers: single-pattern class sizes, n >= 0",
        lambda max_n: [formulas.catalan(n) for n in range(max_n + 1)])
 _entry("A001263", "Narayana triangle: ascents over one-pattern classes, "
        "rows n >= 1, k = 0..n-1",
-       lambda max_n: _formula_rows("ASC231", 1, max_n))
+       lambda max_n: _formula_rows("ASC231", max_n))
 _entry("A007318", "Pascal's triangle: ascents over S_n(213,312), "
        "rows n >= 1, k = 0..n-1",
-       lambda max_n: _formula_rows("ASC_213_312", 1, max_n))
+       lambda max_n: _formula_rows("ASC_213_312", max_n))
 _entry("A091894", "peaks over S_n(231): rows n >= 1; the remote triangle "
        "carries a leading row for the empty permutation",
-       lambda max_n: _formula_rows("PK231", 1, max_n), skip_remote=1)
+       lambda max_n: _formula_rows("PK231", max_n), skip_remote=1)
 _entry("A076791", "double descents over S_n(132,213): rows n >= 1 "
        "(binary words of length n-1 by their 00 count)", _ddes_132_213_terms)
 _entry("A034867", "peaks over S_n(132,213): rows n >= 1",
-       lambda max_n: _formula_rows("PK_132_213", 1, max_n))
+       lambda max_n: _formula_rows("PK_132_213", max_n))
 _entry("A034839", "ascents over S_n(123,132): rows n >= 1; the remote "
        "triangle carries a leading row for the empty permutation",
-       lambda max_n: _formula_rows("ASC_123_132", 1, max_n), skip_remote=1)
+       lambda max_n: _formula_rows("ASC_123_132", max_n), skip_remote=1)
 _entry("A093560", "double descents over S_n(123,132): rows n >= 3; the "
        "remote triangle carries one leading boundary row",
-       lambda max_n: _formula_rows("DDES_123_132", 3, max_n), skip_remote=1)
+       lambda max_n: _formula_rows("DDES_123_132", max_n), skip_remote=1)
 _entry("A119462", "valleys over S_n(123,132): rows n >= 2; the remote "
        "triangle carries one leading boundary row",
-       lambda max_n: _formula_rows("VL_123_132", 2, max_n), skip_remote=1)
+       lambda max_n: _formula_rows("VL_123_132", max_n), skip_remote=1)
 _entry("A299927", "double ascents over S_n(213,312): rows n >= 1",
-       lambda max_n: _formula_rows("DASC_213_312", 1, max_n))
+       lambda max_n: _formula_rows("DASC_213_312", max_n))
 
 
 FORMULA_SEQUENCES = {

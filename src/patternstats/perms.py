@@ -7,8 +7,13 @@ values are 1-based throughout: position ``i`` holds ``p[i - 1]``.
 Pattern containment uses the usual order-isomorphism convention: ``host``
 contains ``pattern`` when some subsequence of ``host`` reduces to
 ``pattern``.  For patterns of length 3 (the common case here) containment
-is decided by linear scans; longer patterns fall back to a pruned
-backtracking search.
+is decided by linear scans for 123 and 132; the other four patterns are
+their images under the symmetries of :data:`SYMMETRIES`, and ``host``
+contains an image exactly when the image of ``host`` contains the scanned
+pattern.  Any other pattern falls back to a pruned backtracking search.
+
+This module alone reads basis text (:func:`parse_basis`) and holds the
+reverse/complement symmetries (:data:`SYMMETRIES`).
 """
 
 from __future__ import annotations
@@ -99,6 +104,14 @@ def complement(p: Perm) -> Perm:
     return tuple(n + 1 - x for x in p)
 
 
+# name -> the map on permutations; each is its own inverse
+SYMMETRIES = {
+    "r": reverse,
+    "c": complement,
+    "rc": lambda p: complement(p[::-1]),
+}
+
+
 def direct_sum(a: Perm, b: Perm) -> Perm:
     """Stack ``b`` above and to the right of ``a``."""
     return a + tuple(x + len(a) for x in b)
@@ -139,19 +152,6 @@ def _has_123(p: Perm) -> bool:
     return False
 
 
-def _has_321(p: Perm) -> bool:
-    hi = None   # largest value so far
-    mid = None  # largest value having a larger value before it
-    for x in p:
-        if mid is not None and x < mid:
-            return True
-        if hi is None or x > hi:
-            hi = x
-        elif mid is None or x > mid:
-            mid = x
-    return False
-
-
 def _has_132(p: Perm) -> bool:
     # Scan right to left keeping a decreasing stack; ``third`` is the largest
     # value known to sit right of a larger one.
@@ -166,19 +166,14 @@ def _has_132(p: Perm) -> bool:
     return False
 
 
-def _contains3(host: Perm, pattern: Perm) -> bool:
-    if pattern == (1, 2, 3):
-        return _has_123(host)
-    if pattern == (3, 2, 1):
-        return _has_321(host)
-    if pattern == (1, 3, 2):
-        return _has_132(host)
-    if pattern == (2, 3, 1):
-        return _has_132(host[::-1])
-    if pattern == (3, 1, 2):
-        return _has_132(complement(host))
-    # pattern == (2, 1, 3)
-    return _has_132(complement(host)[::-1])
+# length-3 pattern -> (scan, symmetry to apply to the host first, or None).
+# A host contains the image s(q) exactly when s(host) contains q, as each
+# symmetry is its own inverse, so two scans serve all six patterns
+_SCANS3: dict[Perm, tuple] = {}
+for _q, _scan in (((1, 2, 3), _has_123), ((1, 3, 2), _has_132)):
+    _SCANS3[_q] = _scan, None
+    for _symmetry in SYMMETRIES.values():
+        _SCANS3.setdefault(_symmetry(_q), (_scan, _symmetry))
 
 
 def _search(host: Perm, pattern: Perm, chosen: tuple, start: int) -> bool:
@@ -206,8 +201,10 @@ def contains(host: Perm, pattern: Perm) -> bool:
         return False
     if len(pattern) == 0:
         return True
-    if len(pattern) == 3:
-        return _contains3(host, pattern)
+    scans = _SCANS3.get(pattern)
+    if scans is not None:
+        scan, symmetry = scans
+        return scan(host if symmetry is None else symmetry(host))
     return _search(host, pattern, (), 0)
 
 
@@ -224,8 +221,18 @@ def normalize_basis(patterns) -> tuple[Perm, ...]:
         raise BasisError("patterns must have length >= 1")
     key = tuple(sorted(pats))
     if len(set(key)) != len(key):
-        raise BasisError(f"duplicate patterns in basis: {patterns!r}")
+        raise BasisError("duplicate patterns in basis: "
+                         + ",".join(format_perm(p) for p in key))
     return key
+
+
+def parse_basis(text: str) -> tuple[Perm, ...]:
+    """The canonical basis of comma-separated one-line patterns.
+
+    >>> parse_basis("312,213")
+    ((2, 1, 3), (3, 1, 2))
+    """
+    return normalize_basis(parse_perm(part) for part in text.split(","))
 
 
 def format_basis(basis) -> str:

@@ -85,6 +85,14 @@ def test_dist_bad_basis_exits_2(capsys):
     assert code == 2 and err
 
 
+def test_dist_duplicate_pattern_is_named(capsys):
+    code, out, err = run(capsys, "dist", "--stat", "pk", "--avoid", "231,231",
+                         "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "duplicate patterns in basis: 231,231\n"
+    assert "generator" not in err
+
+
 def test_dist_unsupported_method_exits_2(capsys):
     code, _, err = run(capsys, "dist", "--stat", "pk", "--avoid", "123",
                        "--n", "4", "--method", "closed_form")

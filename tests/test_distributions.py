@@ -190,6 +190,49 @@ def test_cache_hit_does_not_skip_generation_cap():
         distribution("des", [(1, 3, 2)], 6, caps=generate.Caps(perm=5))
 
 
+def _length3_bases():
+    patterns = list(itertools.permutations((1, 2, 3)))
+    return [basis for r in range(1, 7)
+            for basis in itertools.combinations(patterns, r)]
+
+
+def test_refused_sizes_follow_the_route_cap():
+    # class_size and distribution refuse exactly the sizes the cap of the
+    # route refuses, and name the route, on a cold and on a warm cache
+    caps = generate.Caps(perm=5, structured=6)
+    limits = {"structured": (caps.structured, "class"),
+              "filter": (caps.perm, "permutation")}
+    bases = _length3_bases()
+    assert len(bases) == 63
+    distributions.clear_caches()
+    for warm in (False, True):
+        if warm:
+            for key in bases:
+                for n in range(8):
+                    distribution("pk", key, n)
+                    class_size(n, key, method="filter")
+        for key in bases:
+            structured = key in generate.STRUCTURED
+            routes = {"auto": "structured" if structured else "filter",
+                      "filter": "filter"}
+            if structured:
+                routes["structured"] = "structured"
+            for method, route in routes.items():
+                cap, what = limits[route]
+                calls = [lambda: class_size(n, key, method=method, caps=caps)]
+                if method == "auto":
+                    calls.append(lambda: distribution("pk", key, n, caps=caps))
+                for n in range(8):
+                    for call in calls:
+                        if n <= cap:
+                            call()
+                            continue
+                        with pytest.raises(
+                                generate.CapExceededError,
+                                match=f"^{what} size {n} exceeds cap {cap}$"):
+                            call()
+
+
 def _tally_by_member(members):
     # the tally through the one-statistic definitions, member by member
     rows = {s: {} for s in stats.STATS}

@@ -13,7 +13,9 @@ from patternstats.perms import (
     direct_sum,
     format_perm,
     ltr_maxima,
+    SYMMETRIES,
     normalize_basis,
+    parse_basis,
     parse_perm,
     reduce_word,
     reverse,
@@ -109,6 +111,28 @@ def test_containment_respects_symmetries_exhaustively():
                 hit = contains(host, pat)
                 assert hit == contains(reverse(host), reverse(pat))
                 assert hit == contains(complement(host), complement(pat))
+
+
+def test_symmetries_are_the_reverse_complement_involutions():
+    assert list(SYMMETRIES) == ["r", "c", "rc"]
+    for host in itertools.permutations(range(1, 6)):
+        assert SYMMETRIES["r"](host) == reverse(host)
+        assert SYMMETRIES["c"](host) == complement(host)
+        assert SYMMETRIES["rc"](host) == complement(reverse(host))
+        for symmetry in SYMMETRIES.values():
+            assert symmetry(symmetry(host)) == host
+
+
+def test_parse_basis():
+    assert parse_basis("312,213") == ((2, 1, 3), (3, 1, 2))
+    assert parse_basis("1") == ((1,),)
+    with pytest.raises(InvalidPermError):
+        parse_basis("2x1")
+    with pytest.raises(perms.BasisError, match="length >= 1"):
+        parse_basis("231,")
+    with pytest.raises(perms.BasisError,
+                       match="^duplicate patterns in basis: 132,132$"):
+        parse_basis("132,132")
 
 
 def test_sums():

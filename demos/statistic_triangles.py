@@ -7,6 +7,7 @@ the formula.  The two columns must agree line for line.
 
 from patternstats import distribution
 from patternstats.formulas import closed_form_row, formula, formula_ids
+from patternstats.perms import format_basis
 
 SHOWCASE = ["PK231", "ASC_213_312", "DASC_213_312", "PK_132_213",
             "DDES_123_132", "VL_132_321"]
@@ -14,8 +15,8 @@ SHOWCASE = ["PK231", "ASC_213_312", "DASC_213_312", "PK_132_213",
 
 def show(fid, max_n=8):
     spec = formula(fid)
-    basis_text = ",".join("".join(map(str, p)) for p in spec.basis)
-    print(f"\n{fid}: {spec.stat} over permutations avoiding {basis_text}")
+    print(f"\n{fid}: {spec.stat} over permutations avoiding "
+          f"{format_basis(spec.basis)}")
     for n in range(spec.min_n, max_n + 1):
         oracle = distribution(spec.stat, spec.basis, n)
         closed = closed_form_row(fid, n)

@@ -7,6 +7,11 @@ terms).
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage error, 3 environment or network error.
+
+The CLI keeps no table of its own for series or formulas: ``series``
+reads its names from :data:`~patternstats.series.SERIES`, and both it and
+``dist --method series`` refuse a degree above the series cap through
+:meth:`~patternstats.generate.Caps.check_series`.
 """
 
 from __future__ import annotations
@@ -19,14 +24,6 @@ import sys
 from . import bijections, distributions, dyck, formulas, generate, oeis, series
 from .perms import format_perm, parse_basis, parse_perm
 from .stats import STATS, all_stats
-
-_SERIES = {
-    "des321": series.series_des_321,
-    "pk321": series.series_pk_321,
-    "B": series.series_indec_uud,
-    "D": series.series_indec_interior_uud,
-    "ddes132213": series.series_ddes_132_213,
-}
 
 # bijection name -> (input kind, function, output kind)
 _MAPS = {
@@ -130,7 +127,7 @@ def _dyck_summary(d: str) -> dict:
     return {
         "uud": dyck.uud_count(d),
         "interior_uud": dyck.interior_uud_count(d),
-        "duu": dyck.factor_count(d, "DUU") if d else 0,
+        "duu": dyck.factor_count(d, "DUU"),
     }
 
 
@@ -165,23 +162,19 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.max_n > args.caps.series:
-        print(f"max-n {args.max_n} exceeds series cap {args.caps.series}",
-              file=sys.stderr)
-        return 2
-    s = _SERIES[args.name](args.max_n)
-    rows = [(n, k, c) for n in range(args.max_n + 1)
-            for k, c in sorted(s.row_counts(n).items())]
+    args.caps.check_series(args.max_n)
+    s = series.expand(args.name, args.max_n)
+    rows = [sorted(s.row_counts(n).items()) for n in range(args.max_n + 1)]
     if args.format == "json":
         print(json.dumps({
             "name": args.name,
             "max_n": args.max_n,
-            "rows": [{"n": n, "counts": {str(k): c for k, c in
-                                         sorted(s.row_counts(n).items())}}
-                     for n in range(args.max_n + 1)],
+            "rows": [{"n": n, "counts": {str(k): c for k, c in row}}
+                     for n, row in enumerate(rows)],
         }, indent=2))
     else:
-        print(_render_rows(rows, args.format))
+        print(_render_rows([(n, k, c) for n, row in enumerate(rows)
+                            for k, c in row], args.format))
     return 0
 
 
@@ -225,12 +218,11 @@ def _cmd_oeis(args) -> int:
                                      offline=args.offline)
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.full_match else 1
-    text = oeis.local_bfile(name, args.max_n)
     if args.format == "json":
-        terms = entry.local_terms(args.max_n)
+        terms = oeis.local_terms(name, args.max_n)
         print(json.dumps({"sequence": entry.id, "terms": terms}, indent=2))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(oeis.local_bfile(name, args.max_n))
     return 0
 
 
@@ -262,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("series", help="coefficient triangle of a series")
-    p.add_argument("--name", required=True, choices=sorted(_SERIES))
+    p.add_argument("--name", required=True, choices=sorted(series.SERIES))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", default="csv",
                    choices=("json", "csv", "markdown"))

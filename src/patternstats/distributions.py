@@ -2,11 +2,14 @@
 
 ``distribution`` produces the row a(n, k) for a (statistic, basis) pair by
 one of three methods: ``oracle`` (generate the class and count),
-``closed_form`` (a registered formula), or ``series`` (a registered
-generating function).  Where several methods support a pair they must
-agree; ``verify_all`` checks that, every bijection property, every series
-identity, and the reverse/complement symmetry identities, and reports the
-first counterexample of each failing check.
+``closed_form`` (the formula :func:`~patternstats.formulas.formula_for`
+finds), or ``series`` (the generating function that
+:data:`~patternstats.series.SERIES` lists for the cell, to the degree
+:meth:`~patternstats.generate.Caps.check_series` allows).  Where several
+methods support a pair they must agree; ``verify_all`` checks that,
+every bijection property, every series identity, and the
+reverse/complement symmetry identities, and reports the first
+counterexample of each failing check.
 
 Each check is registered once, in the order ``verify --list`` prints, as a
 function that records its comparisons on a :class:`VerifyReport`.  One
@@ -95,14 +98,10 @@ def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, in
     return cached
 
 
-# (statistic, basis) -> name of its series function in ``series``, looked
-# up when called
-_SERIES_FOR = {
-    ("des", parse_basis("321")): "series_des_321",
-    ("pk", parse_basis("321")): "series_pk_321",
-    **{(stat, parse_basis(text)): "series_ddes_132_213"
-       for stat in ("dasc", "ddes") for text in ("132,213", "213,231")},
-}
+# (statistic, basis) -> name of its series in ``series.SERIES``
+_SERIES_FOR = {(stat, parse_basis(text)): name
+               for name, (_, cells) in series.SERIES.items()
+               for stat, text in cells}
 
 
 def distribution(stat: str, basis, n: int, method: str = "oracle",
@@ -124,7 +123,8 @@ def distribution(stat: str, basis, n: int, method: str = "oracle",
         if name is None:
             raise UnsupportedMethodError(
                 f"no series for {stat} over {format_basis(key)}")
-        return getattr(series, name)(n).row_counts(n)
+        caps.check_series(n)
+        return series.expand(name, n).row_counts(n)
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
@@ -297,11 +297,11 @@ for _fid in formulas.formula_ids():
     _check(f"FORMULA_{_fid}")(partial(_check_formula, _fid))
 
 
-def _check_series(series_name: str, basis: str, rows: list[tuple[str, str]],
+def _check_series(name: str, basis: str, rows: list[tuple[str, str]],
                   report: VerifyReport, max_n: int, caps: Caps) -> None:
-    """Rows of ``series.<series_name>`` against the oracle's rows of each
-    (statistic, label) pair over the basis."""
-    expansion = getattr(series, series_name)(max_n)
+    """Rows of the series ``series.SERIES[name]`` against the oracle's rows
+    of each (statistic, label) pair over the basis."""
+    expansion = series.expand(name, max_n)
     key = parse_basis(basis)
     for n in range(max_n + 1):
         oracle = _oracle_rows(key, n, caps)
@@ -311,9 +311,9 @@ def _check_series(series_name: str, basis: str, rows: list[tuple[str, str]],
 
 
 _check("SERIES_DES321_ORACLE")(partial(
-    _check_series, "series_des_321", "321", [("des", "descent row")]))
+    _check_series, "des321", "321", [("des", "descent row")]))
 _check("SERIES_PK321_ORACLE")(partial(
-    _check_series, "series_pk_321", "321", [("pk", "peak row")]))
+    _check_series, "pk321", "321", [("pk", "peak row")]))
 
 
 @_check("SERIES_B_PK231")
@@ -335,7 +335,7 @@ def _check_series_b(report: VerifyReport, max_n: int, caps: Caps) -> None:
 
 
 _check("SERIES_DDES_132_213_ORACLE")(partial(
-    _check_series, "series_ddes_132_213", "132,213",
+    _check_series, "ddes132213", "132,213",
     [("ddes", "double-descent row"), ("dasc", "double-ascent row")]))
 
 
@@ -404,7 +404,7 @@ def _check_phi231(report: VerifyReport, max_n: int, caps: Caps) -> None:
         for p in _members(n, key, caps):
             d = bijections.to_dyck_231(p)
             report.eq(bijections.from_dyck_231(d), p, f"round trip for {p}")
-            report.eq(factor_count(d, "DUU") if d else 0, all_stats(p)["pk"],
+            report.eq(factor_count(d, "DUU"), all_stats(p)["pk"],
                       f"DUU count for {p}")
 
 

@@ -79,8 +79,11 @@ def factor_count(d: str, factor: str) -> int:
 
 
 def uud_count(d: str) -> int:
-    """Number of UUD factors."""
-    return factor_count(d, "UUD")
+    """Number of UUD factors.
+
+    UUD cannot overlap itself, so ``str.count`` finds every occurrence.
+    """
+    return d.count("UUD")
 
 
 def interior_uud_count(d: str) -> int:
@@ -96,10 +99,9 @@ def interior_uud_count(d: str) -> int:
     >>> interior_uud_count("UUDD")
     0
     """
-    last_u = d.rfind("U")
-    return sum(1 for i in range(len(d) - 2)
-               if d[i] == "U" and d[i + 1] == "U" and d[i + 2] == "D"
-               and i + 1 < last_u)
+    # an occurrence's D is never the last U, so the counted occurrences are
+    # those that end before it
+    return uud_count(d[:d.rfind("U")])
 
 
 def reverse_path(d: str) -> str:

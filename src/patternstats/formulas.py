@@ -10,7 +10,9 @@ carries a smallest valid n; querying below it raises
 :class:`FormulaDomainError` rather than returning a silently wrong number.
 :func:`closed_form_row` is the one builder of a formula's row: the
 verification harness, the closed-form method and the OEIS export all read
-rows through it.
+rows through it.  This module alone says which formula gives a
+(statistic, basis) cell: registering a formula records its cell, and
+:func:`formula_for` looks the cell up.
 Binomials use the convention C(a, b) = 0 for b < 0 or b > a, which
 collapses piecewise case lists into single expressions.
 """
@@ -79,7 +81,7 @@ def _pk_213_312(n: int, k: int) -> int:
     return 0
 
 
-def _vl_213_312(n: int, k: int) -> int:
+def _pow2_at_zero(n: int, k: int) -> int:
     return 2 ** (n - 1) if k == 0 else 0
 
 
@@ -93,10 +95,6 @@ def _asc_123_132(n: int, k: int) -> int:
 
 def _des_123_132(n: int, k: int) -> int:
     return binom(n, 2 * (n - k - 1))
-
-
-def _dasc_123_132(n: int, k: int) -> int:
-    return 2 ** (n - 1) if k == 0 else 0
 
 
 def _ddes_123_132(n: int, k: int) -> int:
@@ -154,10 +152,14 @@ def _vl_132_321(n: int, k: int) -> int:
 
 
 FORMULAS: dict[str, FormulaSpec] = {}
+# (statistic, basis) -> formula id; ids, not specs, so that an entry of
+# FORMULAS replaced later is the one a lookup returns
+_FORMULA_FOR: dict[tuple, str] = {}
 
 
 def _register(fid: str, stat: str, basis: str, fn, min_n: int = 1) -> None:
-    FORMULAS[fid] = FormulaSpec(fid, stat, parse_basis(basis), fn, min_n)
+    spec = FORMULAS[fid] = FormulaSpec(fid, stat, parse_basis(basis), fn, min_n)
+    _FORMULA_FOR[(stat, spec.basis)] = fid
 
 
 _register("PK231", "pk", "231", _pk231)
@@ -175,7 +177,7 @@ _register("DASC_213_312", "dasc", "213,312", _dasc_213_312)
 _register("DDES_213_312", "ddes", "213,312", _dasc_213_312)
 # the k = 1 case goes negative at n = 1, where the class has one member
 _register("PK_213_312", "pk", "213,312", _pk_213_312, min_n=2)
-_register("VL_213_312", "vl", "213,312", _vl_213_312)
+_register("VL_213_312", "vl", "213,312", _pow2_at_zero)
 
 for _pair in ("132,213", "213,231"):
     _tag = _pair.replace(",", "_")
@@ -184,7 +186,7 @@ for _pair in ("132,213", "213,231"):
 
 _register("ASC_123_132", "asc", "123,132", _asc_123_132)
 _register("DES_123_132", "des", "123,132", _des_123_132)
-_register("DASC_123_132", "dasc", "123,132", _dasc_123_132, min_n=3)
+_register("DASC_123_132", "dasc", "123,132", _pow2_at_zero, min_n=3)
 _register("DDES_123_132", "ddes", "123,132", _ddes_123_132, min_n=3)
 _register("PK_123_132", "pk", "123,132", _choose_odd)
 # 2 C(0, 0) = 2 overcounts the single length-1 permutation
@@ -206,16 +208,22 @@ def formula(fid: str) -> FormulaSpec:
         raise UnknownFormulaError(fid) from None
 
 
+def _stated_at(fid: str, n: int) -> FormulaSpec:
+    """The formula ``fid``, with n checked against its smallest valid n."""
+    spec = formula(fid)
+    if n < spec.min_n:
+        raise FormulaDomainError(
+            f"{fid} is stated for n >= {spec.min_n}; got n = {n}")
+    return spec
+
+
 def closed_form(fid: str, n: int, k: int) -> int:
     """Evaluate the registered formula at (n, k).
 
     >>> closed_form("PK231", 4, 1)
     6
     """
-    spec = formula(fid)
-    if n < spec.min_n:
-        raise FormulaDomainError(
-            f"{fid} is stated for n >= {spec.min_n}; got n = {n}")
+    spec = _stated_at(fid, n)
     if k < 0:
         raise FormulaDomainError(f"k must be nonnegative; got {k}")
     return spec.fn(n, k)
@@ -223,25 +231,14 @@ def closed_form(fid: str, n: int, k: int) -> int:
 
 def closed_form_row(fid: str, n: int) -> dict[int, int]:
     """All nonzero counts of a formula's length-n row."""
-    spec = formula(fid)
-    if n < spec.min_n:
-        raise FormulaDomainError(
-            f"{fid} is stated for n >= {spec.min_n}; got n = {n}")
-    row = {}
-    for k in range(n + 1):
-        v = spec.fn(n, k)
-        if v:
-            row[k] = v
-    return row
+    spec = _stated_at(fid, n)
+    return {k: v for k in range(n + 1) if (v := spec.fn(n, k))}
 
 
 def formula_for(stat: str, basis) -> FormulaSpec | None:
     """The registered formula for a (statistic, basis) pair, if any."""
-    key = normalize_basis(basis)
-    for spec in FORMULAS.values():
-        if spec.stat == stat and spec.basis == key:
-            return spec
-    return None
+    fid = _FORMULA_FOR.get((stat, normalize_basis(basis)))
+    return None if fid is None else FORMULAS[fid]
 
 
 def formula_ids() -> tuple[str, ...]:

@@ -84,7 +84,14 @@ class Caps:
     dyck: int = 14        # gen_dyck and gen_indec; not the 321 generator
     bits: int = 30        # gen_bits; not the binary pair generators
     structured: int = 14  # every structured class generator
-    series: int = 24      # the CLI's series degree
+    series: int = 24      # the degree of a named series, by either route
+
+    def check_series(self, degree: int) -> None:
+        """Refuse a series degree above ``series``: the one check for the
+        ``series`` command and ``distribution(..., method="series")``."""
+        if degree > self.series:
+            raise CapExceededError(
+                f"series degree {degree} exceeds series cap {self.series}")
 
 
 _DEFAULT = Caps()

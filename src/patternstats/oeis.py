@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -56,7 +55,6 @@ class OeisFormatError(OeisError):
 class OeisRef:
     id: str
     terms: list[int]
-    fetched_at: float
     source: str  # "network" or "cache"
 
 
@@ -121,7 +119,7 @@ def fetch(sid: str, cache: str | os.PathLike | None = None,
     directory = cache_dir(cache)
     path = directory / f"{sid}.txt"
     if path.exists():
-        return OeisRef(sid, parse_bfile(path.read_text()), time.time(), "cache")
+        return OeisRef(sid, parse_bfile(path.read_text()), "cache")
     if offline:
         raise OeisOfflineError(f"offline and no cached terms for {sid}")
     # imported here: the network stack is costly to load, and only a
@@ -151,7 +149,7 @@ def fetch(sid: str, cache: str | os.PathLike | None = None,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return OeisRef(sid, terms, time.time(), "network")
+    return OeisRef(sid, terms, "network")
 
 
 def compare(local: list[int], ref: OeisRef, offset: int = 0) -> MatchReport:
@@ -263,11 +261,15 @@ def sequence_for(name: str) -> SequenceEntry:
     return REGISTRY[sid]
 
 
+def local_terms(name: str, max_n: int) -> list[int]:
+    """Locally computed terms of an A-number or a formula id, n <= max_n."""
+    series._check_max_n(max_n)
+    return sequence_for(name).local_terms(max_n)
+
+
 def local_bfile(name: str, max_n: int) -> str:
     """Locally computed terms rendered in b-file format, indexed from 1."""
-    series._check_max_n(max_n)
-    entry = sequence_for(name)
-    terms = entry.local_terms(max_n)
+    terms = local_terms(name, max_n)
     return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=1))
 
 

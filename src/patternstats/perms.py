@@ -87,14 +87,6 @@ def reduce_word(word: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in word)
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def decreasing(n: int) -> Perm:
-    return tuple(range(n, 0, -1))
-
-
 def reverse(p: Perm) -> Perm:
     return p[::-1]
 
@@ -206,10 +198,6 @@ def contains(host: Perm, pattern: Perm) -> bool:
         scan, symmetry = scans
         return scan(host if symmetry is None else symmetry(host))
     return _search(host, pattern, (), 0)
-
-
-def avoids(host: Perm, pattern: Perm) -> bool:
-    return not contains(host, pattern)
 
 
 def normalize_basis(patterns) -> tuple[Perm, ...]:

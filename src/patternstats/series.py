@@ -25,11 +25,28 @@ Five named series are exposed:
   its row recurrence.
 
 Every ``series_*`` function raises ``ValueError`` for a negative degree.
+
+:data:`SERIES` is the one table of the named series: it gives each CLI
+name its function and the (statistic, basis) cells the function counts.
+The ``series`` command and ``distribution(..., method="series")`` both
+read it, and look the function up by name when called.
 """
 
 from __future__ import annotations
 
 Row = tuple[int, ...]
+
+# CLI name -> (function name, the (statistic, basis text) cells it counts);
+# B and D count Dyck words, not a cell of a pattern class
+SERIES = {
+    "des321": ("series_des_321", (("des", "321"),)),
+    "pk321": ("series_pk_321", (("pk", "321"),)),
+    "B": ("series_indec_uud", ()),
+    "D": ("series_indec_interior_uud", ()),
+    "ddes132213": ("series_ddes_132_213",
+                   tuple((stat, basis) for stat in ("dasc", "ddes")
+                         for basis in ("132,213", "213,231"))),
+}
 
 
 def _trim(row) -> Row:
@@ -123,6 +140,14 @@ def _solve_321(max_n: int) -> tuple[list[Row], list[Row]]:
         s.append(_square_row(g, n - 1))
         g.append(_times_w(s, n))
     return g, s
+
+
+def expand(name: str, max_n: int) -> BivariateSeries:
+    """The series named ``name`` in :data:`SERIES`, to degree max_n.
+
+    The function is looked up when called, so a wrapped one is the one run.
+    """
+    return globals()[SERIES[name][0]](max_n)
 
 
 def series_des_321(max_n: int) -> BivariateSeries:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive and shares no code with the package:
-containment tries every subsequence, statistics apply their definitions
-window by window, and classes are built by filtering itertools output.
+containment tries every subsequence, statistics and Dyck factor counts
+apply their definitions window by window, and classes are built by
+filtering itertools output.
 """
 
 import itertools
@@ -48,6 +49,23 @@ def naive_dist(kind, n, patterns):
         v = naive_stat(kind, p)
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+def naive_uud(d):
+    """Windows of a Dyck word that read UUD."""
+    return sum(d[i:i + 3] == "UUD" for i in range(len(d) - 2))
+
+
+def naive_interior_uud(d):
+    """UUD windows whose second U comes strictly before the last U."""
+    last_u = max((i for i, step in enumerate(d) if step == "U"), default=-1)
+    return sum(d[i:i + 3] == "UUD" and i + 1 < last_u
+               for i in range(len(d) - 2))
+
+
+def naive_duu(d):
+    """Windows of a Dyck word that read DUU."""
+    return sum(d[i:i + 3] == "DUU" for i in range(len(d) - 2))
 
 
 def split_at_max_231(n):

@@ -182,6 +182,22 @@ def test_series_cap(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_dist_series_follows_the_series_cap(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("series_cap = 5\n")
+    for argv in (["series", "--name", "des321", "--max-n", "10"],
+                 ["dist", "--stat", "des", "--avoid", "321", "--n", "10",
+                  "--method", "series"]):
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (2, "")
+        assert err == "series degree 10 exceeds series cap 5\n"
+    dist = ["dist", "--stat", "des", "--avoid", "321", "--method", "series"]
+    code, _, err = run(capsys, *dist, "--n", "24")
+    assert code == 0, err
+    code, _, err = run(capsys, *dist, "--n", "25")
+    assert code == 2 and "series cap 24" in err
+
+
 def test_series_unknown_name_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["series", "--name", "nope", "--max-n", "4"])

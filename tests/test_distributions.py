@@ -233,6 +233,15 @@ def test_refused_sizes_follow_the_route_cap():
                             call()
 
 
+def test_series_method_follows_the_series_cap():
+    caps = generate.Caps(series=5)
+    assert (distribution("des", [(3, 2, 1)], 5, method="series", caps=caps)
+            == naive_dist("des", 5, [(3, 2, 1)]))
+    with pytest.raises(generate.CapExceededError,
+                       match="^series degree 6 exceeds series cap 5$"):
+        distribution("des", [(3, 2, 1)], 6, method="series", caps=caps)
+
+
 def _tally_by_member(members):
     # the tally through the one-statistic definitions, member by member
     rows = {s: {} for s in stats.STATS}

@@ -17,6 +17,8 @@ from patternstats.dyck import (
 )
 from patternstats.generate import gen_dyck
 
+from helpers import naive_duu, naive_interior_uud, naive_uud
+
 dyck_words = st.integers(0, 6).flatmap(
     lambda n: st.sampled_from(sorted(gen_dyck(n))))
 
@@ -67,6 +69,14 @@ def test_interior_uud_bounds_exhaustive():
     for n in range(8):
         for d in gen_dyck(n):
             assert interior_uud_count(d) <= uud_count(d) <= interior_uud_count(d) + 1
+
+
+def test_factor_counts_match_window_definitions_exhaustive():
+    for n in range(11):
+        for d in gen_dyck(n):
+            assert uud_count(d) == naive_uud(d), d
+            assert interior_uud_count(d) == naive_interior_uud(d), d
+            assert factor_count(d, "DUU") == naive_duu(d), d
 
 
 def test_reverse_path():

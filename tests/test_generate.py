@@ -25,6 +25,7 @@ from patternstats.perms import (
     contains,
     format_basis,
     normalize_basis,
+    parse_basis,
 )
 
 from helpers import naive_class, split_at_max_231, subsets_213_312
@@ -113,7 +114,7 @@ _REBUILT = {
 
 
 def _key(text):
-    return normalize_basis([tuple(map(int, part)) for part in text.split(",")])
+    return parse_basis(text)
 
 
 def test_structured_sequences_match_plain_references():

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from patternstats import oeis
+from patternstats import formulas, oeis
+from patternstats.distributions import distribution
 from patternstats.formulas import catalan, closed_form
+from patternstats.perms import parse_basis
 
 
 def _write_catalan_bfile(path, count=20):
@@ -153,6 +155,28 @@ def test_local_bfile_format():
 def test_formula_sequence_map_is_registered():
     for name, sid in oeis.FORMULA_SEQUENCES.items():
         assert sid in oeis.REGISTRY, (name, sid)
+
+
+def _own_row(key, n):
+    # a formula id names its closed form; the other keys, such as
+    # DASC_132_213, name a series cell as STAT_PATTERN_PATTERN
+    if key in formulas.FORMULAS:
+        return formulas.closed_form_row(key, n)
+    stat, *patterns = key.split("_")
+    return distribution(stat.lower(), parse_basis(",".join(patterns)), n,
+                        method="series")
+
+
+def test_each_formula_sequence_matches_its_own_cell():
+    # a sequence's terms are computed from one cell, so a key mapped to the
+    # wrong sequence would print another cell's rows
+    for key in oeis.FORMULA_SEQUENCES:
+        start = formulas.formula(key).min_n if key in formulas.FORMULAS else 1
+        want = []
+        for n in range(start, 13):
+            row = _own_row(key, n)
+            want += [row.get(k, 0) for k in range(max(row, default=0) + 1)]
+        assert oeis.sequence_for(key).local_terms(12) == want, key
 
 
 @pytest.mark.skipif(os.environ.get("PATTERNSTATS_ONLINE") != "1",

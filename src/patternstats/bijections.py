@@ -21,17 +21,19 @@ Seven maps, each with its inverse where the map is not an involution:
   where des is taken of the 321-avoiding preimage.  Fixed points are
   exactly the words with uud count equal to that descent count.
 * ``encode_132_213`` / ``decode_132_213`` — S_n(132,213) <-> binary words
-  of length n - 1 (ascent indicators; members are skew sums of increasing
-  runs).
+  of length n - 1, for n >= 1 (ascent indicators; members are skew sums of
+  increasing runs).
 * ``encode_213_231`` / ``decode_213_231`` — S_n(213,231) <-> binary words
-  of length n - 1 (each entry is the minimum or the maximum of its
-  suffix).
+  of length n - 1, for n >= 1 (each entry is the minimum or the maximum of
+  its suffix).
 * ``encode_123_132`` / ``decode_123_132`` — S_n(123,132) <-> binary words
-  of length n - 1, built by repeatedly removing the entry 1 from the last
-  or second-to-last position.
+  of length n - 1, for n >= 1, built by repeatedly removing the entry 1
+  from the last or second-to-last position.
 
 All forward maps validate their avoidance precondition eagerly and raise
-:class:`PatternViolation` otherwise.
+:class:`PatternViolation` otherwise.  The three encodings are defined for
+n >= 1 and refuse the empty permutation with
+:class:`EmptyPermutationError`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ class InvalidBitsError(ValueError):
     """Input is not a word over {0, 1}."""
 
 
+class EmptyPermutationError(ValueError):
+    """A binary encoding was given the empty permutation.
+
+    The encodings send S_n to the words of length n - 1, so they are
+    defined for n >= 1 only; the empty word is the image of (1,).
+    """
+
+
 class InvariantError(ValueError):
     """A map's internal invariant failed on an input that passed its checks.
 
@@ -69,6 +79,13 @@ def _require_avoiding(p: Perm, *patterns: Perm) -> Perm:
     for pattern in patterns:
         if contains(p, pattern):
             raise PatternViolation(p, pattern)
+    return p
+
+
+def _require_encodable(p: Perm, *patterns: Perm) -> Perm:
+    p = _require_avoiding(p, *patterns)
+    if not p:
+        raise EmptyPermutationError("the binary encodings need n >= 1")
     return p
 
 
@@ -133,8 +150,6 @@ def to_dyck_321(p: Perm) -> str:
     """
     p = _require_avoiding(p, (3, 2, 1))
     n = len(p)
-    if n == 0:
-        return ""
     maxima = {pos for pos, _ in ltr_maxima(p)}
     out = []
     x, y = 1, 0
@@ -279,7 +294,7 @@ def uud_des_involution(d: str) -> str:
 
 def encode_132_213(p: Perm) -> str:
     """Ascent-indicator word of a {132,213}-avoider (1 = ascent)."""
-    p = _require_avoiding(p, (1, 3, 2), (2, 1, 3))
+    p = _require_encodable(p, (1, 3, 2), (2, 1, 3))
     return "".join("1" if p[i] < p[i + 1] else "0" for i in range(len(p) - 1))
 
 
@@ -305,7 +320,7 @@ def encode_213_231(p: Perm) -> str:
     Bit i is 0 when position i holds the maximum of the remaining suffix
     and 1 when it holds the minimum.
     """
-    p = _require_avoiding(p, (2, 1, 3), (2, 3, 1))
+    p = _require_encodable(p, (2, 1, 3), (2, 3, 1))
     lo, hi = 1, len(p)
     out = []
     for v in p[:-1]:
@@ -348,7 +363,7 @@ def encode_123_132(p: Perm) -> str:
     >>> encode_123_132((6, 5, 3, 2, 4, 1))
     '11001'
     """
-    p = _require_avoiding(p, (1, 2, 3), (1, 3, 2))
+    p = _require_encodable(p, (1, 2, 3), (1, 3, 2))
     bits = []
     q = p
     while len(q) > 1:

@@ -8,8 +8,10 @@ terms).
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage error, 3 environment or network error.
 
-The CLI keeps no table of its own for series or formulas: ``series``
-reads its names from :data:`~patternstats.series.SERIES`, and both it and
+The CLI keeps no table of its own for methods, series or formulas:
+``dist --method`` reads its choices from
+:data:`~patternstats.distributions.METHODS`, ``series`` reads its names
+from :data:`~patternstats.series.SERIES`, and both ``series`` and
 ``dist --method series`` refuse a degree above the series cap through
 :meth:`~patternstats.generate.Caps.check_series`.
 """
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated patterns, e.g. 231 or 213,312")
     p.add_argument("--n", required=True, help="length or range, e.g. 6 or 2-8")
     p.add_argument("--method", default="oracle",
-                   choices=("oracle", "closed_form", "series"))
+                   choices=tuple(distributions.METHODS))
     p.add_argument("--format", default="json",
                    choices=("json", "csv", "markdown"))
     p.set_defaults(func=_cmd_dist)

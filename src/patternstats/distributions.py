@@ -1,11 +1,18 @@
 """Distribution tables, symmetry identities, and the verification harness.
 
-``distribution`` produces the row a(n, k) for a (statistic, basis) pair by
-one of three methods: ``oracle`` (generate the class and count),
-``closed_form`` (the formula :func:`~patternstats.formulas.formula_for`
-finds), or ``series`` (the generating function that
-:data:`~patternstats.series.SERIES` lists for the cell, to the degree
-:meth:`~patternstats.generate.Caps.check_series` allows).  Where several
+``dist_table`` produces the rows a(n, k) of a (statistic, basis) pair for
+a range of n by one of three methods, and ``distribution`` is its
+one-row case.  :data:`METHODS` is the one table of the methods (the
+``dist --method`` choices are its keys); each entry answers a whole range
+in one call: ``oracle`` generates each class and counts, ``closed_form``
+looks up the formula :func:`~patternstats.formulas.formula_for` finds
+once, and ``series`` checks every n against
+:meth:`~patternstats.generate.Caps.check_series` and then solves the
+generating function that :data:`~patternstats.series.SERIES` lists for
+the cell once, to the largest n.  The oracle and the series check every
+n of a range, in order, before their first enumeration or solve, and a
+closed form refuses the first n below its stated range, so a range that
+crosses a limit fails at its first refused size.  Where several
 methods support a pair they must agree; ``verify_all`` checks that,
 every bijection property, every series identity, and the
 reverse/complement symmetry identities, and reports the first
@@ -20,7 +27,8 @@ Cap errors, any other error, and a negative ``max_n`` still raise.
 
 Oracle rows are cached per (basis, n); a single class enumeration tallies
 all six statistics at once.  Generation caps arrive as a
-:class:`~patternstats.generate.Caps` value; the cap of the route an
+:class:`~patternstats.generate.Caps` value, which is passed whole to
+:func:`~patternstats.generate.gen_class`; the cap of the route an
 enumeration takes is checked by :func:`~patternstats.generate.class_cap`
 before the cache, so a cached row never passes a size the caps refuse.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Iterable
 
@@ -83,18 +91,13 @@ def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
     return rows
 
 
-def _members(n: int, key: tuple, caps: Caps, method: str = "auto"):
-    cap = generate.class_cap(n, key, method, caps)
-    return generate.gen_class(n, key, method=method, cap=cap)
-
-
 def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, int]]:
     # checked before the cache, so that a hit cannot pass a size the caps refuse
-    cap = generate.class_cap(n, basis_key, "auto", caps)
+    generate.class_cap(n, basis_key, "auto", caps)
     cached = _oracle_cache.get((basis_key, n))
     if cached is None:
         cached = _oracle_cache[(basis_key, n)] = _tally(
-            generate.gen_class(n, basis_key, cap=cap))
+            generate.gen_class(n, basis_key, "auto", caps))
     return cached
 
 
@@ -104,33 +107,37 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
                for stat, text in cells}
 
 
-def distribution(stat: str, basis, n: int, method: str = "oracle",
-                 caps: Caps = Caps()) -> dict[int, int]:
-    """Counts {k: a(n, k)} for the statistic over the class, zeros omitted."""
-    if stat not in STATS:
-        raise ValueError(f"unknown statistic {stat!r}")
-    key = normalize_basis(basis)
-    if method == "oracle":
-        return dict(_oracle_rows(key, n, caps)[stat])
-    if method == "closed_form":
-        spec = formulas.formula_for(stat, key)
-        if spec is None:
-            raise UnsupportedMethodError(
-                f"no closed form for {stat} over {format_basis(key)}")
-        return formulas.closed_form_row(spec.id, n)
-    if method == "series":
-        name = _SERIES_FOR.get((stat, key))
-        if name is None:
-            raise UnsupportedMethodError(
-                f"no series for {stat} over {format_basis(key)}")
+def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
+    # every n is checked, in order, before the first enumeration
+    for n in ns:
+        generate.class_cap(n, key, "auto", caps)
+    return {n: dict(_oracle_rows(key, n, caps)[stat]) for n in ns}
+
+
+def _closed_form(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
+    spec = formulas.formula_for(stat, key)
+    if spec is None:
+        raise UnsupportedMethodError(
+            f"no closed form for {stat} over {format_basis(key)}")
+    return {n: formulas.closed_form_row(spec.id, n) for n in ns}
+
+
+def _series(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
+    # every n is checked, in order, before the one solve to the largest
+    name = _SERIES_FOR.get((stat, key))
+    if name is None:
+        raise UnsupportedMethodError(
+            f"no series for {stat} over {format_basis(key)}")
+    for n in ns:
+        series._check_max_n(n)
         caps.check_series(n)
-        return series.expand(name, n).row_counts(n)
-    raise UnsupportedMethodError(f"unknown method {method!r}")
+    expansion = series.expand(name, max(ns, default=0))
+    return {n: expansion.row_counts(n) for n in ns}
 
 
-def class_size(n: int, basis, method: str = "auto", caps: Caps = Caps()) -> int:
-    """Number of length-n permutations avoiding the basis."""
-    return sum(1 for _ in _members(n, normalize_basis(basis), caps, method))
+# ``dist --method`` name -> fn(stat, key, ns, caps) -> {n: row}, which
+# answers every length of ns in one call
+METHODS = {"oracle": _oracle, "closed_form": _closed_form, "series": _series}
 
 
 @dataclass
@@ -161,9 +168,25 @@ class DistTable:
 
 def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
                caps: Caps = Caps()) -> DistTable:
+    """The rows of every length in ``ns``, by one call of the method."""
+    if stat not in STATS:
+        raise ValueError(f"unknown statistic {stat!r}")
     key = normalize_basis(basis)
-    rows = {n: distribution(stat, key, n, method=method, caps=caps) for n in ns}
+    if method not in METHODS:
+        raise UnsupportedMethodError(f"unknown method {method!r}")
+    rows = METHODS[method](stat, key, list(ns), caps)
     return DistTable(key, stat, method, rows)
+
+
+def distribution(stat: str, basis, n: int, method: str = "oracle",
+                 caps: Caps = Caps()) -> dict[int, int]:
+    """Counts {k: a(n, k)} for the statistic over the class, zeros omitted."""
+    return dist_table(stat, basis, [n], method, caps).rows[n]
+
+
+def class_size(n: int, basis, method: str = "auto", caps: Caps = Caps()) -> int:
+    """Number of length-n permutations avoiding the basis."""
+    return sum(1 for _ in generate.gen_class(n, basis, method, caps))
 
 
 # -- verification -------------------------------------------------------------
@@ -190,13 +213,7 @@ class VerifyReport:
             self.passed, self.failure = False, where
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_n": self.max_n,
-            "passed": self.passed,
-            "checked": self.checked,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 # check name -> (fn(report, max_n, caps), largest n it runs to), in the
@@ -275,10 +292,10 @@ def _check_structured_filter(report: VerifyReport, max_n: int,
                              caps: Caps) -> None:
     for key in generate.structured_bases():
         for n in range(max_n + 1):
-            structured = sorted(_members(n, key, caps, "structured"))
+            structured = sorted(generate.gen_class(n, key, "structured", caps))
             report.ok(len(set(structured)) == len(structured),
                       f"duplicates from structured {format_basis(key)} at n={n}")
-            filtered = sorted(_members(n, key, caps, "filter"))
+            filtered = sorted(generate.gen_class(n, key, "filter", caps))
             report.eq(structured, filtered,
                       f"structured vs filter for {format_basis(key)} at n={n}")
 
@@ -388,7 +405,7 @@ def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
 def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = parse_basis("312")
     for n in range(max_n + 1):
-        for p in _members(n, key, caps):
+        for p in generate.gen_class(n, key, "auto", caps):
             q = bijections.rewrite_312_to_321(p)
             report.ok(avoids_all(q, [(3, 2, 1)]), f"image avoids 321 for {p}")
             report.eq(ltr_maxima(q), ltr_maxima(p), f"maxima preserved for {p}")
@@ -401,7 +418,7 @@ def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
 def _check_phi231(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = parse_basis("231")
     for n in range(max_n + 1):
-        for p in _members(n, key, caps):
+        for p in generate.gen_class(n, key, "auto", caps):
             d = bijections.to_dyck_231(p)
             report.eq(bijections.from_dyck_231(d), p, f"round trip for {p}")
             report.eq(factor_count(d, "DUU"), all_stats(p)["pk"],

@@ -56,13 +56,14 @@ splits 1..n-1 into a low and a high half and lists each half's subsets
 with their complements once.
 
 Generation caps are configuration, not hard constants.  A run's caps
-arrive as one :class:`Caps` value, and every function takes an optional
-``cap`` that defaults to the matching field of ``Caps()``.  This module
-alone decides which route a basis and method take and which cap applies:
-:func:`class_cap` checks a size against the route's cap, for
-:func:`gen_class` and for callers that must refuse a size before reading
-a cache.  A structured class generator checks only the class cap; it
-walks no capped Dyck or binary word generator.
+arrive as one :class:`Caps` value: :func:`gen_class` takes it whole, and
+each word generator (:func:`gen_all`, :func:`gen_bits`, :func:`gen_dyck`,
+:func:`gen_indec`) takes an optional ``cap`` that defaults to its field of
+``Caps()``.  This module alone decides which route a basis and method
+take and which cap applies: :func:`class_cap` checks a size against the
+route's cap, for :func:`gen_class` and for callers that must refuse a
+size before reading a cache.  A structured class generator checks only
+the class cap; it walks no capped Dyck or binary word generator.
 """
 
 from __future__ import annotations
@@ -425,9 +426,6 @@ def _runs_132_213(m: int, classes: list[list[Perm]]) -> Iterator[Perm]:
 
 def _gen_132_321(n: int) -> Iterator[Perm]:
     # the identity, plus one permutation per choice of a descending cut
-    if n == 0:
-        yield ()
-        return
     yield tuple(range(1, n + 1))
     for a in range(1, n):
         for b in range(1, n - a + 1):
@@ -480,14 +478,15 @@ def class_cap(n: int, key: tuple[Perm, ...], method: str, caps: Caps) -> int:
 
 
 def gen_class(n: int, basis, method: str = "auto",
-              cap: int | None = None) -> Iterator[Perm]:
+              caps: Caps = Caps()) -> Iterator[Perm]:
     """All permutations of length n avoiding every pattern in ``basis``.
 
     ``method`` is "filter" (scan the full symmetric group), "structured"
     (use a registered class-specific generator), or "auto" (structured
     when available).  Filter output is lexicographic; structured output
-    order is generator-specific but fixed.  ``cap`` caps whichever route
-    is taken; by default it is that route's field of ``Caps()``.
+    order is generator-specific but fixed.  ``caps`` is the run's
+    :class:`Caps`; the route taken is capped by its field, ``perm`` or
+    ``structured``.
 
     The cap is checked first, by :func:`class_cap`.  A basis of length-3
     patterns is then selected from the shared containment table for n,
@@ -496,7 +495,6 @@ def gen_class(n: int, basis, method: str = "auto",
     """
     key = normalize_basis(basis)
     route = _route(key, method)
-    caps = _DEFAULT if cap is None else Caps(perm=cap, structured=cap)
     cap = class_cap(n, key, route, caps)
     if route == "structured":
         return STRUCTURED[key](n)

@@ -6,6 +6,7 @@ import pytest
 
 from patternstats import bijections
 from patternstats.bijections import (
+    EmptyPermutationError,
     InvalidBitsError,
     InvariantError,
     PatternViolation,
@@ -209,6 +210,18 @@ def test_encodings_are_bijections(encode, decode, basis):
             seen.add(p)
         assert len(seen) == 2 ** (n - 1)
         assert seen == set(map(tuple, naive_class(n, basis)))
+
+
+@pytest.mark.parametrize("encode,decode", [
+    (encode_132_213, decode_132_213),
+    (encode_213_231, decode_213_231),
+    (encode_123_132, decode_123_132),
+])
+def test_encodings_refuse_the_empty_permutation(encode, decode):
+    # the empty word is the image of (1,), so () has no word of its own
+    assert decode("") == (1,) and encode((1,)) == ""
+    with pytest.raises(EmptyPermutationError, match="n >= 1"):
+        encode(())
 
 
 @pytest.mark.parametrize("fn,arg,patch", [

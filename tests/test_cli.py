@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from patternstats import bijections, distributions, formulas
+from patternstats import bijections, distributions, formulas, series
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
 from patternstats.stats import STATS
@@ -120,6 +120,13 @@ def test_map_encoding(capsys):
     assert json.loads(out)["image"] == "11001"
 
 
+@pytest.mark.parametrize("name", ["enc132213", "enc213231", "enc123132"])
+def test_map_refuses_the_empty_permutation(capsys, name):
+    code, out, err = run(capsys, "map", "--bijection", name, "--input", "")
+    assert (code, out) == (2, "")
+    assert err == "the binary encodings need n >= 1\n"
+
+
 def test_map_round_trips_twelve_entries(capsys):
     code, out, _ = run(capsys, "map", "--bijection", "dec132213",
                        "--input", "01101001011")
@@ -196,6 +203,39 @@ def test_dist_series_follows_the_series_cap(capsys, tmp_path):
     assert code == 0, err
     code, _, err = run(capsys, *dist, "--n", "25")
     assert code == 2 and "series cap 24" in err
+
+
+def test_dist_series_range_costs_one_solve(capsys, monkeypatch):
+    calls = []
+    solve = series.series_des_321
+
+    def counted(max_n):
+        calls.append(max_n)
+        return solve(max_n)
+
+    monkeypatch.setattr(series, "series_des_321", counted)
+    code, out, err = run(capsys, "dist", "--stat", "des", "--avoid", "321",
+                         "--n", "0-24", "--method", "series")
+    assert code == 0, err
+    assert [r["n"] for r in json.loads(out)] == list(range(25))
+    assert calls == [24]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pk", "123", "8-11"], "permutation size 11 exceeds cap 10"),
+    (["pk", "231", "13-15"], "class size 15 exceeds cap 14"),
+    (["des", "321", "20-26", "--method", "series"],
+     "series degree 25 exceeds series cap 24"),
+    (["pk", "231", "0-2", "--method", "closed_form"],
+     "PK231 is stated for n >= 1; got n = 0"),
+])
+def test_dist_range_across_a_limit_names_the_first_refused_size(
+        capsys, argv, message):
+    stat, basis, ns, *method = argv
+    code, out, err = run(capsys, "dist", "--stat", stat, "--avoid", basis,
+                         "--n", ns, *method)
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
 
 
 def test_series_unknown_name_is_usage_error(capsys):

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 
 from patternstats import (bijections, distributions, formulas, generate,
-                          series, stats)
+                          perms, series, stats)
 from patternstats.distributions import (
     UnsupportedMethodError,
     class_size,
@@ -197,8 +198,9 @@ def _length3_bases():
 
 
 def test_refused_sizes_follow_the_route_cap():
-    # class_size and distribution refuse exactly the sizes the cap of the
-    # route refuses, and name the route, on a cold and on a warm cache
+    # class_size, gen_class and distribution refuse exactly the sizes the
+    # cap of the route refuses, and name the route, on a cold and on a warm
+    # cache
     caps = generate.Caps(perm=5, structured=6)
     limits = {"structured": (caps.structured, "class"),
               "filter": (caps.perm, "permutation")}
@@ -219,7 +221,8 @@ def test_refused_sizes_follow_the_route_cap():
                 routes["structured"] = "structured"
             for method, route in routes.items():
                 cap, what = limits[route]
-                calls = [lambda: class_size(n, key, method=method, caps=caps)]
+                calls = [lambda: class_size(n, key, method=method, caps=caps),
+                         lambda: generate.gen_class(n, key, method, caps)]
                 if method == "auto":
                     calls.append(lambda: distribution("pk", key, n, caps=caps))
                 for n in range(8):
@@ -231,6 +234,43 @@ def test_refused_sizes_follow_the_route_cap():
                                 generate.CapExceededError,
                                 match=f"^{what} size {n} exceeds cap {cap}$"):
                             call()
+
+
+def _per_n_rows(stat, key, ns, method):
+    # {n: row} by one distribution call per n, or the first error raised
+    rows = {}
+    for n in ns:
+        try:
+            rows[n] = distribution(stat, key, n, method)
+        except ValueError as exc:
+            return exc
+    return rows
+
+
+def test_dist_table_equals_per_n_rows():
+    # one call per range gives what one call per length gives, row for row
+    # or the same first error, for every method on all 72 cells; every
+    # closed form is stated for n >= 1, so range(10) compares its error
+    # and range(3, 10) its rows
+    distributions.clear_caches()
+    answered = {ns: dict.fromkeys(distributions.METHODS, 0)
+                for ns in (range(10), range(3, 10))}
+    for text in distributions._SINGLE_BASES + distributions._PAIR_BASES:
+        key = perms.parse_basis(text)
+        for stat, method, ns in itertools.product(
+                stats.STATS, distributions.METHODS, answered):
+            want = _per_n_rows(stat, key, ns, method)
+            if isinstance(want, Exception):
+                with pytest.raises(type(want), match=re.escape(str(want))):
+                    dist_table(stat, key, ns, method)
+                continue
+            answered[ns][method] += 1
+            table = dist_table(stat, key, ns, method)
+            assert table.rows == want
+            assert list(table.rows) == list(ns)
+    assert answered == {
+        range(10): {"oracle": 72, "closed_form": 0, "series": 6},
+        range(3, 10): {"oracle": 72, "closed_form": 35, "series": 6}}
 
 
 def test_series_method_follows_the_series_cap():

@@ -73,9 +73,8 @@ _oracle_cache: dict[tuple, dict[str, dict[int, int]]] = {}
 
 
 def clear_caches() -> None:
-    """Forget the cached oracle rows and the filter's containment tables."""
+    """Forget the cached oracle rows."""
     _oracle_cache.clear()
-    generate.clear_tables()
 
 
 def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
@@ -524,6 +523,7 @@ def _symmetry_rows(report: VerifyReport, family: str, key: tuple,
 def symmetry_check(family: str, basis, transform: str, max_n: int,
                    caps: Caps = Caps()) -> VerifyReport:
     """Compare one symmetry identity's two oracle tables up to max_n."""
+    series._check_max_n(max_n)
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     key = normalize_basis(basis)

@@ -5,31 +5,17 @@ are reproducible: full symmetric groups and binary words come out in
 lexicographic order, Dyck words in lexicographic order with D < U, and
 structured class generators in a fixed recursive order of their own.
 
-The filter route shares its work between requests.  For each n it keeps
-one containment table: a ``bytearray`` with one entry per permutation of
-S_n, in the order of :func:`gen_all`, whose bit i is set when the
-permutation contains the i-th pattern of :data:`PATTERNS3`.  A bit is
-filled the first time a basis needs its pattern at that n; after that
-every basis made only of length-3 patterns is selected from the table
-without testing a permutation again; the selection is translated from
-the table one slice at a time as it is read, so no request copies the
-table whole.  A basis with a pattern of any other length is scanned with
-``avoids_all`` as it is requested.
-:func:`clear_tables` empties the tables.
-
-A bit is filled by prefix recursion, with no per-permutation work.  In
-lexicographic order S_n is n blocks, block b being b followed by S_{n-1}
-with the values above b shifted, so a member of block b contains the
-pattern when its rest does or when b starts an occurrence.  Whether b
-starts one is a threshold map over S_{n-1}, with the values below b low
-and the others high; for each pattern it is one of six kinds (two high
-values rising or falling, two low values rising or falling, a low value
-before a high one, or the reverse).  A threshold map over S_m is m blocks
-again, by the first entry c: all ones when c alone decides, otherwise the
-map over S_{m-1} at the same or the next lower threshold.  So a fill is
-byte joins and integer ORs of whole blocks.  It keeps the maps of one level
-only, and reads the last two levels off those over S_{n-2} in pieces of
-(n-2)! entries, each ORed straight into the table.
+The filter route walks a basis of length-3 patterns over value sets.
+Whether a value may come next in an avoider depends only on the set of
+values already used (West, "Generating trees and forbidden subsequences",
+1996): for each pattern, the next value must end no occurrence and forbid
+no other unused value, and :data:`_NEXT` gives those values from the used
+and unused sets as bitmasks.  A basis allows what all its patterns allow.
+The walk lists each value set's completions once per call, with next
+values in increasing order, so the class comes out in the lexicographic
+order of :func:`gen_all`, with work in proportion to the class and no
+cache kept between calls.  A basis with a pattern of any other length is
+scanned with ``avoids_all`` over :func:`gen_all`.
 
 The structured generators do work in proportion to their output.  Av(231)
 splits every member at its maximum into a prefix and a shifted suffix; it
@@ -70,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator
 
 from . import bijections
@@ -81,7 +66,7 @@ from .perms import Perm, avoids_all, normalize_basis
 class Caps:
     """Size caps for one run: generation by kind, and the series degree."""
 
-    perm: int = 10        # gen_all, and so the filter route
+    perm: int = 10        # gen_all and the filter route
     dyck: int = 14        # gen_dyck and gen_indec; not the 321 generator
     bits: int = 30        # gen_bits; not the binary pair generators
     structured: int = 14  # every structured class generator
@@ -119,106 +104,67 @@ def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
     return iter(itertools.permutations(range(1, n + 1)))
 
 
-# -- the filter route's containment tables ----------------------------------
+# -- the filter route's value-set walk ----------------------------------------
 
-PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))  # bit i <-> PATTERNS3[i]
+def _low(x: int) -> int:
+    return x & -x
 
-# pattern -> when the first entry c of a member of S_m alone shows that
-# the member holds what must follow the pattern's first entry (noted on
-# the right), with the values <= t low and the others high
-_STARTS = {
-    (1, 2, 3): lambda c, t, m: t < c < m,     # two high values, rising
-    (1, 3, 2): lambda c, t, m: c > t + 1,     # two high values, falling
-    (2, 1, 3): lambda c, t, m: c <= t < m,    # a low value, then a high one
-    (2, 3, 1): lambda c, t, m: 0 < t < c,     # a high value, then a low one
-    (3, 1, 2): lambda c, t, m: c < t,         # two low values, rising
-    (3, 2, 1): lambda c, t, m: 1 < c <= t,    # two low values, falling
+
+def _high(x: int) -> int:
+    return 1 << x.bit_length() >> 1
+
+
+def _below(left: int, x: int) -> int:
+    # the values of left below every value of x; all of left if x is empty
+    return left & (_low(x) - 1)
+
+
+def _above(left: int, x: int) -> int:
+    # the values of left above every value of x; all of left if x is empty
+    return left >> x.bit_length() << x.bit_length()
+
+
+# pattern -> the unused values that may follow a prefix on the values of
+# u, with l the unused ones (bit v <-> value v): those that end no
+# occurrence and forbid no other unused value.  A forbidden value stays
+# forbidden, so these are all a prefix with a completion allows; an empty
+# prefix allows every value
+_NEXT = {
+    (1, 2, 3): lambda u, l: _below(l, u) | _high(l),
+    (3, 2, 1): lambda u, l: _above(l, u) | _low(l),
+    (1, 3, 2): lambda u, l: _below(l, u) | _low(l - _below(l, u)),
+    (3, 1, 2): lambda u, l: _above(l, u) | _high(l - _above(l, u)),
+    (2, 1, 3): lambda u, l: _above(l, u - _above(u, l)),
+    (2, 3, 1): lambda u, l: _below(l, u - _below(u, l)),
 }
 
-# n -> (table, mask of the bits filled so far)
-_tables: dict[int, tuple[bytearray, int]] = {}
+
+def _walk(n: int, key: tuple[Perm, ...]) -> Iterator[Perm]:
+    # every member of S_n avoiding the length-3 patterns of key, in lex order
+    rules = [_NEXT[p] for p in key]
+    return iter(_completions(0, (1 << n + 1) - 2, rules, {}))
 
 
-def clear_tables() -> None:
-    """Forget every containment table."""
-    _tables.clear()
-
-
-def _containment_table(n: int, key: tuple[Perm, ...]) -> bytearray:
-    """The table for S_n, with the bit of every pattern in ``key`` filled."""
-    table, done = _tables.get(n) or (bytearray(factorial(n)), 0)
-    for pattern in key:
-        bit = 1 << PATTERNS3.index(pattern)
-        if not done & bit:
-            _fill(table, n, pattern, bit)
-            done |= bit
-            _tables[n] = table, done
-    return table
-
-
-def _fill(table: bytearray, n: int, pattern: Perm, bit: int) -> None:
-    # S_m in lex order is m blocks; block t holds t + 1 followed by S_{m-1}
-    # with the values above t + 1 shifted down, so a member contains the
-    # pattern when its rest does or when t + 1 starts an occurrence, which
-    # is the start map over S_{m-1} at threshold t
-    starts = _STARTS[pattern]
-    maps = [b"\0"]    # the start maps over S_0, by threshold
-    column = b"\0"    # 1 where a member of S_0 contains the pattern
-    for m in range(1, n - 1):
-        column = b"".join(map(_or, itertools.repeat(column), maps))
-        maps = [_start_map(starts, maps, m, t) for t in range(m + 1)]
-    # the two last levels are read off those over S_{n-2} piece by piece:
-    # the piece of S_n with first entry t + 1 and its rest in block c of
-    # S_{n-1} is ORed straight into the table, so no level n - 1 map or
-    # column is built whole
-    size = len(column)
-    maps = [int.from_bytes(s, "little") for s in maps]
-    rests = [int.from_bytes(column, "little") | s for s in maps]
-    ones = int.from_bytes(b"\1" * size, "little")
-    start = 0
-    for t in range(n):
-        for c in range(1, n):
-            hits = (ones if starts(c, t, n - 1)
-                    else rests[c - 1] | maps[t - (c <= t)])
-            piece = slice(start, start + size)
-            table[piece] = (int.from_bytes(table[piece], "little")
-                            | hits * bit).to_bytes(size, "little")
-            start += size
-
-
-def _start_map(starts, maps: list[bytes], m: int, t: int) -> bytes:
-    # the start map over S_m at threshold t, from those over S_{m-1}: a
-    # block is all ones when its first entry c decides, else the map at
-    # t - 1 if c is low (c <= t) and at t if c is high
-    ones = b"\1" * len(maps[0])
-    return b"".join(ones if starts(c, t, m) else maps[t - (c <= t)]
-                    for c in range(1, m + 1))
-
-
-def _or(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "little")
-            | int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
-def _avoid_table(key: tuple[Perm, ...]) -> bytes:
-    # translation of a table entry to 1 when it contains no pattern of key
-    bits = sum(1 << PATTERNS3.index(p) for p in key)
-    return bytes(not v & bits for v in range(256))
-
-
-_SELECT_CHUNK = 1 << 16  # table entries translated at a time
-
-
-def _selection(table: bytearray, key: tuple[Perm, ...]) -> Iterator[int]:
-    # 1 for each entry that contains no pattern of key, translated one slice
-    # at a time as it is read, so the table is never copied whole.  The
-    # key's bits are filled before this is read, and a later fill at the
-    # same n sets only other bits, so a lazy read sees the same selection
-    avoid = _avoid_table(key)
-    size = _SELECT_CHUNK
-    return itertools.chain.from_iterable(
-        table[i:i + size].translate(avoid)
-        for i in range(0, len(table), size))
+def _completions(used: int, left: int, rules, memo: dict) -> list[Perm]:
+    # the ways to finish a prefix on the values of used, next values in
+    # increasing order; they depend on the set alone, so each set's are
+    # listed once.  A module-level function, so that no closure cycle keeps
+    # the memo alive after the walk
+    if not left:
+        return [()]
+    got = memo.get(used)
+    if got is None:
+        allowed = left
+        for rule in rules:
+            allowed &= rule(used, left)
+        got = memo[used] = []
+        while allowed:
+            bit = _low(allowed)
+            allowed -= bit
+            head = (bit.bit_length() - 1,)
+            got += [head + rest for rest in
+                    _completions(used | bit, left - bit, rules, memo)]
+    return got
 
 
 def gen_bits(length: int, cap: int | None = None) -> Iterator[str]:
@@ -481,25 +427,23 @@ def gen_class(n: int, basis, method: str = "auto",
               caps: Caps = Caps()) -> Iterator[Perm]:
     """All permutations of length n avoiding every pattern in ``basis``.
 
-    ``method`` is "filter" (scan the full symmetric group), "structured"
-    (use a registered class-specific generator), or "auto" (structured
-    when available).  Filter output is lexicographic; structured output
-    order is generator-specific but fixed.  ``caps`` is the run's
-    :class:`Caps`; the route taken is capped by its field, ``perm`` or
-    ``structured``.
+    ``method`` is "filter" (walk the class in lexicographic order),
+    "structured" (use a registered class-specific generator), or "auto"
+    (structured when available).  Filter output is lexicographic;
+    structured output order is generator-specific but fixed.  ``caps`` is
+    the run's :class:`Caps`; the route taken is capped by its field,
+    ``perm`` or ``structured``.
 
     The cap is checked first, by :func:`class_cap`.  A basis of length-3
-    patterns is then selected from the shared containment table for n,
-    which fills only the patterns no earlier request at n has needed; any
-    other basis is scanned with ``avoids_all``.
+    patterns is then walked over value sets, each set's completions listed
+    once; any other basis is scanned over :func:`gen_all` with
+    ``avoids_all``.
     """
     key = normalize_basis(basis)
     route = _route(key, method)
     cap = class_cap(n, key, route, caps)
     if route == "structured":
         return STRUCTURED[key](n)
-    members = gen_all(n, cap=cap)
     if all(len(p) == 3 for p in key):
-        table = _containment_table(n, key)
-        return itertools.compress(members, _selection(table, key))
-    return (p for p in members if avoids_all(p, key))
+        return _walk(n, key)
+    return (p for p in gen_all(n, cap=cap) if avoids_all(p, key))

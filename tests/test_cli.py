@@ -465,13 +465,41 @@ _PINNED_DIST_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("basis", list(_PINNED_DIST_STDOUT))
-def test_dist_stdout_is_pinned(capsys, basis):
+# the same for `dist ... --n 0-10 --format json` over bases the filter
+# route walks; pins the rows and the order of its members' tally
+_PINNED_FILTER_DIST_STDOUT = {
+    "123":
+        "794f2a737a4d8a8a329828cf366349cddfb85274794f380d96fc2cc7d5d7a65c",
+    "132":
+        "cff874442f2e4a0d088f1d0cd0beefecec10bdfea61334857c513f741937d5d7",
+    "213":
+        "3d6543d255f66ba796058643d5042306b0ffa4ac2cd4e6e977458e7c395ef134",
+    "312":
+        "a7e1f266420f74ec7af871127fd39c3c47c89a1d773a5ae8a52f2cbe598a3193",
+    "132,312":
+        "a1a99074b52a43897311d342a5544628ce7ff0bac34b2f9d1df688b15c5d39e4",
+    "123,132,213":
+        "ce3a34786597c93d63c69eab20baf18ec207d6c8b881d5138fff41b821b2880f",
+}
+
+
+def _dist_digest(capsys, basis, ns):
     distributions.clear_caches()
     digest = hashlib.sha256()
     for stat in STATS:
         code, out, _ = run(capsys, "dist", "--stat", stat, "--avoid", basis,
-                           "--n", "0-12", "--format", "json")
+                           "--n", ns, "--format", "json")
         assert code == 0
         digest.update(out.encode())
-    assert digest.hexdigest() == _PINNED_DIST_STDOUT[basis]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("basis", list(_PINNED_DIST_STDOUT))
+def test_dist_stdout_is_pinned(capsys, basis):
+    assert _dist_digest(capsys, basis, "0-12") == _PINNED_DIST_STDOUT[basis]
+
+
+@pytest.mark.parametrize("basis", list(_PINNED_FILTER_DIST_STDOUT))
+def test_filter_dist_stdout_is_pinned(capsys, basis):
+    assert (_dist_digest(capsys, basis, "0-10")
+            == _PINNED_FILTER_DIST_STDOUT[basis])

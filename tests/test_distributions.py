@@ -97,6 +97,12 @@ def test_symmetry_check_reports():
         symmetry_check("nope", [(2, 3, 1)], "r", 4)
 
 
+def test_symmetry_check_refuses_a_negative_max_n():
+    # as verify_all does, rather than passing with nothing checked
+    with pytest.raises(ValueError, match="max_n must be nonnegative: -1"):
+        symmetry_check("asc_des", [(2, 3, 1)], "r", -1)
+
+
 def test_verify_selection_and_unknown():
     reports = verify_all(5, selection="FORMULA_PK231")
     assert len(reports) == 1 and reports[0].passed

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-from math import factorial
 
 import pytest
 
@@ -8,7 +7,6 @@ from patternstats import bijections, distributions, generate
 from patternstats.dyck import check_dyck, is_indecomposable
 from patternstats.formulas import binom, catalan
 from patternstats.generate import (
-    PATTERNS3,
     CapExceededError,
     Caps,
     UnsupportedBasisError,
@@ -21,7 +19,6 @@ from patternstats.generate import (
 )
 from patternstats.perms import (
     avoids_all,
-    complement,
     contains,
     format_basis,
     normalize_basis,
@@ -199,135 +196,77 @@ def test_structured_bases_registered():
     assert len(keys) == 7
 
 
-# -- the filter route's shared containment tables -----------------------------
+# -- the filter route's value-set walk ------------------------------------------
+
+PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))
+
 
 def _scan(n, key):
     return [p for p in gen_all(n) if avoids_all(p, key)]
 
 
 def test_filter_table_matches_scan_for_every_length3_basis():
-    generate.clear_tables()
+    # the walk against a contains scan of S_n, in the order of gen_all
     bases = [key for r in range(1, 7)
              for key in itertools.combinations(PATTERNS3, r)]
     assert len(bases) == 63
-    for n in range(8):
+    for n in range(9):
+        held = [(p, {q for q in PATTERNS3 if contains(p, q)})
+                for p in gen_all(n)]
         for key in bases:
-            assert list(gen_class(n, key, method="filter")) == _scan(n, key)
+            assert list(gen_class(n, key, method="filter")) == [
+                p for p, patterns in held if patterns.isdisjoint(key)]
 
 
 def test_filter_fallback_for_other_pattern_lengths():
-    generate.clear_tables()
     for key in ([(2, 1)], [(1, 2), (3, 2, 1)], [(2, 1, 4, 3)],
                 [(1, 3, 2), (4, 3, 2, 1)]):
         for n in range(7):
             got = list(gen_class(n, key, method="filter"))
             assert got == _scan(n, normalize_basis(key))
             assert got == naive_class(n, key)
-    assert not generate._tables
+
+
+def test_filter_walk_does_no_n_factorial_work(monkeypatch):
+    # a basis of length-3 patterns never reaches gen_all; any other does
+    def refuse(n, cap=None):
+        raise AssertionError("the filter route scanned S_n")
+
+    monkeypatch.setattr(generate, "gen_all", refuse)
+    members = list(gen_class(10, [(3, 1, 2)], method="filter"))
+    assert len(members) == catalan(10)
+    assert members == sorted(set(members))
+    assert all(avoids_all(p, [(3, 1, 2)]) for p in members)
+    with pytest.raises(AssertionError, match="scanned S_n"):
+        gen_class(6, [(1, 3, 2), (4, 3, 2, 1)], method="filter")
 
 
 def test_filter_cap_checked_on_a_warm_table():
-    generate.clear_tables()
     assert sum(1 for _ in gen_class(6, [(1, 2, 3)], method="filter")) == 132
     with pytest.raises(CapExceededError, match="permutation size 6 exceeds cap 5"):
         distributions.class_size(6, [(1, 2, 3)], method="filter",
                                  caps=Caps(perm=5))
 
 
-def _scan_bits(n):
-    # the containment table as a contains scan over gen_all would fill it
-    return bytes(sum(contains(p, q) << i for i, q in enumerate(PATTERNS3))
-                 for p in gen_all(n))
-
-
-def _bit_column(table, i):
-    return bytes(table).translate(bytes((v >> i) & 1 for v in range(256)))
-
-
-def test_filter_table_equals_contains_scan():
-    for n in range(9):
-        generate.clear_tables()
-        table = generate._containment_table(n, PATTERNS3)
-        assert len(table) == factorial(n)
-        assert bytes(table) == _scan_bits(n)
-    generate.clear_tables()
-
-
-def test_filter_table_complement_identity():
-    # complement sends lex rank i to n! - 1 - i and pattern q to c(q)
-    for n in range(10):
-        generate.clear_tables()
-        table = generate._containment_table(n, PATTERNS3)
-        for i, q in enumerate(PATTERNS3):
-            j = PATTERNS3.index(complement(q))
-            assert _bit_column(table, j) == _bit_column(table, i)[::-1]
-    generate.clear_tables()
-
-
-def test_filter_table_filled_one_request_at_a_time():
-    # each request fills only its own pattern's bit, beside those before it
-    want = _scan_bits(7)
-    generate.clear_tables()
-    mask = 0
-    for pattern in (PATTERNS3[4], PATTERNS3[1], PATTERNS3[5], PATTERNS3[0],
-                    PATTERNS3[3], PATTERNS3[2]):
-        assert list(gen_class(7, [pattern], method="filter")) == _scan(
-            7, (pattern,))
-        mask |= 1 << PATTERNS3.index(pattern)
-        table, done = generate._tables[7]
-        assert done == mask
-        assert bytes(table) == bytes(v & mask for v in want)
-    generate.clear_tables()
-
-
-@pytest.mark.parametrize("chunk", [generate._SELECT_CHUNK, 37])
-def test_selection_equals_whole_table_translate(monkeypatch, chunk):
-    # the sliced selection reads what one translate of the table gives
-    monkeypatch.setattr(generate, "_SELECT_CHUNK", chunk)
-    generate.clear_tables()
-    bases = [key for r in range(1, 7)
-             for key in itertools.combinations(PATTERNS3, r)]
-    for n in range(9):
-        for key in bases:
-            table = generate._containment_table(n, key)
-            whole = table.translate(generate._avoid_table(key))
-            assert bytes(generate._selection(table, key)) == whole
-    generate.clear_tables()
-
-
-def test_selection_read_lazily_across_a_later_fill(monkeypatch):
-    # two selections at one n are read in turns, with a third basis filling
-    # its bit between them; each still gives its own class
-    monkeypatch.setattr(generate, "_SELECT_CHUNK", 16)
-    generate.clear_tables()
+def test_selection_read_lazily_across_a_later_fill():
+    # two walks at one n are read in turns, with a third basis walked
+    # between them; each still gives its own class
     first = gen_class(7, [(1, 2, 3)], method="filter")
     second = gen_class(7, [(1, 3, 2), (2, 3, 1)], method="filter")
     got_first = [next(first) for _ in range(20)]
     got_second = [next(second) for _ in range(20)]
-    assert generate._tables[7][1] == 0b1011
     assert list(gen_class(7, [(3, 2, 1)], method="filter")) == _scan(
         7, ((3, 2, 1),))
-    assert generate._tables[7][1] == 0b101011
     got_first += first
     got_second += second
     assert got_first == _scan(7, ((1, 2, 3),))
     assert got_second == _scan(7, ((1, 3, 2), (2, 3, 1)))
-    generate.clear_tables()
-
-
-def test_clear_caches_empties_the_tables():
-    list(gen_class(5, [(1, 3, 2)], method="filter"))
-    assert generate._tables
-    distributions.clear_caches()
-    assert not generate._tables
 
 
 def test_filter_independent_of_request_order():
     a, b = ((1, 2, 3),), ((1, 3, 2),)
 
     def run(order):
-        generate.clear_tables()
-        rows = {key: list(gen_class(6, key, method="filter")) for key in order}
-        return rows, bytes(generate._tables[6][0])
+        return {key: list(gen_class(6, key, method="filter")) for key in order}
 
     assert run([a, b]) == run([b, a])

@@ -177,21 +177,10 @@ def from_dyck_321(d: str) -> Perm:
         x += up
         y += len(block) - up
         corners.append((x, y))
-    return fill_321(semilength(d), corners)
-
-
-def fill_321(n: int, corners) -> Perm:
-    """The 321-avoider of length n whose non-maxima sit at ``corners``.
-
-    ``corners`` lists the (position, value) points of the entries that are
-    not left-to-right maxima, by increasing position and so by increasing
-    value; the maxima take the remaining values in increasing order.  This
-    is the decoding core of :func:`from_dyck_321`, shared with the class
-    generator, which reads the corners off each Dyck word as it builds it.
-    """
-    out = list(range(1, n + 1))
-    # values rise with positions: deleting from the top and inserting from
-    # the left leaves every earlier deletion or insertion in place
+    # the maxima take the remaining values in increasing order.  Values
+    # rise with positions: deleting from the top and inserting from the
+    # left leaves every earlier deletion or insertion in place
+    out = list(range(1, semilength(d) + 1))
     for _, val in reversed(corners):
         del out[val - 1]
     for pos, val in corners:

@@ -50,23 +50,25 @@ def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     cfg = {}
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"known keys: {', '.join(_CONFIG_KEYS)}")
-            cfg[key] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"known keys: {', '.join(_CONFIG_KEYS)}")
+        cfg[key] = value.strip()
     return cfg
 
 

@@ -2,32 +2,29 @@
 
 Everything is a generator with a fixed, documented order so that results
 are reproducible: full symmetric groups and binary words come out in
-lexicographic order, Dyck words in lexicographic order with D < U, and
-structured class generators in a fixed recursive order of their own.
+lexicographic order, Dyck words in lexicographic order with D < U, the
+filter route and the two Catalan classes in lexicographic order, and the
+structured pair-class generators in a fixed recursive order of their own.
 
 The filter route walks a basis of length-3 patterns over value sets.
 Whether a value may come next in an avoider depends only on the set of
 values already used (West, "Generating trees and forbidden subsequences",
-1996): for each pattern, the next value must end no occurrence and forbid
-no other unused value, and :data:`_NEXT` gives those values from the used
-and unused sets as bitmasks.  A basis allows what all its patterns allow.
-The walk lists each value set's completions once per call, with next
-values in increasing order, so the class comes out in the lexicographic
-order of :func:`gen_all`, with work in proportion to the class and no
-cache kept between calls.  A basis with a pattern of any other length is
-scanned with ``avoids_all`` over :func:`gen_all`.
+1996; Vatter, "Finitely labeled generating trees and restricted
+permutations", 2006): for each pattern, the next value must end no
+occurrence and forbid no other unused value, and :data:`_NEXT` gives
+those values from the used and unused sets as bitmasks.  A basis allows
+what all its patterns allow.  Next values are taken in increasing order,
+so the class comes out in the lexicographic order of :func:`gen_all`.  A
+value set with at most :data:`_LISTED` values left has its completions
+listed once per call; the levels above are walked depth-first with the
+prefix carried down, so memory stays bounded by the lower levels, work is
+in proportion to the class, and no cache is kept between calls.  A basis
+with a pattern of any other length is scanned with ``avoids_all`` over
+:func:`gen_all`.
 
-The structured generators do work in proportion to their output.  Av(231)
-splits every member at its maximum into a prefix and a shifted suffix; it
-lists the classes of sizes 0..n-3 once per call, shifts a suffix list once
-per split, and streams the four outer splits, which need S_{n-1}(231) or
-S_{n-2}(231) beside a part with one member, from those lists, so no list
-larger than the class of size n - 3 is held.
-Av(321) walks the Dyck words in the order of :func:`gen_dyck`, records
-each corner (column, row) of psi^-1 at a DU turn as the word grows, and
-fills each finished word from its corners with
-:func:`~patternstats.bijections.fill_321`, the decoding core it shares
-with ``from_dyck_321``.
+Av(231) and Av(321) are structured classes built by the same walk, under
+the structured cap.  The other structured generators do work in
+proportion to their output.
 The three pair classes with a binary encoding come out in the lex order of
 their words, as the ``bijections.decode_*`` maps would give them, but with
 no decode call: members that share a prefix share its work.  213,231 and
@@ -56,9 +53,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
-from . import bijections
 from .perms import Perm, avoids_all, normalize_basis
 
 
@@ -67,7 +64,7 @@ class Caps:
     """Size caps for one run: generation by kind, and the series degree."""
 
     perm: int = 10        # gen_all and the filter route
-    dyck: int = 14        # gen_dyck and gen_indec; not the 321 generator
+    dyck: int = 14        # gen_dyck and gen_indec
     bits: int = 30        # gen_bits; not the binary pair generators
     structured: int = 14  # every structured class generator
     series: int = 24      # the degree of a named series, by either route
@@ -139,10 +136,38 @@ _NEXT = {
 }
 
 
+# value sets with at most this many values left have their completions
+# listed once per call; larger ones are walked depth-first, so the memo
+# holds no list longer than the completions of _LISTED values
+_LISTED = 7
+
+
 def _walk(n: int, key: tuple[Perm, ...]) -> Iterator[Perm]:
     # every member of S_n avoiding the length-3 patterns of key, in lex order
     rules = [_NEXT[p] for p in key]
-    return iter(_completions(0, (1 << n + 1) - 2, rules, {}))
+    return _stream((), 0, (1 << n + 1) - 2, rules, {})
+
+
+def _allowed(used: int, left: int, rules) -> int:
+    allowed = left
+    for rule in rules:
+        allowed &= rule(used, left)
+    return allowed
+
+
+def _stream(prefix: Perm, used: int, left: int, rules,
+            memo: dict) -> Iterator[Perm]:
+    # prefix, on the values of used, followed by each of its completions
+    if left.bit_count() <= _LISTED:
+        for rest in _completions(used, left, rules, memo):
+            yield prefix + rest
+        return
+    allowed = _allowed(used, left, rules)
+    while allowed:
+        bit = _low(allowed)
+        allowed -= bit
+        yield from _stream(prefix + (bit.bit_length() - 1,), used | bit,
+                           left - bit, rules, memo)
 
 
 def _completions(used: int, left: int, rules, memo: dict) -> list[Perm]:
@@ -154,9 +179,7 @@ def _completions(used: int, left: int, rules, memo: dict) -> list[Perm]:
         return [()]
     got = memo.get(used)
     if got is None:
-        allowed = left
-        for rule in rules:
-            allowed &= rule(used, left)
+        allowed = _allowed(used, left, rules)
         got = memo[used] = []
         while allowed:
             bit = _low(allowed)
@@ -203,62 +226,6 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
 
 
 # -- structured class generators ---------------------------------------------
-
-def _gen_231(n: int) -> Iterator[Perm]:
-    # the classes of sizes 0..n-3 are listed once; S_n and the S_{n-1} and
-    # S_{n-2} its four outer splits need are streamed from them
-    if n == 0:
-        yield ()
-        return
-    classes: list[list[Perm]] = [[()]]
-    for m in range(1, n - 2):
-        classes.append(list(_split_231(m, classes)))
-    yield from _split_231(n, classes)
-
-
-def _split_231(m: int, classes: list[list[Perm]]) -> Iterator[Perm]:
-    # S_m(231) split at the maximum: prefix on 1..i-1, suffix on i..m-1.
-    # ``classes`` holds at least the classes of sizes 0..m-3, so a part of
-    # size m-1 or m-2 is streamed; its other part, of size 0 or 1, has one
-    # member, so a streamed suffix is read once and shifted as it streams
-    top = (m,)
-    for i in range(1, m + 1):
-        prefixes = _class_231(i - 1, classes)
-        suffixes = _class_231(m - i, classes)
-        if i > 1:
-            suffixes = (tuple([x + i - 1 for x in b]) for b in suffixes)
-            if m - i < len(classes):
-                suffixes = list(suffixes)
-        for a in prefixes:
-            a += top
-            for b in suffixes:
-                yield a + b
-
-
-def _class_231(m: int, classes: list[list[Perm]]):
-    return classes[m] if m < len(classes) else _split_231(m, classes)
-
-
-def _gen_321(n: int) -> Iterator[Perm]:
-    # the words of gen_dyck, in the same order, built one D-run and U at
-    # a time; a U after a D-run turns at a corner (column, row) of psi^-1,
-    # and each finished word is filled from its corners
-    fill = bijections.fill_321
-    corners: list[tuple[int, int]] = []
-
-    def rec(ups: int, downs: int) -> Iterator[Perm]:
-        if ups == 0:  # only the final D-run is left
-            yield fill(n, corners)
-            return
-        # k Ds then a U; more Ds first, as D < U
-        for k in range(downs - ups, 0, -1):
-            corners.append((n - ups + 1, n - downs + k))
-            yield from rec(ups - 1, downs - k)
-            corners.pop()
-        yield from rec(ups - 1, downs)
-
-    return rec(n, n)
-
 
 def _gen_213_312(n: int) -> Iterator[Perm]:
     # an increasing prefix on a set P of 1..n-1, the maximum, then the other
@@ -380,8 +347,8 @@ def _gen_132_321(n: int) -> Iterator[Perm]:
 
 
 STRUCTURED = {
-    normalize_basis([(2, 3, 1)]): _gen_231,
-    normalize_basis([(3, 2, 1)]): _gen_321,
+    normalize_basis([(2, 3, 1)]): partial(_walk, key=((2, 3, 1),)),
+    normalize_basis([(3, 2, 1)]): partial(_walk, key=((3, 2, 1),)),
     normalize_basis([(2, 1, 3), (3, 1, 2)]): _gen_213_312,
     normalize_basis([(1, 3, 2), (2, 1, 3)]): _gen_132_213,
     normalize_basis([(2, 1, 3), (2, 3, 1)]): _gen_213_231,
@@ -430,13 +397,14 @@ def gen_class(n: int, basis, method: str = "auto",
     ``method`` is "filter" (walk the class in lexicographic order),
     "structured" (use a registered class-specific generator), or "auto"
     (structured when available).  Filter output is lexicographic;
-    structured output order is generator-specific but fixed.  ``caps`` is
+    so is the walked structured output of Av(231) and Av(321); the other
+    structured orders are generator-specific but fixed.  ``caps`` is
     the run's :class:`Caps`; the route taken is capped by its field,
     ``perm`` or ``structured``.
 
     The cap is checked first, by :func:`class_cap`.  A basis of length-3
-    patterns is then walked over value sets, each set's completions listed
-    once; any other basis is scanned over :func:`gen_all` with
+    patterns is then walked over value sets, the completions of each set
+    with at most :data:`_LISTED` values left listed once; any other basis is scanned over :func:`gen_all` with
     ``avoids_all``.
     """
     key = normalize_basis(basis)

@@ -112,6 +112,17 @@ def parse_bfile(text: str) -> list[int]:
     return terms
 
 
+def _read_bfile(body: bytes) -> list[int]:
+    # the one decode of a b-file's bytes, from the cache or the network
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OeisFormatError(
+            f"byte {body[exc.start]:#04x} is not UTF-8",
+            body.count(b"\n", 0, exc.start) + 1) from None
+    return parse_bfile(text)
+
+
 def fetch(sid: str, cache: str | os.PathLike | None = None,
           offline: bool = False, timeout: float = 20.0) -> OeisRef:
     """Terms of a sequence, from the cache when warm, else one HTTP GET."""
@@ -119,7 +130,7 @@ def fetch(sid: str, cache: str | os.PathLike | None = None,
     directory = cache_dir(cache)
     path = directory / f"{sid}.txt"
     if path.exists():
-        return OeisRef(sid, parse_bfile(path.read_text()), "cache")
+        return OeisRef(sid, _read_bfile(path.read_bytes()), "cache")
     if offline:
         raise OeisOfflineError(f"offline and no cached terms for {sid}")
     # imported here: the network stack is costly to load, and only a
@@ -137,7 +148,7 @@ def fetch(sid: str, cache: str | os.PathLike | None = None,
         raise OeisOfflineError(f"HTTP {exc.code} fetching {sid}") from exc
     except (urllib.error.URLError, OSError) as exc:
         raise OeisOfflineError(f"cannot reach OEIS for {sid}: {exc}") from exc
-    terms = parse_bfile(body.decode("utf-8"))
+    terms = _read_bfile(body)
     directory.mkdir(parents=True, exist_ok=True)
     # written beside the cache file and renamed over it, so a failed write
     # never leaves a truncated b-file that a later run reads as the cache;

@@ -69,8 +69,8 @@ def naive_duu(d):
 
 
 def split_at_max_231(n):
-    """S_n(231) in the generator's order: split at the maximum n, with the
-    prefix on 1..i-1 and the suffix on i..n-1, rebuilt for every prefix."""
+    """S_n(231) split at the maximum n, with the prefix on 1..i-1 and the
+    suffix on i..n-1, rebuilt for every prefix; by i, not in lex order."""
     if n == 0:
         yield ()
         return

@@ -351,6 +351,14 @@ def test_config_cache_dir_feeds_oeis_check(capsys, tmp_path):
     assert json.loads(out)["first_mismatch"] is None
 
 
+def test_bfile_that_is_not_utf8_exits_3(capsys, tmp_path):
+    (tmp_path / "A000108.txt").write_bytes(b"0 1\n1 \xff\n")
+    code, out, err = run(capsys, "oeis", "--sequence", "A000108", "--check",
+                         "--offline", "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "bad b-file: byte 0xff is not UTF-8 (line 2)\n"
+
+
 def test_bad_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("gen_cap\n")
@@ -363,6 +371,15 @@ def test_unreadable_config_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "--config", str(missing), "verify", "--list")
     assert (code, out) == (2, "")
     assert f"cannot read config {missing}" in err
+
+
+def test_undecodable_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_bytes(b"gen_cap = 5\n\xff\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--list")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read config {cfg}: ")
+    assert "0xff" in err
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):

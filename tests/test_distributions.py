@@ -134,7 +134,7 @@ def test_wrapped_series_is_the_one_checked(monkeypatch):
     report, = verify_all(6, selection="SERIES_DES321_ORACLE")
     assert (report.passed, report.checked) == (False, 7)
     assert report.failure == ("descent row at n=4: got {0: 1, 1: 12, 2: 2}, "
-                              "expected {1: 11, 2: 2, 0: 1}")
+                              "expected {0: 1, 1: 11, 2: 2}")
 
 
 def test_map_error_after_a_failure_keeps_the_first_failure(monkeypatch):

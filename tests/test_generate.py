@@ -115,13 +115,13 @@ def _key(text):
 
 
 def test_structured_sequences_match_plain_references():
-    # the same members in the same order as a plain route, for n <= 10, and
+    # the same members as a plain route, for n <= 11, and in the same order
     # up to the structured cap for the classes built from shared prefixes
-    for n in range(11):
-        assert (list(gen_class(n, [(2, 3, 1)], method="structured"))
-                == list(split_at_max_231(n)))
-        assert (list(gen_class(n, [(3, 2, 1)], method="structured"))
-                == [bijections.from_dyck_321(d) for d in gen_dyck(n)])
+    for n in range(12):
+        assert (sorted(gen_class(n, [(2, 3, 1)], method="structured"))
+                == sorted(split_at_max_231(n)))
+        assert (sorted(gen_class(n, [(3, 2, 1)], method="structured"))
+                == sorted(bijections.from_dyck_321(d) for d in gen_dyck(n)))
     for n in range(Caps().structured + 1):
         for text, reference in _REBUILT.items():
             want = list(reference(n)) if n else [()]
@@ -144,42 +144,31 @@ def test_binary_pair_generators_call_no_decoder(monkeypatch):
 
 
 # sha256 prefix of repr(list(members)) over n = 0..10, in the documented
-# order of each structured generator
+# order of each structured generator; the two walked classes come out in
+# the filter route's lex order
 _STRUCTURED_ORDER = {
-    "231": "45ee8acc6baab22e",
-    "321": "fdb4101e2f586169",
     "213,312": "5828761c42494cec",
     "132,213": "a4c4de3da6f07eff",
     "213,231": "e0266cce7526d407",
     "123,132": "bbb2a9d787b10695",
     "132,321": "f567da1e1b109c1f",
 }
+_WALKED = ("231", "321")
 
 
 def test_structured_order_is_pinned():
     for key in structured_bases():
+        text = format_basis(key)
+        if text in _WALKED:
+            for n in range(11):
+                assert (list(gen_class(n, key, method="structured"))
+                        == list(gen_class(n, key, method="filter")))
+            continue
         digest = hashlib.sha256()
         for n in range(11):
             digest.update(
                 repr(list(gen_class(n, key, method="structured"))).encode())
-        assert digest.hexdigest()[:16] == _STRUCTURED_ORDER[format_basis(key)]
-
-
-def test_gen_231_lists_no_class_above_n_minus_3(monkeypatch):
-    # only the classes of sizes 0..n-3 are listed; S_{n-1} and S_{n-2}
-    # are streamed
-    listed = []
-    real = generate._split_231
-
-    def spy(m, classes):
-        listed.append(len(classes) - 1)
-        return real(m, classes)
-
-    monkeypatch.setattr(generate, "_split_231", spy)
-    for n in range(2, 11):
-        listed.clear()
-        assert sum(1 for _ in generate._gen_231(n)) == catalan(n)
-        assert max(listed) <= max(n - 3, 0)
+        assert digest.hexdigest()[:16] == _STRUCTURED_ORDER[text]
 
 
 def test_gen_class_method_errors():
@@ -210,7 +199,8 @@ def test_filter_table_matches_scan_for_every_length3_basis():
     bases = [key for r in range(1, 7)
              for key in itertools.combinations(PATTERNS3, r)]
     assert len(bases) == 63
-    for n in range(9):
+    # one size past the listed levels, so a streamed level is checked too
+    for n in range(generate._LISTED + 2):
         held = [(p, {q for q in PATTERNS3 if contains(p, q)})
                 for p in gen_all(n)]
         for key in bases:
@@ -239,6 +229,23 @@ def test_filter_walk_does_no_n_factorial_work(monkeypatch):
     assert all(avoids_all(p, [(3, 1, 2)]) for p in members)
     with pytest.raises(AssertionError, match="scanned S_n"):
         gen_class(6, [(1, 3, 2), (4, 3, 2, 1)], method="filter")
+
+
+def test_walk_lists_no_value_set_above_the_listed_size(monkeypatch):
+    # only value sets with at most _LISTED values left are listed; the
+    # levels above them are streamed
+    listed = []
+    real = generate._completions
+
+    def spy(used, left, rules, memo):
+        listed.append(left.bit_count())
+        return real(used, left, rules, memo)
+
+    monkeypatch.setattr(generate, "_completions", spy)
+    members = list(gen_class(12, [(3, 1, 2)], "filter", Caps(perm=12)))
+    assert listed and max(listed) <= generate._LISTED
+    assert len(members) == catalan(12)
+    assert members == sorted(set(members))
 
 
 def test_filter_cap_checked_on_a_warm_table():

@@ -108,6 +108,19 @@ def test_failed_cache_write_leaves_no_bfile(tmp_path, monkeypatch):
         oeis.fetch("A000108", cache=tmp_path, offline=True)
 
 
+def test_bfile_that_is_not_utf8_is_a_format_error(tmp_path, monkeypatch):
+    # the cached and the served bytes are decoded in one place
+    (tmp_path / "A000108.txt").write_bytes(b"0 1\n1 \xff\n")
+    with pytest.raises(oeis.OeisFormatError, match="0xff is not UTF-8") as info:
+        oeis.fetch("A000108", cache=tmp_path, offline=True)
+    assert info.value.line == 2
+    _serve(monkeypatch, b"\xff 1\n")
+    with pytest.raises(oeis.OeisFormatError) as info:
+        oeis.fetch("A000045", cache=tmp_path)
+    assert info.value.line == 1
+    assert not (tmp_path / "A000045.txt").exists()
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.setenv("PATTERNSTATS_OEIS_CACHE", str(tmp_path / "env"))
     assert oeis.cache_dir() == tmp_path / "env"

@@ -349,21 +349,26 @@ def encode_123_132(p: Perm) -> str:
     second-to-last entry is 1 (drop that entry); the recorded bits, read
     from the innermost step outward, form the word.
 
+    Each step drops the smallest entry left, so after k steps the entries
+    left are exactly k + 1..n and the reduced 1 is the value k + 1.  The
+    map works on the original values, so it runs in linear time.
+
     >>> encode_123_132((6, 5, 3, 2, 4, 1))
     '11001'
     """
     p = _require_encodable(p, (1, 2, 3), (1, 3, 2))
     bits = []
-    q = p
-    while len(q) > 1:
-        if q[-1] == 1:
+    q = list(p)
+    for low in range(1, len(p)):
+        if q[-1] == low:
             bits.append("1")
-            q = reduce_word(q[:-1])
-        else:
-            if q[-2] != 1:
-                raise InvariantError(f"1 is not in the last two positions of {q}")
+            q.pop()
+        elif q[-2] == low:
             bits.append("0")
-            q = reduce_word(q[:-2] + (q[-1],))
+            del q[-2]
+        else:
+            raise InvariantError(
+                f"1 is not in the last two positions of {reduce_word(q)}")
     return "".join(reversed(bits))
 
 

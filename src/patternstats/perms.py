@@ -188,16 +188,14 @@ def contains(host: Perm, pattern: Perm) -> bool:
     True
     >>> contains((1, 2, 3), (2, 1))
     False
+
+    A pattern that is not a permutation raises :class:`InvalidPermError`.
     """
-    if len(pattern) > len(host):
-        return False
-    if len(pattern) == 0:
-        return True
     scans = _SCANS3.get(pattern)
     if scans is not None:
         scan, symmetry = scans
         return scan(host if symmetry is None else symmetry(host))
-    return _search(host, pattern, (), 0)
+    return _search(host, check_perm(pattern), (), 0)
 
 
 def normalize_basis(patterns) -> tuple[Perm, ...]:

@@ -212,6 +212,29 @@ def test_encodings_are_bijections(encode, decode, basis):
         assert seen == set(map(tuple, naive_class(n, basis)))
 
 
+def test_encode_123_132_never_reduces(monkeypatch):
+    # the encoder works on the original values; reduce_word is only for
+    # the message of a broken invariant
+    def refuse(word):
+        raise AssertionError("reduce_word called")
+    monkeypatch.setattr(bijections, "reduce_word", refuse)
+    for m in range(12):
+        for bits in gen_bits(m):
+            assert encode_123_132(decode_123_132(bits)) == bits
+
+
+@pytest.mark.parametrize("encode,decode", [
+    (encode_132_213, decode_132_213),
+    (encode_213_231, decode_213_231),
+    (encode_123_132, decode_123_132),
+])
+def test_encodings_roundtrip_at_n_3000(encode, decode):
+    rng = random.Random(3000)
+    for _ in range(3):
+        bits = "".join(rng.choice("01") for _ in range(2999))
+        assert encode(decode(bits)) == bits
+
+
 @pytest.mark.parametrize("encode,decode", [
     (encode_132_213, decode_132_213),
     (encode_213_231, decode_213_231),
@@ -236,6 +259,14 @@ def test_broken_invariants_raise_invariant_error(monkeypatch, fn, arg, patch):
     monkeypatch.setattr(bijections, *patch)
     with pytest.raises(InvariantError):
         fn(arg)
+
+
+def test_encode_123_132_invariant_message_names_the_reduced_rest(monkeypatch):
+    # after one step the rest is (2, 3, 4), reduced to (1, 2, 3)
+    monkeypatch.setattr(bijections, "_require_avoiding", lambda p, *pats: p)
+    with pytest.raises(InvariantError) as err:
+        encode_123_132((2, 3, 4, 1))
+    assert str(err.value) == "1 is not in the last two positions of (1, 2, 3)"
 
 
 def test_invariants_still_checked_under_optimize():

@@ -70,6 +70,18 @@ def test_contains_known_values():
     assert not contains(parse_perm("617238459"), (3, 2, 1))
 
 
+def test_contains_refuses_a_pattern_that_is_not_a_permutation():
+    for host, pattern in [((3, 2, 1), (2, 2, 1)), ((1, 2), (0,))]:
+        with pytest.raises(InvalidPermError):
+            contains(host, pattern)
+    with pytest.raises(InvalidPermError):
+        avoids_all((3, 2, 1), [(2, 2, 1)])
+    # a valid pattern with no length-3 scan still goes through the search
+    assert contains((2, 5, 1, 4, 3), (2, 4, 1, 3))
+    assert not contains((1, 2, 3, 4, 5), (2, 4, 1, 3))
+    assert not contains((2, 1), (2, 4, 1, 3))
+
+
 def test_contains_matches_naive_for_length3_patterns():
     patterns = list(itertools.permutations((1, 2, 3)))
     for n in range(7):

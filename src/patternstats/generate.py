@@ -13,30 +13,29 @@ values already used (West, "Generating trees and forbidden subsequences",
 permutations", 2006): for each pattern, the next value must end no
 occurrence and forbid no other unused value, and :data:`_NEXT` gives
 those values from the used and unused sets as bitmasks.  A basis allows
-what all its patterns allow.  Next values are taken in increasing order,
-so the class comes out in the lexicographic order of :func:`gen_all`.  A
-value set with at most :data:`_LISTED` values left has its completions
-listed once per call; the levels above are walked depth-first with the
-prefix carried down, so memory stays bounded by the lower levels, work is
-in proportion to the class, and no cache is kept between calls.  A basis
-with a pattern of any other length is scanned with ``avoids_all`` over
-:func:`gen_all`.
+what all its patterns allow.  For one pattern every allowed value leads
+to a completion; for a basis of several it need not, since each pattern
+may leave a different way out (after a first 1, no value may follow in
+Av(123,132)), so the walk can list value sets with no completion.  Next
+values are taken in increasing order, so the class comes out in the
+lexicographic order of :func:`gen_all`.  A value set with at most
+:data:`_LISTED` values left has its completions listed once per call;
+the levels above are walked depth-first with the prefix carried down, so
+memory stays bounded by the lower levels, work is in proportion to the
+class, and no cache is kept between calls.  A basis with a pattern of any
+other length is scanned with ``avoids_all`` over :func:`gen_all`.
 
 Av(231) and Av(321) are structured classes built by the same walk, under
 the structured cap.  The other structured generators do work in
-proportion to their output.
-The three pair classes with a binary encoding come out in the lex order of
-their words, as the ``bijections.decode_*`` maps would give them, but with
-no decode call: members that share a prefix share its work.  213,231 and
-123,132 walk the first n - 1 - t bits level by level, t = (n - 1) // 2,
-and join each head to the members of size t + 1 that the other t bits
-give, listed once and shifted (213,231) or given the head's last entry
-(123,132) once per distinct head state.  132,213 is a skew sum of
-increasing runs, so a member is its top run followed by a smaller member;
-the classes up to size n // 2 are listed once and the larger ones
-streamed.  Av(213,312), an increasing prefix, n, then the rest decreasing,
-splits 1..n-1 into a low and a high half and lists each half's subsets
-with their complements once.
+proportion to their output.  The three pair classes with a binary
+encoding come out in the lex order of their words, as the
+``bijections.decode_*`` maps would give them, but with no decode call.
+213,231 and 123,132 walk their first n - 2 bits level by level, and the
+last bit places the two values left (213,231) or the value 1 (123,132).
+132,213 is a skew sum of increasing runs, so a member is its top run
+followed by a smaller member; the classes up to size n // 2 are listed
+once and the larger ones streamed.  Av(213,312) is an increasing prefix,
+n, then the rest decreasing: each subset of 1..n-1 with its complement.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value: :func:`gen_class` takes it whole, and
@@ -124,8 +123,9 @@ def _above(left: int, x: int) -> int:
 # pattern -> the unused values that may follow a prefix on the values of
 # u, with l the unused ones (bit v <-> value v): those that end no
 # occurrence and forbid no other unused value.  A forbidden value stays
-# forbidden, so these are all a prefix with a completion allows; an empty
-# prefix allows every value
+# forbidden, so no value left out has a completion; an empty prefix allows
+# every value.  For one pattern each value allowed has a completion too; for
+# a basis of several, a value all its rules allow may have none
 _NEXT = {
     (1, 2, 3): lambda u, l: _below(l, u) | _high(l),
     (3, 2, 1): lambda u, l: _above(l, u) | _low(l),
@@ -229,91 +229,51 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
 
 def _gen_213_312(n: int) -> Iterator[Perm]:
     # an increasing prefix on a set P of 1..n-1, the maximum, then the other
-    # values decreasing, by |P| and then P in lex order.  For one size, lex
-    # order of P is the decreasing order of its indicator word, and so the
-    # product order over the words of a low half 1..a and a high half; each
-    # half's sets are listed once with their complements
+    # values decreasing, by |P| and then P in lex order.  The complements of
+    # the r-sets, taken in lex order, are the (n-1-r)-sets in reverse lex
+    # order
     if n == 0:
         yield ()
         return
-    a = (n - 1) // 2
-    lows = _split_values(range(1, a + 1))
-    highs: dict[int, list[Perm]] = {}
-    for p, rest in _split_values(range(a + 1, n)):
-        highs.setdefault(len(p), []).append(p + (n,) + rest)
+    values = range(1, n)
     for r in range(n):
-        for p, rest in lows:
-            for middle in highs.get(r - len(p), ()):
-                yield p + middle + rest
-
-
-def _split_values(values: range) -> list[tuple[Perm, Perm]]:
-    # (the set increasing, its complement decreasing) for every subset of
-    # the values, in decreasing order of the indicator word
-    level: list[tuple[Perm, Perm]] = [((), ())]
-    for v in values:
-        level = [step for p, rest in level
-                 for step in ((p + (v,), rest), (p, (v,) + rest))]
-    return level
-
-
-def _join(heads, tails: list[Perm], adapt) -> Iterator[Perm]:
-    # every (prefix, state) head followed by each tail of adapt(tails,
-    # state), in order; the tails are adapted once per distinct state
-    adapted: dict[int, list[Perm]] = {}
-    for prefix, state in heads:
-        if state not in adapted:
-            adapted[state] = adapt(tails, state)
-        for b in adapted[state]:
-            yield prefix + b
-
-
-def _walk_213_231(bits: int, n: int) -> list[tuple[Perm, int, int]]:
-    # (prefix, lo, hi) after each word of the given length, on 1..n: bit 0
-    # takes the maximum hi of the values left, bit 1 the minimum lo
-    level = [((), 1, n)]
-    for _ in range(bits):
-        level = [step for p, lo, hi in level
-                 for step in ((p + (hi,), lo, hi - 1),
-                              (p + (lo,), lo + 1, hi))]
-    return level
+        rests = reversed(list(itertools.combinations(values, n - 1 - r)))
+        for p, rest in zip(itertools.combinations(values, r), rests):
+            yield p + (n,) + rest[::-1]
 
 
 def _gen_213_231(n: int) -> Iterator[Perm]:
-    # a head leaves the values lo..lo+t, so its tails are the members of
-    # size t + 1 shifted by lo - 1
-    if n == 0:
-        yield ()
+    # the words of n - 1 bits in lex order: bit 0 takes the maximum hi of
+    # the values left, bit 1 the minimum lo; the first n - 2 bits are walked
+    # level by level, and the last bit orders the two values left
+    if n < 2:
+        yield tuple(range(1, n + 1))
         return
-    t = (n - 1) // 2
-    tails = [p + (lo,) for p, lo, _ in _walk_213_231(t, t + 1)]
-    heads = ((p, lo) for p, lo, _ in _walk_213_231(n - 1 - t, n))
-    yield from _join(heads, tails, lambda members, lo: [
-        tuple([x + lo - 1 for x in b]) for b in members])
-
-
-def _walk_123_132(bits: int, n: int) -> list[tuple[Perm, int]]:
-    # (body, last) after each word of the given length, from the single
-    # entry n: value n - i goes before the last entry (bit 0) or after it
-    # (bit 1); the member is body + (last,)
-    level = [((), n)]
-    for v in range(n - 1, n - 1 - bits, -1):
-        level = [step for body, last in level
-                 for step in ((body + (v,), last), (body + (last,), v))]
-    return level
+    level = [((), 1, n)]
+    for _ in range(n - 2):
+        level = [step for p, lo, hi in level
+                 for step in ((p + (hi,), lo, hi - 1),
+                              (p + (lo,), lo + 1, hi))]
+    for p, lo, hi in level:
+        yield p + (hi, lo)
+        yield p + (lo, hi)
 
 
 def _gen_123_132(n: int) -> Iterator[Perm]:
-    # a head leaves the values t..1 and its last entry, so its tails are
-    # the members of size t + 1 with t + 1 replaced by that entry
-    if n == 0:
-        yield ()
+    # from the single entry n, value v = n - 1..1 goes before the last
+    # entry (bit 0) or after it (bit 1); the values n - 1..2 are walked
+    # level by level into (body, last), and the member is body + (last,)
+    # with 1 placed last
+    if n < 2:
+        yield tuple(range(1, n + 1))
         return
-    t = (n - 1) // 2
-    tails = [body + (last,) for body, last in _walk_123_132(t, t + 1)]
-    heads = _walk_123_132(n - 1 - t, n)
-    yield from _join(heads, tails, lambda members, last: [
-        tuple([last if x == t + 1 else x for x in b]) for b in members])
+    level = [((), n)]
+    for v in range(n - 1, 1, -1):
+        level = [step for body, last in level
+                 for step in ((body + (v,), last), (body + (last,), v))]
+    for body, last in level:
+        yield body + (1, last)
+        yield body + (last, 1)
 
 
 def _gen_132_213(n: int) -> Iterator[Perm]:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+from functools import partial
 
 import pytest
 
@@ -161,6 +162,26 @@ def test_map_error_is_reported_as_the_failure(monkeypatch):
                               "(position 3)")
     # two comparisons each for the empty word and UD, then the one raising
     assert report.checked == 5
+
+
+@pytest.mark.parametrize("walked, listed", [("231", "213"), ("321", "123")])
+def test_structured_check_catches_a_fault_in_the_catalan_walk(
+        monkeypatch, walked, listed):
+    # a walk that lists Av(213) (Av(123)) for the basis 231 (321), on both
+    # the structured and the filter route, gives a class of the right size
+    # that only a reference from outside the walk tells apart
+    basis, wrong = perms.parse_basis(walked), perms.parse_basis(listed)
+    real = generate._walk
+
+    def faulty(n, key):
+        return real(n, wrong if key == basis else key)
+
+    monkeypatch.setattr(generate, "_walk", faulty)
+    monkeypatch.setitem(generate.STRUCTURED, basis, partial(faulty, key=basis))
+    report, = verify_all(6, selection="STRUCTURED_MATCHES_FILTER")
+    assert not report.passed
+    assert report.failure.startswith(
+        f"structured vs Dyck words for {walked} at n=3: got ")
 
 
 def test_cap_and_size_errors_still_raise():

@@ -100,8 +100,8 @@ def _decoded(decode):
     return lambda n: (decode(b) for b in gen_bits(n - 1))
 
 
-# the four classes whose generators build members from shared prefixes,
-# with a plain route that builds each member on its own
+# the four pair classes with a generator of their own, each with a plain
+# route that builds every member on its own, from its word or its subset
 _REBUILT = {
     "132,213": _decoded(bijections.decode_132_213),
     "213,231": _decoded(bijections.decode_213_231),
@@ -194,7 +194,7 @@ def _scan(n, key):
     return [p for p in gen_all(n) if avoids_all(p, key)]
 
 
-def test_filter_table_matches_scan_for_every_length3_basis():
+def test_filter_walk_matches_scan_for_every_length3_basis():
     # the walk against a contains scan of S_n, in the order of gen_all
     bases = [key for r in range(1, 7)
              for key in itertools.combinations(PATTERNS3, r)]
@@ -248,14 +248,38 @@ def test_walk_lists_no_value_set_above_the_listed_size(monkeypatch):
     assert members == sorted(set(members))
 
 
-def test_filter_cap_checked_on_a_warm_table():
+def test_walk_lists_no_empty_value_set_for_one_pattern(monkeypatch):
+    # every value one pattern's rule allows leads to a completion; a basis
+    # of several may allow one that leads to none, as after a first 1 in
+    # Av(123,132)
+    empty = []
+    real = generate._completions
+
+    def spy(used, left, rules, memo):
+        got = real(used, left, rules, memo)
+        if not got:
+            empty.append(used)
+        return got
+
+    monkeypatch.setattr(generate, "_completions", spy)
+    caps = Caps(perm=12)
+    for p in PATTERNS3:
+        for n in range(13):
+            assert sum(1 for _ in gen_class(n, [p], "filter", caps)) == catalan(n)
+            assert not empty, (p, n)
+    members = sum(1 for _ in gen_class(12, [(1, 2, 3), (1, 3, 2)], "filter",
+                                       caps))
+    assert members == 2 ** 11 and empty
+
+
+def test_filter_cap_checked_after_a_walk():
     assert sum(1 for _ in gen_class(6, [(1, 2, 3)], method="filter")) == 132
     with pytest.raises(CapExceededError, match="permutation size 6 exceeds cap 5"):
         distributions.class_size(6, [(1, 2, 3)], method="filter",
                                  caps=Caps(perm=5))
 
 
-def test_selection_read_lazily_across_a_later_fill():
+def test_walks_read_in_turns_across_a_later_walk():
     # two walks at one n are read in turns, with a third basis walked
     # between them; each still gives its own class
     first = gen_class(7, [(1, 2, 3)], method="filter")

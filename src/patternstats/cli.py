@@ -22,6 +22,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from . import bijections, distributions, dyck, formulas, generate, oeis, series
 from .perms import format_perm, parse_basis, parse_perm
@@ -286,9 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main, not at import, and kept for the
+    # process: parsing reads the tree and changes nothing in it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.config_values = _load_config(args.config)
         args.caps = _caps(args.config_values)

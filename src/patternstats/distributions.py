@@ -25,8 +25,13 @@ error a map raises on an image another map produced (a pattern violation,
 a broken invariant, a malformed bit or Dyck word) as the check's failure.
 Cap errors, any other error, and a negative ``max_n`` still raise.
 
-Oracle rows are cached per (basis, n); a single class enumeration tallies
-all six statistics at once.  Generation caps arrive as a
+Oracle rows are cached per (basis, n).  All six rows of a class come from
+one joint tally of (asc, pk, vl, dasc, ddes), des being n - 1 - asc, that
+:func:`~patternstats.stats.joint_rows` expands.  The tally is counted
+without listing a member (:func:`~patternstats.generate.count_class`) for
+every class :func:`~patternstats.generate.counted` names, and taken over
+the listed members, one joint key per distinct up-down word, for the
+others.  Generation caps arrive as a
 :class:`~patternstats.generate.Caps` value, which is passed whole to
 :func:`~patternstats.generate.gen_class`; the cap of the route an
 enumeration takes is checked by :func:`~patternstats.generate.class_cap`
@@ -57,7 +62,15 @@ from .perms import (
     normalize_basis,
     parse_basis,
 )
-from .stats import STATS, all_stats, up_down, word_stats
+from .stats import (
+    STATS,
+    all_stats,
+    joint_rows,
+    joint_width,
+    step_gains,
+    up_down,
+    word_key,
+)
 
 _SINGLE_BASES = ("123", "132", "213", "231", "312", "321")
 _PAIR_BASES = ("123,321", "213,312", "132,213", "213,231", "123,132", "132,321")
@@ -79,15 +92,17 @@ def clear_caches() -> None:
 
 def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
     # every statistic is a function of the up-down word, so each distinct
-    # word is evaluated once; words come in order of first appearance, so
-    # every row's keys are inserted in the order a member-by-member tally
-    # would insert them
-    rows: dict[str, dict[int, int]] = {s: {} for s in STATS}
-    for w, count in Counter(map(up_down, members)).items():
-        for s, v in word_stats(w).items():
-            row = rows[s]
-            row[v] = row.get(v, 0) + count
-    return rows
+    # word gives one joint key; words, and so joint keys, come in order of
+    # first appearance, so every row's keys are inserted in the order a
+    # member-by-member tally would insert them
+    words = Counter(map(up_down, members))
+    n = len(next(iter(words), b"")) + 1
+    gains = step_gains(joint_width(n))
+    joint: dict[int, int] = {}
+    for w, count in words.items():
+        key = word_key(w, gains)
+        joint[key] = joint.get(key, 0) + count
+    return joint_rows(joint, n)
 
 
 def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, int]]:
@@ -95,8 +110,11 @@ def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, in
     generate.class_cap(n, basis_key, "auto", caps)
     cached = _oracle_cache.get((basis_key, n))
     if cached is None:
-        cached = _oracle_cache[(basis_key, n)] = _tally(
-            generate.gen_class(n, basis_key, "auto", caps))
+        if generate.counted(basis_key):
+            cached = joint_rows(generate.count_class(n, basis_key, caps), n)
+        else:
+            cached = _tally(generate.gen_class(n, basis_key, "auto", caps))
+        _oracle_cache[(basis_key, n)] = cached
     return cached
 
 

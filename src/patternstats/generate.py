@@ -25,6 +25,15 @@ memory stays bounded by the lower levels, work is in proportion to the
 class, and no cache is kept between calls.  A basis with a pattern of any
 other length is scanned with ``avoids_all`` over :func:`gen_all`.
 
+:func:`count_class` counts the same walk instead of listing it.  Since
+the values allowed next depend on the used set alone, and the six
+statistics on the last value and the last step alone, it goes forward one
+value at a time over (used set, last value, last step) states, each with
+the tally of its prefixes' statistics packed in joint keys
+(:func:`~patternstats.stats.step_gains`).  The oracle counts every class
+that :func:`gen_class` walks under "auto", as :func:`counted` says, and
+lists the others.
+
 Av(231) and Av(321) are structured classes built by the same walk, under
 the structured cap.  The other structured generators do work in
 proportion to their output.  The three pair classes with a binary
@@ -56,6 +65,7 @@ from functools import partial
 from typing import Iterator
 
 from .perms import Perm, avoids_all, normalize_basis
+from .stats import joint_width, step_gains
 
 
 @dataclass(frozen=True)
@@ -306,9 +316,11 @@ def _gen_132_321(n: int) -> Iterator[Perm]:
                    + tuple(range(a + b + 1, n + 1)))
 
 
+# the structured classes built by the filter route's walk
+_WALKED = (normalize_basis([(2, 3, 1)]), normalize_basis([(3, 2, 1)]))
+
 STRUCTURED = {
-    normalize_basis([(2, 3, 1)]): partial(_walk, key=((2, 3, 1),)),
-    normalize_basis([(3, 2, 1)]): partial(_walk, key=((3, 2, 1),)),
+    **{key: partial(_walk, key=key) for key in _WALKED},
     normalize_basis([(2, 1, 3), (3, 1, 2)]): _gen_213_312,
     normalize_basis([(1, 3, 2), (2, 1, 3)]): _gen_132_213,
     normalize_basis([(2, 1, 3), (2, 3, 1)]): _gen_213_231,
@@ -375,3 +387,65 @@ def gen_class(n: int, basis, method: str = "auto",
     if all(len(p) == 3 for p in key):
         return _walk(n, key)
     return (p for p in gen_all(n, cap=cap) if avoids_all(p, key))
+
+
+def counted(key: tuple[Perm, ...]) -> bool:
+    """Whether the oracle counts the class of the normalized basis ``key``
+    with :func:`count_class` instead of listing it.
+
+    It counts what :func:`gen_class` walks under "auto": a filter-route
+    basis of length-3 patterns, Av(231) and Av(321).  The other structured
+    classes and the bases with a pattern of another length are listed.
+    """
+    if _route(key, "auto") == "structured":
+        return key in _WALKED
+    return all(len(p) == 3 for p in key)
+
+
+def count_class(n: int, basis, caps: Caps = Caps()) -> dict[int, int]:
+    """The joint tally {joint key: members} of a basis of length-3 patterns.
+
+    Keys pack the statistics as :func:`~patternstats.stats.step_gains`
+    does for length n, and :func:`~patternstats.stats.joint_rows` turns
+    the tally into rows.  The cap of the "auto" route is checked first.
+    The class is counted forward one value at a time over states (used
+    set, last value, last step), each carrying the tally of its prefixes:
+    the values allowed next depend on the used set alone (:data:`_NEXT`),
+    and a step's gain on whether it rises and on the step before.  Keys
+    come out in a fixed order, not in the order a listing meets them.
+    """
+    key = normalize_basis(basis)
+    if not all(len(p) == 3 for p in key):
+        raise UnsupportedBasisError(
+            f"basis {key!r} has a pattern of length other than 3")
+    class_cap(n, key, "auto", caps)
+    if n == 0:
+        return {0: 1}
+    rules = [_NEXT[p] for p in key]
+    gains = step_gains(joint_width(n))
+    full = (1 << n + 1) - 2
+    # an empty prefix allows every value, and its first value is no step
+    level = {(1 << v, 1 << v, 2): {0: 1} for v in range(1, n + 1)}
+    for _ in range(n - 1):
+        after: dict[tuple[int, int, int], dict[int, int]] = {}
+        for (used, last, prev), tally in level.items():
+            allowed = _allowed(used, full - used, rules)
+            gain = gains[prev]
+            while allowed:
+                bit = _low(allowed)
+                allowed -= bit
+                up = int(bit > last)
+                step = gain[up]
+                state = (used | bit, bit, up)
+                into = after.get(state)
+                if into is None:
+                    after[state] = {k + step: c for k, c in tally.items()}
+                else:
+                    for k, c in tally.items():
+                        into[k + step] = into.get(k + step, 0) + c
+        level = after
+    joint: dict[int, int] = {}
+    for tally in level.values():
+        for k, c in tally.items():
+            joint[k] = joint.get(k, 0) + c
+    return joint

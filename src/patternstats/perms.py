@@ -199,7 +199,14 @@ def contains(host: Perm, pattern: Perm) -> bool:
 
 
 def normalize_basis(patterns) -> tuple[Perm, ...]:
-    """Canonical (sorted, duplicate-checked) form of a pattern set."""
+    """Canonical (sorted, duplicate-checked) form of a pattern set.
+
+    Basis text such as ``"231"`` is refused: :func:`parse_basis` reads it.
+    """
+    if isinstance(patterns, str):
+        raise BasisError(f"a basis is a collection of patterns, not the text "
+                         f"{patterns!r}; read basis text with "
+                         f"perms.parse_basis")
     pats = [check_perm(p) for p in patterns]
     if not pats:
         raise BasisError("pattern set must be nonempty")

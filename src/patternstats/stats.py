@@ -9,9 +9,15 @@ All six depend only on the up-down word of a permutation, the bytes
 ``w[i] = [p[i] < p[i+1]]``: asc counts the 1s and des the 0s, pk counts
 the factors 10 and vl the factors 01, and dasc = asc - vl - [w starts
 with 1], ddes = des - pk - [w starts with 0].  :func:`all_stats` reads
-them off that word with byte counts, and a tally over a class evaluates
-:func:`word_stats` once per distinct word; the one-statistic functions
+them off that word with byte counts; the one-statistic functions
 :func:`asc` ... :func:`vl` keep the window definitions.
+
+A tally over a class keeps one joint count per value of (asc, pk, vl,
+dasc, ddes), packed in one int, a field of :func:`joint_width` bits each;
+des is n - 1 - asc.  :func:`step_gains` says what each step of the word
+adds to that key, so a listed class packs each distinct word with
+:func:`word_key` and a counted class adds the gains as it goes, and
+:func:`joint_rows` expands either tally into the six rows.
 """
 
 from __future__ import annotations
@@ -83,6 +89,53 @@ def word_stats(w: bytes) -> dict[str, int]:
             "dasc": a - valleys - w.startswith(b"\x01"),
             "ddes": d - peaks - w.startswith(b"\x00"),
             "pk": peaks, "vl": valleys}
+
+
+# the statistics of a joint key, lowest field first; des = n - 1 - asc
+JOINT = ("asc", "pk", "vl", "dasc", "ddes")
+
+
+def joint_width(n: int) -> int:
+    """Bits per field of a joint key over length n: no field passes n - 1."""
+    return max(n, 1).bit_length()
+
+
+def step_gains(width: int) -> tuple[tuple[int, int], ...]:
+    """What one step of an up-down word adds to a joint key.
+
+    ``gains[prev][up]`` is the gain of an ascent (``up`` 1) or a descent
+    (``up`` 0) after a descent (``prev`` 0), after an ascent (1), or as the
+    first step (2).  Packing the statistics in fields of ``width`` bits,
+    this is the one definition both the listing tally and the counting walk
+    of a class use.
+    """
+    asc, pk, vl, dasc, ddes = (1 << i * width for i in range(len(JOINT)))
+    return ((ddes, asc + vl), (pk, asc + dasc), (0, asc))
+
+
+def word_key(w: bytes, gains: tuple[tuple[int, int], ...]) -> int:
+    """The joint key of the up-down word ``w`` under :func:`step_gains`."""
+    key, prev = 0, 2
+    for up in w:
+        key += gains[prev][up]
+        prev = up
+    return key
+
+
+def joint_rows(joint: dict[int, int], n: int) -> dict[str, dict[int, int]]:
+    """The six rows {k: count} of a joint tally {joint key: count} over
+    length n, with keys inserted in the order the joint keys first give
+    them."""
+    width = joint_width(n)
+    mask = (1 << width) - 1
+    steps = max(n - 1, 0)
+    rows: dict[str, dict[int, int]] = {s: {} for s in STATS}
+    for key, count in joint.items():
+        values = {s: key >> i * width & mask for i, s in enumerate(JOINT)}
+        values["des"] = steps - values["asc"]
+        for s, row in rows.items():
+            row[values[s]] = row.get(values[s], 0) + count
+    return rows
 
 
 def all_stats(p: Perm) -> dict[str, int]:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from patternstats import bijections, distributions, formulas, series
+from patternstats import bijections, cli, distributions, formulas, series
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
 from patternstats.stats import STATS
@@ -327,6 +327,31 @@ def test_config_caps_last_one_invocation(capsys, tmp_path):
     assert sum(json.loads(out)["counts"].values()) == catalan(7)
     code, _, err = run(capsys, "series", "--name", "des321", "--max-n", "5")
     assert code == 0, err
+
+
+def test_main_twice_in_one_process_matches_fresh_processes(capsys, tmp_path,
+                                                          monkeypatch):
+    # the parser is built on the first call and kept: a call with a config
+    # that lowers a cap, then one without, each give the stdout and exit
+    # code of a fresh process
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("structured_cap = 5\n")
+    calls = [["--config", str(cfg), "dist", "--stat", "pk", "--avoid", "231",
+              "--n", "4-6"],
+             ["dist", "--stat", "pk", "--avoid", "231", "--n", "4-6"]]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    distributions.clear_caches()
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    fresh = [subprocess.run([sys.executable, "-m", "patternstats.cli", *argv],
+                            capture_output=True, text=True)
+             for argv in calls]
+    assert in_process == [(p.returncode, p.stdout) for p in fresh]
+    assert [code for code, _ in in_process] == [2, 0]
+    assert len(built) == 1
 
 
 def test_cli_import_loads_no_network_or_pool_modules():

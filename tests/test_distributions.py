@@ -331,3 +331,24 @@ def test_tally_by_word_matches_tally_by_member():
         assert got == want
         assert [list(row.items()) for row in got.values()] == \
             [list(row.items()) for row in want.values()]
+
+
+def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
+    # every length-3 basis but the five listed pair classes is counted;
+    # listing goes through gen_class, so its calls name the listed bases
+    listed = []
+    real = generate.gen_class
+
+    def spy(n, basis, method="auto", caps=generate.Caps()):
+        listed.append(perms.normalize_basis(basis))
+        return real(n, basis, method, caps)
+
+    monkeypatch.setattr(generate, "gen_class", spy)
+    distributions.clear_caches()
+    bases = _length3_bases() + [((1, 2), (2, 3, 1)), ((2, 1, 4, 3),)]
+    for key in bases:
+        assert distribution("pk", key, 5) == naive_dist("pk", 5, key)
+    pairs = {perms.parse_basis(text) for text in distributions._PAIR_BASES}
+    assert set(listed) == pairs - {perms.parse_basis("123,321")} | {
+        ((1, 2), (2, 3, 1)), ((2, 1, 4, 3),)}
+    assert len(listed) == len(set(listed))

@@ -24,6 +24,7 @@ from patternstats.perms import (
     normalize_basis,
     parse_basis,
 )
+from patternstats.stats import STATS, joint_rows
 
 from helpers import naive_class, split_at_max_231, subsets_213_312
 
@@ -301,3 +302,82 @@ def test_filter_independent_of_request_order():
         return {key: list(gen_class(6, key, method="filter")) for key in order}
 
     assert run([a, b]) == run([b, a])
+
+
+# -- the counting walk --------------------------------------------------------
+
+def _counted_rows(n, key):
+    return joint_rows(generate.count_class(n, key), n)
+
+
+BASES3 = [key for r in range(1, 7)
+          for key in itertools.combinations(PATTERNS3, r)]
+
+
+def test_counted_rows_match_the_listing_for_every_length3_basis():
+    # the count against the tally of the walk's own listing
+    assert len(BASES3) == 63
+    for key in BASES3:
+        for n in range(11):
+            assert _counted_rows(n, key) == distributions._tally(
+                gen_class(n, key, method="filter")), (key, n)
+
+
+def test_counted_rows_match_a_contains_scan_for_every_length3_basis():
+    # a reference that does not use the walk's rules
+    for n in range(9):
+        held = [(p, {q for q in PATTERNS3 if contains(p, q)})
+                for p in gen_all(n)]
+        for key in BASES3:
+            assert _counted_rows(n, key) == distributions._tally(
+                p for p, patterns in held if patterns.isdisjoint(key)), (key, n)
+
+
+@pytest.mark.parametrize("text, from_dyck", [
+    ("231", bijections.from_dyck_231), ("321", bijections.from_dyck_321)])
+def test_counted_catalan_rows_match_the_dyck_bijections(text, from_dyck):
+    key = parse_basis(text)
+    for n in range(13):
+        assert _counted_rows(n, key) == distributions._tally(
+            map(from_dyck, gen_dyck(n))), n
+
+
+def test_joint_fields_hold_every_value():
+    # 2^69 members of Av(132,312) at n = 70: asc reaches 69, which a
+    # 6-bit field would wrap
+    distributions.clear_caches()
+    key, caps = parse_basis("132,312"), Caps(perm=70)
+    rows = {s: distributions.distribution(s, key, 70, caps=caps)
+            for s in STATS}
+    for s, row in rows.items():
+        assert sum(row.values()) == 2 ** 69, s
+    assert max(rows["asc"]) == max(rows["des"]) == 69
+    assert rows["asc"][69] == rows["des"][69] == 1
+    up, down = tuple(range(1, 101)), tuple(range(100, 0, -1))
+    assert distributions._tally([up, down, up]) == {
+        "asc": {99: 2, 0: 1}, "des": {0: 2, 99: 1},
+        "dasc": {98: 2, 0: 1}, "ddes": {0: 2, 98: 1},
+        "pk": {0: 3}, "vl": {0: 3}}
+
+
+def test_count_class_checks_the_route_cap_and_the_pattern_lengths():
+    assert generate.count_class(0, [(1, 2, 3)]) == {0: 1}
+    with pytest.raises(CapExceededError,
+                       match="^permutation size 11 exceeds cap 10$"):
+        generate.count_class(11, [(1, 2, 3)])
+    with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
+        generate.count_class(15, [(2, 3, 1)])
+    with pytest.raises(UnsupportedBasisError):
+        generate.count_class(4, [(1, 2), (2, 3, 1)])
+
+
+def test_counted_is_the_walked_auto_route():
+    # the oracle counts what gen_class walks: every length-3 basis but the
+    # five listed pair classes
+    listed = {key for key in structured_bases()
+              if key not in (((2, 3, 1),), ((3, 2, 1),))}
+    assert len(listed) == 5
+    for key in BASES3:
+        assert generate.counted(key) == (key not in listed)
+    assert not generate.counted(normalize_basis([(1, 2), (2, 3, 1)]))
+    assert not generate.counted(normalize_basis([(2, 1, 4, 3)]))

@@ -176,3 +176,11 @@ def test_normalize_basis():
         normalize_basis([(1, 2), (1, 2)])
     with pytest.raises(perms.BasisError):
         normalize_basis([()])
+
+
+def test_normalize_basis_refuses_basis_text():
+    # text is read by parse_basis; taken as an iterable it would read "231"
+    # as three one-entry patterns and fail on the first
+    for text in ("231", "213,312", ""):
+        with pytest.raises(perms.BasisError, match="perms.parse_basis"):
+            normalize_basis(text)

@@ -5,7 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from patternstats.perms import complement, parse_perm, reverse
-from patternstats.stats import STATS, all_stats, consec3_count, stat, up_down
+from patternstats.stats import (
+    STATS,
+    all_stats,
+    consec3_count,
+    joint_rows,
+    joint_width,
+    stat,
+    step_gains,
+    up_down,
+    word_key,
+    word_stats,
+)
 
 from helpers import naive_stat
 
@@ -71,3 +82,15 @@ def test_stat_symmetries(p):
     assert s["pk"] == all_stats(complement(p))["vl"]
     assert s["dasc"] == all_stats(reverse(p))["ddes"]
     assert s["asc"] == all_stats(reverse(p))["des"]
+
+
+def test_word_key_matches_word_stats():
+    # the step gains, folded over every up-down word of length <= 10 and
+    # expanded, give the byte-count statistics of the word
+    for m in range(11):
+        gains = step_gains(joint_width(m + 1))
+        for w in itertools.product((0, 1), repeat=m):
+            w = bytes(w)
+            rows = joint_rows({word_key(w, gains): 1}, m + 1)
+            assert rows == {s: {v: 1} for s, v in word_stats(w).items()}
+

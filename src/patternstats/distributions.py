@@ -4,7 +4,7 @@
 a range of n by one of three methods, and ``distribution`` is its
 one-row case.  :data:`METHODS` is the one table of the methods (the
 ``dist --method`` choices are its keys); each entry answers a whole range
-in one call: ``oracle`` generates each class and counts, ``closed_form``
+in one call: ``oracle`` counts or lists the class, ``closed_form``
 looks up the formula :func:`~patternstats.formulas.formula_for` finds
 once, and ``series`` checks every n against
 :meth:`~patternstats.generate.Caps.check_series` and then solves the
@@ -27,15 +27,19 @@ Cap errors, any other error, and a negative ``max_n`` still raise.
 
 Oracle rows are cached per (basis, n).  All six rows of a class come from
 one joint tally of (asc, pk, vl, dasc, ddes), des being n - 1 - asc, that
-:func:`~patternstats.stats.joint_rows` expands.  The tally is counted
-without listing a member (:func:`~patternstats.generate.count_class`) for
-every class :func:`~patternstats.generate.counted` names, and taken over
-the listed members, one joint key per distinct up-down word, for the
-others.  Generation caps arrive as a
-:class:`~patternstats.generate.Caps` value, which is passed whole to
-:func:`~patternstats.generate.gen_class`; the cap of the route an
-enumeration takes is checked by :func:`~patternstats.generate.class_cap`
-before the cache, so a cached row never passes a size the caps refuse.
+:func:`~patternstats.stats.joint_rows` expands.  A basis of length-3
+patterns is counted, not listed: on a cache miss one
+:func:`~patternstats.generate.count_lengths` pass fills the rows of every
+length up to the largest the caller asks for (the top of a ``dist``
+range, a check's ``max_n``), so a range costs one pass, not one per n.
+A basis with a pattern of another length is listed at each n and its
+members tallied, one joint key per distinct up-down word.  Generation
+caps arrive as a :class:`~patternstats.generate.Caps` value, which is
+passed whole to :func:`~patternstats.generate.gen_class`; the cap of the
+route an enumeration takes is checked by
+:func:`~patternstats.generate.class_cap` at each n before the cache, so a
+cached row never passes a size the caps refuse, and a pass counts no
+length the caps refuse.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
 images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
 :func:`~patternstats.formulas.closed_form_row`.
@@ -105,17 +109,26 @@ def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
     return joint_rows(joint, n)
 
 
-def _oracle_rows(basis_key: tuple, n: int, caps: Caps) -> dict[str, dict[int, int]]:
-    # checked before the cache, so that a hit cannot pass a size the caps refuse
-    generate.class_cap(n, basis_key, "auto", caps)
-    cached = _oracle_cache.get((basis_key, n))
-    if cached is None:
-        if generate.counted(basis_key):
-            cached = joint_rows(generate.count_class(n, basis_key, caps), n)
+def _oracle_rows(basis_key: tuple, n: int, caps: Caps,
+                 top: int = 0) -> dict[str, dict[int, int]]:
+    # checked before the cache, so that a hit cannot pass a size the caps
+    # refuse.  A miss on a basis of length-3 patterns counts every length
+    # to max(n, top) that the caps allow in one pass, each row's keys in
+    # increasing order; any other basis is listed at n alone
+    cap = generate.class_cap(n, basis_key, "auto", caps)
+    if (basis_key, n) not in _oracle_cache:
+        if all(len(p) == 3 for p in basis_key):
+            top = min(max(n, top), cap)
+            width = joint_width(top)
+            for m, joint in enumerate(
+                    generate.count_lengths(top, basis_key, caps)):
+                _oracle_cache[(basis_key, m)] = {
+                    s: dict(sorted(row.items()))
+                    for s, row in joint_rows(joint, m, width).items()}
         else:
-            cached = _tally(generate.gen_class(n, basis_key, "auto", caps))
-        _oracle_cache[(basis_key, n)] = cached
-    return cached
+            _oracle_cache[(basis_key, n)] = _tally(
+                generate.gen_class(n, basis_key, "auto", caps))
+    return _oracle_cache[(basis_key, n)]
 
 
 # (statistic, basis) -> name of its series in ``series.SERIES``
@@ -128,7 +141,8 @@ def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
     # every n is checked, in order, before the first enumeration
     for n in ns:
         generate.class_cap(n, key, "auto", caps)
-    return {n: dict(_oracle_rows(key, n, caps)[stat]) for n in ns}
+    top = max(ns, default=0)
+    return {n: dict(_oracle_rows(key, n, caps, top)[stat]) for n in ns}
 
 
 def _closed_form(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
@@ -271,8 +285,9 @@ def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
     """Compare the oracle rows of two (statistic, basis) pairs, n <= max_n."""
     (left_stat, left_key), (right_stat, right_key) = left, right
     for n in range(max_n + 1):
-        report.eq(_oracle_rows(left_key, n, caps)[left_stat],
-                  _oracle_rows(right_key, n, caps)[right_stat], f"{where} at n={n}")
+        report.eq(_oracle_rows(left_key, n, caps, max_n)[left_stat],
+                  _oracle_rows(right_key, n, caps, max_n)[right_stat],
+                  f"{where} at n={n}")
 
 
 @_check("CARD_SINGLE_CATALAN")
@@ -334,7 +349,7 @@ def _check_formula(fid: str, report: VerifyReport, max_n: int,
     spec = formulas.formula(fid)
     for n in range(spec.min_n, max_n + 1):
         want = formulas.closed_form_row(fid, n)
-        got = _oracle_rows(spec.basis, n, caps)[spec.stat]
+        got = _oracle_rows(spec.basis, n, caps, max_n)[spec.stat]
         report.eq(got, want,
                   f"{spec.stat} over {format_basis(spec.basis)} at n={n}")
 
@@ -350,7 +365,7 @@ def _check_series(name: str, basis: str, rows: list[tuple[str, str]],
     expansion = series.expand(name, max_n)
     key = parse_basis(basis)
     for n in range(max_n + 1):
-        oracle = _oracle_rows(key, n, caps)
+        oracle = _oracle_rows(key, n, caps, max_n)
         for stat, label in rows:
             report.eq(expansion.row_counts(n), oracle[stat],
                       f"{label} at n={n}")
@@ -391,7 +406,7 @@ def _check_uud_des_equidist(report: VerifyReport, max_n: int,
     key = parse_basis("321")
     for n in range(max_n + 1):
         report.eq(_tally_words(generate.gen_dyck(n, cap=caps.dyck), uud_count),
-                  _oracle_rows(key, n, caps)["des"],
+                  _oracle_rows(key, n, caps, max_n)["des"],
                   f"UUD tally vs descents at n={n}")
 
 
@@ -404,7 +419,7 @@ def _check_interior_uud_indec(report: VerifyReport, max_n: int,
     for n in range(max_n + 1):
         report.eq(_tally_words(generate.gen_indec(n + 1, cap=caps.dyck),
                                interior_uud_count),
-                  _oracle_rows(key, n, caps)["des"],
+                  _oracle_rows(key, n, caps, max_n)["des"],
                   f"interior UUD over indecomposables at n={n + 1}")
         report.eq(d.row_counts(n + 1), a.row_counts(n), f"z-shift at n={n}")
 

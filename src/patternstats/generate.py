@@ -25,14 +25,15 @@ memory stays bounded by the lower levels, work is in proportion to the
 class, and no cache is kept between calls.  A basis with a pattern of any
 other length is scanned with ``avoids_all`` over :func:`gen_all`.
 
-:func:`count_class` counts the same walk instead of listing it.  Since
-the values allowed next depend on the used set alone, and the six
-statistics on the last value and the last step alone, it goes forward one
-value at a time over (used set, last value, last step) states, each with
-the tally of its prefixes' statistics packed in joint keys
-(:func:`~patternstats.stats.step_gains`).  The oracle counts every class
-that :func:`gen_class` walks under "auto", as :func:`counted` says, and
-lists the others.
+The oracle does not list a basis of length-3 patterns: it counts it with
+:func:`count_lengths`, one pass over active sites that gives the joint
+tally of the six statistics (:func:`~patternstats.stats.step_gains`) for
+every length up to the largest asked.  A member is built left to right,
+each new value placed in one of the slots around the values before it,
+and each pattern forbids one interval of slots fixed by the chosen slot
+(:data:`_FORBID`).  So a state is the slot flags, runs of forbidden slots
+collapsed, with the slot just above the last value and the last step.
+Only a basis with a pattern of another length is listed for its rows.
 
 Av(231) and Av(321) are structured classes built by the same walk, under
 the structured cap.  The other structured generators do work in
@@ -389,63 +390,88 @@ def gen_class(n: int, basis, method: str = "auto",
     return (p for p in gen_all(n, cap=cap) if avoids_all(p, key))
 
 
-def counted(key: tuple[Perm, ...]) -> bool:
-    """Whether the oracle counts the class of the normalized basis ``key``
-    with :func:`count_class` instead of listing it.
+# -- counting over active sites -----------------------------------------------
 
-    It counts what :func:`gen_class` walks under "auto": a filter-route
-    basis of length-3 patterns, Av(231) and Av(321).  The other structured
-    classes and the bases with a pattern of another length are listed.
-    """
-    if _route(key, "auto") == "structured":
-        return key in _WALKED
-    return all(len(p) == 3 for p in key)
+# pattern -> the slots lo..hi that a value placed in slot j forbids, among
+# the slots 0..top around the prefix's values once it is placed, with the
+# new value between slots j and j + 1; none when lo > hi
+_FORBID = {
+    # above it, unless it is the minimum
+    (1, 2, 3): lambda j, top: (j + 1, top if j else j),
+    # below it, unless it is the maximum
+    (3, 2, 1): lambda j, top: (0 if j < top - 1 else j + 1, j),
+    # between the minimum and it
+    (1, 3, 2): lambda j, top: (1, j),
+    # between it and the maximum
+    (3, 1, 2): lambda j, top: (j + 1, top - 1),
+    # above its upper neighbour
+    (2, 1, 3): lambda j, top: (j + 2, top),
+    # below its lower neighbour
+    (2, 3, 1): lambda j, top: (0, j - 1),
+}
 
 
-def count_class(n: int, basis, caps: Caps = Caps()) -> dict[int, int]:
-    """The joint tally {joint key: members} of a basis of length-3 patterns.
+def _collapse(flags: bytearray) -> bytes:
+    # one forbidden slot for each run of them
+    while b"\0\0" in flags:
+        flags = flags.replace(b"\0\0", b"\0")
+    return bytes(flags)
+
+
+def count_lengths(max_n: int, basis,
+                  caps: Caps = Caps()) -> list[dict[int, int]]:
+    """The joint tallies {joint key: members} of lengths 0..max_n of a basis
+    of length-3 patterns, from one pass.
 
     Keys pack the statistics as :func:`~patternstats.stats.step_gains`
-    does for length n, and :func:`~patternstats.stats.joint_rows` turns
-    the tally into rows.  The cap of the "auto" route is checked first.
-    The class is counted forward one value at a time over states (used
-    set, last value, last step), each carrying the tally of its prefixes:
-    the values allowed next depend on the used set alone (:data:`_NEXT`),
-    and a step's gain on whether it rises and on the step before.  Keys
-    come out in a fixed order, not in the order a listing meets them.
+    does at width ``joint_width(max_n)`` for every length, and
+    :func:`~patternstats.stats.joint_rows` decodes them at that width.
+    The cap of the "auto" route is checked for max_n first.
+
+    Each new value goes in an allowed slot around the prefix's values
+    (West 1996; Albert, Linton & Ruškuc, "The insertion encoding of
+    permutations", 2005).  Slot j splits in two around it, and each
+    pattern forbids one interval of slots (:data:`_FORBID`); a forbidden
+    slot stays forbidden, since a value there would end an occurrence.  A
+    state is (slot flags, the slot just above the last value, the last
+    step), each run of forbidden slots collapsed into one, and it carries
+    the tally of its prefixes' joint keys.
     """
     key = normalize_basis(basis)
     if not all(len(p) == 3 for p in key):
         raise UnsupportedBasisError(
             f"basis {key!r} has a pattern of length other than 3")
-    class_cap(n, key, "auto", caps)
-    if n == 0:
-        return {0: 1}
-    rules = [_NEXT[p] for p in key]
-    gains = step_gains(joint_width(n))
-    full = (1 << n + 1) - 2
-    # an empty prefix allows every value, and its first value is no step
-    level = {(1 << v, 1 << v, 2): {0: 1} for v in range(1, n + 1)}
-    for _ in range(n - 1):
-        after: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (used, last, prev), tally in level.items():
-            allowed = _allowed(used, full - used, rules)
+    class_cap(max_n, key, "auto", caps)
+    rules = [_FORBID[p] for p in key]
+    gains = step_gains(joint_width(max_n))
+    # the first value forbids nothing and is no step
+    level = {(b"\1\1", 1, 2): {0: 1}}
+    tallies = [{0: 1}, {0: 1}][:max_n + 1]
+    for _ in range(max_n - 1):
+        after: dict[tuple[bytes, int, int], dict[int, int]] = {}
+        for (flags, mark, prev), tally in level.items():
             gain = gains[prev]
-            while allowed:
-                bit = _low(allowed)
-                allowed -= bit
-                up = int(bit > last)
+            j = flags.find(1)
+            while j >= 0:
+                new = bytearray(flags[:j] + b"\1" + flags[j:])
+                for rule in rules:
+                    lo, hi = rule(j, len(flags))
+                    new[lo:hi + 1] = bytes(max(hi + 1 - lo, 0))
+                below = _collapse(new[:j + 1])
+                up = int(j >= mark)
+                state = (below + _collapse(new[j + 1:]), len(below), up)
                 step = gain[up]
-                state = (used | bit, bit, up)
                 into = after.get(state)
                 if into is None:
                     after[state] = {k + step: c for k, c in tally.items()}
                 else:
                     for k, c in tally.items():
                         into[k + step] = into.get(k + step, 0) + c
+                j = flags.find(1, j + 1)
+        joint: dict[int, int] = {}
+        for tally in after.values():
+            for k, c in tally.items():
+                joint[k] = joint.get(k, 0) + c
+        tallies.append(joint)
         level = after
-    joint: dict[int, int] = {}
-    for tally in level.values():
-        for k, c in tally.items():
-            joint[k] = joint.get(k, 0) + c
-    return joint
+    return tallies

@@ -17,7 +17,8 @@ dasc, ddes), packed in one int, a field of :func:`joint_width` bits each;
 des is n - 1 - asc.  :func:`step_gains` says what each step of the word
 adds to that key, so a listed class packs each distinct word with
 :func:`word_key` and a counted class adds the gains as it goes, and
-:func:`joint_rows` expands either tally into the six rows.
+:func:`joint_rows` expands either tally into the six rows.  A counting
+pass packs every length at the width of its longest.
 """
 
 from __future__ import annotations
@@ -122,11 +123,13 @@ def word_key(w: bytes, gains: tuple[tuple[int, int], ...]) -> int:
     return key
 
 
-def joint_rows(joint: dict[int, int], n: int) -> dict[str, dict[int, int]]:
+def joint_rows(joint: dict[int, int], n: int,
+               width: int | None = None) -> dict[str, dict[int, int]]:
     """The six rows {k: count} of a joint tally {joint key: count} over
     length n, with keys inserted in the order the joint keys first give
-    them."""
-    width = joint_width(n)
+    them.  Fields are ``width`` bits wide, :func:`joint_width` of n unless
+    the keys were packed for a longer length."""
+    width = joint_width(n) if width is None else width
     mask = (1 << width) - 1
     steps = max(n - 1, 0)
     rows: dict[str, dict[int, int]] = {s: {} for s in STATS}

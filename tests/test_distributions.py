@@ -334,8 +334,9 @@ def test_tally_by_word_matches_tally_by_member():
 
 
 def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
-    # every length-3 basis but the five listed pair classes is counted;
-    # listing goes through gen_class, so its calls name the listed bases
+    # every basis of length-3 patterns is counted, the structured pairs
+    # too; listing goes through gen_class, so its calls name the listed
+    # bases
     listed = []
     real = generate.gen_class
 
@@ -348,7 +349,47 @@ def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
     bases = _length3_bases() + [((1, 2), (2, 3, 1)), ((2, 1, 4, 3),)]
     for key in bases:
         assert distribution("pk", key, 5) == naive_dist("pk", 5, key)
-    pairs = {perms.parse_basis(text) for text in distributions._PAIR_BASES}
-    assert set(listed) == pairs - {perms.parse_basis("123,321")} | {
-        ((1, 2), (2, 3, 1)), ((2, 1, 4, 3),)}
-    assert len(listed) == len(set(listed))
+    assert listed == [((1, 2), (2, 3, 1)), ((2, 1, 4, 3),)]
+
+
+def test_verify_counts_each_class_once_to_max_n(monkeypatch):
+    # one pass per (basis, max_n): the rows of n = 0..7 do not come from
+    # one cache miss and one pass per n
+    passes = []
+    real = generate.count_lengths
+
+    def spy(max_n, basis, caps=generate.Caps()):
+        passes.append((perms.normalize_basis(basis), max_n))
+        return real(max_n, basis, caps)
+
+    monkeypatch.setattr(generate, "count_lengths", spy)
+    distributions.clear_caches()
+    assert all(r.passed for r in verify_all(7))
+    assert passes and {max_n for _, max_n in passes} == {7}
+    assert len(passes) == len(set(passes))
+
+
+def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):
+    # one pass serves a range and any later range below its top; a range
+    # that crosses a cap fails at its first refused n, before any pass
+    passes = []
+    real = generate.count_lengths
+    monkeypatch.setattr(generate, "count_lengths",
+                        lambda max_n, basis, caps: passes.append(max_n)
+                        or real(max_n, basis, caps))
+    distributions.clear_caches()
+    key = [(2, 1, 3), (3, 1, 2)]
+    table = dist_table("pk", key, range(3, 13))
+    assert passes == [12]
+    assert [sum(row.values()) for row in table.rows.values()] == [
+        2 ** (n - 1) for n in range(3, 13)]
+    assert dist_table("pk", key, range(7)).rows == {
+        n: naive_dist("pk", n, key) for n in range(7)}
+    assert passes == [12]
+    with pytest.raises(generate.CapExceededError,
+                       match="^class size 15 exceeds cap 14$"):
+        dist_table("pk", key, range(10, 16))
+    with pytest.raises(generate.CapExceededError,
+                       match="^permutation size 11 exceeds cap 10$"):
+        dist_table("asc", [(1, 3, 2)], range(12))
+    assert passes == [12]

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patternstats import bijections, distributions, generate
+from patternstats import bijections, distributions, formulas, generate, series
 from patternstats.dyck import check_dyck, is_indecomposable
 from patternstats.formulas import binom, catalan
 from patternstats.generate import (
@@ -21,10 +23,11 @@ from patternstats.perms import (
     avoids_all,
     contains,
     format_basis,
+    format_perm,
     normalize_basis,
     parse_basis,
 )
-from patternstats.stats import STATS, joint_rows
+from patternstats.stats import STATS, joint_rows, joint_width
 
 from helpers import naive_class, split_at_max_231, subsets_213_312
 
@@ -304,42 +307,56 @@ def test_filter_independent_of_request_order():
     assert run([a, b]) == run([b, a])
 
 
-# -- the counting walk --------------------------------------------------------
+# -- counting over active sites ----------------------------------------------
 
-def _counted_rows(n, key):
-    return joint_rows(generate.count_class(n, key), n)
+def _counted_rows(max_n, key, caps=Caps()):
+    # the rows of every length to max_n, from one pass
+    width = joint_width(max_n)
+    return [joint_rows(joint, n, width) for n, joint in
+            enumerate(generate.count_lengths(max_n, key, caps))]
 
 
 BASES3 = [key for r in range(1, 7)
           for key in itertools.combinations(PATTERNS3, r)]
 
 
+def _listed_rows(max_n, key):
+    return [distributions._tally(gen_class(n, key, method="filter"))
+            for n in range(max_n + 1)]
+
+
 def test_counted_rows_match_the_listing_for_every_length3_basis():
-    # the count against the tally of the walk's own listing
+    # the count against the tally of the filter walk's listing
     assert len(BASES3) == 63
     for key in BASES3:
-        for n in range(11):
-            assert _counted_rows(n, key) == distributions._tally(
-                gen_class(n, key, method="filter")), (key, n)
+        assert _counted_rows(10, key) == _listed_rows(10, key), key
 
 
 def test_counted_rows_match_a_contains_scan_for_every_length3_basis():
-    # a reference that does not use the walk's rules
-    for n in range(9):
-        held = [(p, {q for q in PATTERNS3 if contains(p, q)})
-                for p in gen_all(n)]
-        for key in BASES3:
-            assert _counted_rows(n, key) == distributions._tally(
-                p for p, patterns in held if patterns.isdisjoint(key)), (key, n)
+    # a reference that uses neither the walk's rules nor the slot rules
+    held = {n: [(p, {q for q in PATTERNS3 if contains(p, q)})
+                for p in gen_all(n)] for n in range(9)}
+    for key in BASES3:
+        assert _counted_rows(8, key) == [
+            distributions._tally(p for p, patterns in held[n]
+                                 if patterns.isdisjoint(key))
+            for n in range(9)], key
 
 
 @pytest.mark.parametrize("text, from_dyck", [
     ("231", bijections.from_dyck_231), ("321", bijections.from_dyck_321)])
 def test_counted_catalan_rows_match_the_dyck_bijections(text, from_dyck):
     key = parse_basis(text)
-    for n in range(13):
-        assert _counted_rows(n, key) == distributions._tally(
-            map(from_dyck, gen_dyck(n))), n
+    assert _counted_rows(12, key) == [
+        distributions._tally(map(from_dyck, gen_dyck(n))) for n in range(13)]
+
+
+@pytest.mark.parametrize("key", [
+    key for key in structured_bases() if len(key) == 2], ids=format_basis)
+def test_counted_pair_rows_match_the_structured_listing(key):
+    assert _counted_rows(14, key) == [
+        distributions._tally(gen_class(n, key, method="structured"))
+        for n in range(15)]
 
 
 def test_joint_fields_hold_every_value():
@@ -360,24 +377,81 @@ def test_joint_fields_hold_every_value():
         "pk": {0: 3}, "vl": {0: 3}}
 
 
-def test_count_class_checks_the_route_cap_and_the_pattern_lengths():
-    assert generate.count_class(0, [(1, 2, 3)]) == {0: 1}
+def test_count_lengths_checks_the_route_cap_and_the_pattern_lengths():
+    assert generate.count_lengths(0, [(1, 2, 3)]) == [{0: 1}]
+    assert generate.count_lengths(1, [(1, 2, 3)]) == [{0: 1}, {0: 1}]
     with pytest.raises(CapExceededError,
                        match="^permutation size 11 exceeds cap 10$"):
-        generate.count_class(11, [(1, 2, 3)])
+        generate.count_lengths(11, [(1, 2, 3)])
     with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
-        generate.count_class(15, [(2, 3, 1)])
+        generate.count_lengths(15, [(2, 3, 1)])
+    with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
+        generate.count_lengths(15, [(2, 1, 3), (3, 1, 2)])
+    with pytest.raises(ValueError, match="^class size must be nonnegative: -1$"):
+        generate.count_lengths(-1, [(3, 2, 1)])
     with pytest.raises(UnsupportedBasisError):
-        generate.count_class(4, [(1, 2), (2, 3, 1)])
+        generate.count_lengths(4, [(1, 2), (2, 3, 1)])
 
 
-def test_counted_is_the_walked_auto_route():
-    # the oracle counts what gen_class walks: every length-3 basis but the
-    # five listed pair classes
-    listed = {key for key in structured_bases()
-              if key not in (((2, 3, 1),), ((3, 2, 1),))}
-    assert len(listed) == 5
-    for key in BASES3:
-        assert generate.counted(key) == (key not in listed)
-    assert not generate.counted(normalize_basis([(1, 2), (2, 3, 1)]))
-    assert not generate.counted(normalize_basis([(2, 1, 4, 3)]))
+def _shifted(rule, end, by):
+    def shifted(j, top):
+        ends = list(rule(j, top))
+        ends[end] += by
+        return tuple(ends)
+    return shifted
+
+
+@pytest.mark.parametrize("pattern", PATTERNS3, ids=format_perm)
+def test_a_one_slot_error_in_any_interval_rule_fails(pattern, monkeypatch):
+    # moving either end of a rule's interval by one slot gives rows that
+    # differ from the listing for some basis holding the pattern, n <= 7.
+    # Two shifts reach past the slots, 213's hi + 1 and 231's lo - 1: they
+    # forbid no other slot, but the slice they assign then changes the
+    # number of slots, so they fail too
+    holding = [key for key in BASES3 if pattern in key]
+    listed = {key: _listed_rows(7, key) for key in holding}
+    rule = generate._FORBID[pattern]
+    for end, by in itertools.product((0, 1), (-1, 1)):
+        monkeypatch.setitem(generate._FORBID, pattern, _shifted(rule, end, by))
+        assert any(_counted_rows(7, key) != listed[key] for key in holding), (
+            "lo" if end == 0 else "hi", by)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sets(st.sampled_from(PATTERNS3), min_size=1).map(
+           normalize_basis),
+       stat=st.sampled_from(STATS), n=st.integers(0, 8))
+def test_counted_rows_match_the_filter_listing(key, stat, n):
+    width = joint_width(8)
+    joint = generate.count_lengths(8, key)[n]
+    assert joint_rows(joint, n, width)[stat] == distributions._tally(
+        gen_class(n, key, method="filter"))[stat]
+
+
+# (basis text, largest n) of the cross-checks of closed forms and series:
+# Av(132) and Av(312) have the most states
+_CROSS_N = {**{text: 60 for text in distributions._PAIR_BASES},
+            **{text: 30 for text in ("123", "213", "231", "321")},
+            "132": 14, "312": 14}
+
+
+def test_counted_rows_match_every_closed_form_and_series_to_large_n():
+    caps = Caps(perm=60, structured=60)
+    counted = {parse_basis(text): _counted_rows(top, parse_basis(text), caps)
+               for text, top in _CROSS_N.items()}
+    checked = 0
+    for fid in formulas.formula_ids():
+        spec = formulas.formula(fid)
+        rows = counted[spec.basis]
+        for n in range(spec.min_n, len(rows)):
+            assert rows[n][spec.stat] == formulas.closed_form_row(fid, n), (
+                fid, n)
+            checked += 1
+    for name, (_, cells) in series.SERIES.items():
+        for stat, text in cells:
+            rows = counted[parse_basis(text)]
+            expansion = series.expand(name, len(rows) - 1)
+            for n, row in enumerate(rows):
+                assert row[stat] == expansion.row_counts(n), (name, stat, n)
+                checked += 1
+    assert checked > 1000

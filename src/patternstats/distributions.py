@@ -319,27 +319,35 @@ def _check_card_123_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
         report.eq(class_size(n, key, caps=caps), 0, f"|S_{n}(123,321)|")
 
 
-# Av(231) and Av(321) are built by the filter route's own walk, so their
-# structured members are checked against the Dyck bijections instead
-_FROM_DYCK = {parse_basis("231"): bijections.from_dyck_231,
-              parse_basis("321"): bijections.from_dyck_321}
+def _reference(key: tuple[Perm, ...], n: int,
+               caps: Caps) -> tuple[str, Iterable[Perm]]:
+    # (its name, a listing) of structured class key at n that shares no rule
+    # with the walk: Av(231) and Av(321) from Dyck words, an encoded pair
+    # through its decoder, and any other pair as the complements of the walk
+    # over the complement basis, whose _NEXT rules are disjoint from its own
+    tag = format_basis(key).replace(",", "_")
+    if len(key) == 1:
+        from_dyck = getattr(bijections, f"from_dyck_{tag}")
+        return "Dyck words", map(from_dyck, generate.gen_dyck(n, cap=caps.dyck))
+    if tag in _ENCODINGS:
+        if n == 0:
+            return "bit words", [()]
+        words = generate.gen_bits(n - 1, cap=caps.bits)
+        return "bit words", map(getattr(bijections, f"decode_{tag}"), words)
+    image = transform_basis(key, "c")
+    return (f"complements of {format_basis(image)}",
+            map(SYMMETRIES["c"], generate.gen_class(n, image, "filter", caps)))
 
 
 @_check("STRUCTURED_MATCHES_FILTER", bound=9)
 def _check_structured_filter(report: VerifyReport, max_n: int,
                              caps: Caps) -> None:
     for key in generate.structured_bases():
-        from_dyck = _FROM_DYCK.get(key)
         for n in range(max_n + 1):
             structured = sorted(generate.gen_class(n, key, "structured", caps))
             report.ok(len(set(structured)) == len(structured),
                       f"duplicates from structured {format_basis(key)} at n={n}")
-            if from_dyck is None:
-                route = "filter"
-                reference = generate.gen_class(n, key, "filter", caps)
-            else:
-                route = "Dyck words"
-                reference = map(from_dyck, generate.gen_dyck(n, cap=caps.dyck))
+            route, reference = _reference(key, n, caps)
             report.eq(structured, sorted(reference),
                       f"structured vs {route} for {format_basis(key)} at n={n}")
 

@@ -2,9 +2,8 @@
 
 Everything is a generator with a fixed, documented order so that results
 are reproducible: full symmetric groups and binary words come out in
-lexicographic order, Dyck words in lexicographic order with D < U, the
-filter route and the two Catalan classes in lexicographic order, and the
-structured pair-class generators in a fixed recursive order of their own.
+lexicographic order, Dyck words in lexicographic order with D < U, and
+every class, on either route, in lexicographic order.
 
 The filter route walks a basis of length-3 patterns over value sets.
 Whether a value may come next in an avoider depends only on the set of
@@ -35,17 +34,11 @@ and each pattern forbids one interval of slots fixed by the chosen slot
 collapsed, with the slot just above the last value and the last step.
 Only a basis with a pattern of another length is listed for its rows.
 
-Av(231) and Av(321) are structured classes built by the same walk, under
-the structured cap.  The other structured generators do work in
-proportion to their output.  The three pair classes with a binary
-encoding come out in the lex order of their words, as the
-``bijections.decode_*`` maps would give them, but with no decode call.
-213,231 and 123,132 walk their first n - 2 bits level by level, and the
-last bit places the two values left (213,231) or the value 1 (123,132).
-132,213 is a skew sum of increasing runs, so a member is its top run
-followed by a smaller member; the classes up to size n // 2 are listed
-once and the larger ones streamed.  Av(213,312) is an increasing prefix,
-n, then the rest decreasing: each subset of 1..n-1 with its complement.
+The structured classes (:data:`STRUCTURED`) are the two Catalan classes
+Av(231) and Av(321) and the five pair classes of the paper.  They are
+listed by the same walk as every other basis of length-3 patterns, so
+they come out in lexicographic order; the route decides only the cap,
+``structured`` rather than ``perm``.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value: :func:`gen_class` takes it whole, and
@@ -54,18 +47,17 @@ each word generator (:func:`gen_all`, :func:`gen_bits`, :func:`gen_dyck`,
 ``Caps()``.  This module alone decides which route a basis and method
 take and which cap applies: :func:`class_cap` checks a size against the
 route's cap, for :func:`gen_class` and for callers that must refuse a
-size before reading a cache.  A structured class generator checks only
-the class cap; it walks no capped Dyck or binary word generator.
+size before reading a cache.  A structured class is checked against the
+class cap alone; its walk reads no capped Dyck or binary word generator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
-from .perms import Perm, avoids_all, normalize_basis
+from .perms import Perm, avoids_all, normalize_basis, parse_basis
 from .stats import joint_width, step_gains
 
 
@@ -75,8 +67,8 @@ class Caps:
 
     perm: int = 10        # gen_all and the filter route
     dyck: int = 14        # gen_dyck and gen_indec
-    bits: int = 30        # gen_bits; not the binary pair generators
-    structured: int = 14  # every structured class generator
+    bits: int = 30        # gen_bits
+    structured: int = 14  # every class of STRUCTURED
     series: int = 24      # the degree of a named series, by either route
 
     def check_series(self, degree: int) -> None:
@@ -95,7 +87,9 @@ class CapExceededError(ValueError):
 
 
 class UnsupportedBasisError(ValueError):
-    """No structured generator is registered for the basis."""
+    """The basis is outside what was asked of it: method "structured" for a
+    basis not in :data:`STRUCTURED`, or :func:`count_lengths` for a basis
+    with a pattern of a length other than 3."""
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -236,107 +230,20 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
     return ("U" + d + "D" for d in gen_dyck(n - 1, cap=cap))
 
 
-# -- structured class generators ---------------------------------------------
+# -- the structured classes --------------------------------------------------
 
-def _gen_213_312(n: int) -> Iterator[Perm]:
-    # an increasing prefix on a set P of 1..n-1, the maximum, then the other
-    # values decreasing, by |P| and then P in lex order.  The complements of
-    # the r-sets, taken in lex order, are the (n-1-r)-sets in reverse lex
-    # order
-    if n == 0:
-        yield ()
-        return
-    values = range(1, n)
-    for r in range(n):
-        rests = reversed(list(itertools.combinations(values, n - 1 - r)))
-        for p, rest in zip(itertools.combinations(values, r), rests):
-            yield p + (n,) + rest[::-1]
-
-
-def _gen_213_231(n: int) -> Iterator[Perm]:
-    # the words of n - 1 bits in lex order: bit 0 takes the maximum hi of
-    # the values left, bit 1 the minimum lo; the first n - 2 bits are walked
-    # level by level, and the last bit orders the two values left
-    if n < 2:
-        yield tuple(range(1, n + 1))
-        return
-    level = [((), 1, n)]
-    for _ in range(n - 2):
-        level = [step for p, lo, hi in level
-                 for step in ((p + (hi,), lo, hi - 1),
-                              (p + (lo,), lo + 1, hi))]
-    for p, lo, hi in level:
-        yield p + (hi, lo)
-        yield p + (lo, hi)
-
-
-def _gen_123_132(n: int) -> Iterator[Perm]:
-    # from the single entry n, value v = n - 1..1 goes before the last
-    # entry (bit 0) or after it (bit 1); the values n - 1..2 are walked
-    # level by level into (body, last), and the member is body + (last,)
-    # with 1 placed last
-    if n < 2:
-        yield tuple(range(1, n + 1))
-        return
-    level = [((), n)]
-    for v in range(n - 1, 1, -1):
-        level = [step for body, last in level
-                 for step in ((body + (v,), last), (body + (last,), v))]
-    for body, last in level:
-        yield body + (1, last)
-        yield body + (last, 1)
-
-
-def _gen_132_213(n: int) -> Iterator[Perm]:
-    # the classes of sizes 0..n // 2 are listed once; the larger ones are
-    # streamed from them
-    classes: list[list[Perm]] = [[()]]
-    for m in range(1, n // 2 + 1):
-        classes.append(list(_runs_132_213(m, classes)))
-    yield from (classes[n] if n < len(classes)
-                else _runs_132_213(n, classes))
-
-
-def _runs_132_213(m: int, classes: list[list[Perm]]) -> Iterator[Perm]:
-    # a skew sum of increasing runs: the first run is the top r values,
-    # r = 1..m in the lex order of the words, then a member of size m - r
-    for r in range(1, m + 1):
-        run = tuple(range(m - r + 1, m + 1))
-        rests = (classes[m - r] if m - r < len(classes)
-                 else _runs_132_213(m - r, classes))
-        for b in rests:
-            yield run + b
-
-
-def _gen_132_321(n: int) -> Iterator[Perm]:
-    # the identity, plus one permutation per choice of a descending cut
-    yield tuple(range(1, n + 1))
-    for a in range(1, n):
-        for b in range(1, n - a + 1):
-            yield (tuple(range(b + 1, b + a + 1)) + tuple(range(1, b + 1))
-                   + tuple(range(a + b + 1, n + 1)))
-
-
-# the structured classes built by the filter route's walk
-_WALKED = (normalize_basis([(2, 3, 1)]), normalize_basis([(3, 2, 1)]))
-
-STRUCTURED = {
-    **{key: partial(_walk, key=key) for key in _WALKED},
-    normalize_basis([(2, 1, 3), (3, 1, 2)]): _gen_213_312,
-    normalize_basis([(1, 3, 2), (2, 1, 3)]): _gen_132_213,
-    normalize_basis([(2, 1, 3), (2, 3, 1)]): _gen_213_231,
-    normalize_basis([(1, 2, 3), (1, 3, 2)]): _gen_123_132,
-    normalize_basis([(1, 3, 2), (3, 2, 1)]): _gen_132_321,
-}
+# the bases whose classes take the structured cap; each is listed by the
+# filter route's walk
+STRUCTURED = tuple(map(parse_basis, (
+    "231", "321", "213,312", "132,213", "213,231", "123,132", "132,321")))
 
 
 def structured_bases() -> tuple[tuple[Perm, ...], ...]:
-    return tuple(STRUCTURED)
+    return STRUCTURED
 
 
 def _route(key: tuple[Perm, ...], method: str) -> str:
-    # "structured" or "filter"; "auto" is structured when a generator is
-    # registered for the key
+    # "structured" or "filter"; "auto" is structured for a key in STRUCTURED
     if method == "auto":
         return "structured" if key in STRUCTURED else "filter"
     if method == "structured":
@@ -367,24 +274,19 @@ def gen_class(n: int, basis, method: str = "auto",
               caps: Caps = Caps()) -> Iterator[Perm]:
     """All permutations of length n avoiding every pattern in ``basis``.
 
-    ``method`` is "filter" (walk the class in lexicographic order),
-    "structured" (use a registered class-specific generator), or "auto"
-    (structured when available).  Filter output is lexicographic;
-    so is the walked structured output of Av(231) and Av(321); the other
-    structured orders are generator-specific but fixed.  ``caps`` is
-    the run's :class:`Caps`; the route taken is capped by its field,
-    ``perm`` or ``structured``.
+    ``method`` is "filter", "structured" (only for a basis in
+    :data:`STRUCTURED`), or "auto" (structured for such a basis, filter
+    otherwise).  The method picks only the cap: ``caps`` is the run's
+    :class:`Caps`, and the route taken is capped by its field, ``perm`` or
+    ``structured``.  Every class comes out in lexicographic order.
 
     The cap is checked first, by :func:`class_cap`.  A basis of length-3
     patterns is then walked over value sets, the completions of each set
-    with at most :data:`_LISTED` values left listed once; any other basis is scanned over :func:`gen_all` with
-    ``avoids_all``.
+    with at most :data:`_LISTED` values left listed once; any other basis
+    is scanned over :func:`gen_all` with ``avoids_all``.
     """
     key = normalize_basis(basis)
-    route = _route(key, method)
-    cap = class_cap(n, key, route, caps)
-    if route == "structured":
-        return STRUCTURED[key](n)
+    cap = class_cap(n, key, method, caps)
     if all(len(p) == 3 for p in key):
         return _walk(n, key)
     return (p for p in gen_all(n, cap=cap) if avoids_all(p, key))

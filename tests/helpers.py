@@ -81,9 +81,9 @@ def split_at_max_231(n):
 
 
 def subsets_213_312(n):
-    """S_n(213, 312) in the generator's order: an increasing prefix on each
+    """S_n(213, 312) rebuilt from subsets: an increasing prefix on each
     r-subset of 1..n-1, r = 0..n-1 and the subsets in lex order, then n,
-    then the other values decreasing."""
+    then the other values decreasing; by r, not in lex order."""
     if n == 0:
         yield ()
         return

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import re
-from functools import partial
 
 import pytest
 
@@ -164,12 +163,28 @@ def test_map_error_is_reported_as_the_failure(monkeypatch):
     assert report.checked == 5
 
 
-@pytest.mark.parametrize("walked, listed", [("231", "213"), ("321", "123")])
+# structured basis walked -> (a class of the same size listed for it alone,
+# the name of the reference that tells the two apart)
+_WALK_FAULTS = {
+    "231": ("213", "Dyck words"),
+    "321": ("123", "Dyck words"),
+    "213,312": ("132,213", "complements of 132,231"),
+    "132,213": ("213,312", "bit words"),
+    "213,231": ("132,213", "bit words"),
+    "123,132": ("213,312", "bit words"),
+    "132,321": ("123,231", "complements of 123,312"),
+}
+
+
+@pytest.mark.parametrize(
+    "walked", _WALK_FAULTS,
+    ids=[f"{walked}-{listed}" for walked, (listed, _) in _WALK_FAULTS.items()])
 def test_structured_check_catches_a_fault_in_the_catalan_walk(
-        monkeypatch, walked, listed):
-    # a walk that lists Av(213) (Av(123)) for the basis 231 (321), on both
-    # the structured and the filter route, gives a class of the right size
-    # that only a reference from outside the walk tells apart
+        monkeypatch, walked):
+    # a walk that lists a class of the right size for one structured basis,
+    # on both the structured and the filter route, is told apart only by a
+    # reference that shares no rule with that walk
+    listed, reference = _WALK_FAULTS[walked]
     basis, wrong = perms.parse_basis(walked), perms.parse_basis(listed)
     real = generate._walk
 
@@ -177,11 +192,10 @@ def test_structured_check_catches_a_fault_in_the_catalan_walk(
         return real(n, wrong if key == basis else key)
 
     monkeypatch.setattr(generate, "_walk", faulty)
-    monkeypatch.setitem(generate.STRUCTURED, basis, partial(faulty, key=basis))
     report, = verify_all(6, selection="STRUCTURED_MATCHES_FILTER")
     assert not report.passed
     assert report.failure.startswith(
-        f"structured vs Dyck words for {walked} at n=3: got ")
+        f"structured vs {reference} for {walked} at n=3: got ")
 
 
 def test_cap_and_size_errors_still_raise():

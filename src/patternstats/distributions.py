@@ -25,13 +25,17 @@ error a map raises on an image another map produced (a pattern violation,
 a broken invariant, a malformed bit or Dyck word) as the check's failure.
 Cap errors, any other error, and a negative ``max_n`` still raise.
 
-Oracle rows are cached per (basis, n).  All six rows of a class come from
-one joint tally of (asc, pk, vl, dasc, ddes), des being n - 1 - asc, that
-:func:`~patternstats.stats.joint_rows` expands.  A basis of length-3
-patterns is counted, not listed: on a cache miss one
-:func:`~patternstats.generate.count_lengths` pass fills the rows of every
-length up to the largest the caller asks for (the top of a ``dist``
-range, a check's ``max_n``), so a range costs one pass, not one per n.
+Oracle rows are cached per (basis, n) as one joint tally of (asc, pk,
+vl, dasc, ddes), des being n - 1 - asc, with the width it was packed at;
+:func:`~patternstats.stats.joint_row` projects a statistic's row from it
+when that row is first read, so a caller that reads one statistic pays
+for one row.  A counted row's keys come in increasing order, a listed
+row's in the order its joint keys first give them, whichever statistic
+is read first.  A basis of length-3 patterns is counted, not listed: on
+a cache miss one :func:`~patternstats.generate.count_lengths` pass fills
+the tallies of every length up to the largest the caller asks for (the
+top of a ``dist`` range, a check's ``max_n``), so a range costs one
+pass, not one per n.
 A basis with a pattern of another length is listed at each n and its
 members tallied, one joint key per distinct up-down word.  Generation
 caps arrive as a :class:`~patternstats.generate.Caps` value, which is
@@ -49,9 +53,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bijections, dyck, formulas, generate, series
 from .dyck import factor_count, interior_uud_count, uud_count
@@ -69,7 +74,7 @@ from .perms import (
 from .stats import (
     STATS,
     all_stats,
-    joint_rows,
+    joint_row,
     joint_width,
     step_gains,
     up_down,
@@ -86,7 +91,39 @@ class UnsupportedMethodError(ValueError):
 
 # -- oracle rows --------------------------------------------------------------
 
-_oracle_cache: dict[tuple, dict[str, dict[int, int]]] = {}
+class _Rows(Mapping):
+    """The six rows of one length's joint tally, each projected by
+    :func:`~patternstats.stats.joint_row` when it is first read.  Keys come
+    in increasing order when ``ordered``, else in the order the joint keys
+    first give them."""
+
+    def __init__(self, joint: dict[int, int], n: int, width: int,
+                 ordered: bool):
+        self.joint, self.n, self.width, self.ordered = joint, n, width, ordered
+        self._rows: dict[str, dict[int, int]] = {}
+
+    def __getitem__(self, stat: str) -> dict[int, int]:
+        row = self._rows.get(stat)
+        if row is None:
+            if stat not in STATS:
+                raise KeyError(stat)
+            row = joint_row(self.joint, self.n, stat, self.width)
+            if self.ordered:
+                row = dict(sorted(row.items()))
+            self._rows[stat] = row
+        return row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(STATS)
+
+    def __len__(self) -> int:
+        return len(STATS)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+_oracle_cache: dict[tuple, _Rows] = {}
 
 
 def clear_caches() -> None:
@@ -94,23 +131,23 @@ def clear_caches() -> None:
     _oracle_cache.clear()
 
 
-def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
+def _tally(members: Iterable[Perm]) -> _Rows:
     # every statistic is a function of the up-down word, so each distinct
     # word gives one joint key; words, and so joint keys, come in order of
     # first appearance, so every row's keys are inserted in the order a
     # member-by-member tally would insert them
     words = Counter(map(up_down, members))
     n = len(next(iter(words), b"")) + 1
-    gains = step_gains(joint_width(n))
+    width = joint_width(n)
+    gains = step_gains(width)
     joint: dict[int, int] = {}
     for w, count in words.items():
         key = word_key(w, gains)
         joint[key] = joint.get(key, 0) + count
-    return joint_rows(joint, n)
+    return _Rows(joint, n, width, ordered=False)
 
 
-def _oracle_rows(basis_key: tuple, n: int, caps: Caps,
-                 top: int = 0) -> dict[str, dict[int, int]]:
+def _oracle_rows(basis_key: tuple, n: int, caps: Caps, top: int = 0) -> _Rows:
     # checked before the cache, so that a hit cannot pass a size the caps
     # refuse.  A miss on a basis of length-3 patterns counts every length
     # to max(n, top) that the caps allow in one pass, each row's keys in
@@ -122,9 +159,8 @@ def _oracle_rows(basis_key: tuple, n: int, caps: Caps,
             width = joint_width(top)
             for m, joint in enumerate(
                     generate.count_lengths(top, basis_key, caps)):
-                _oracle_cache[(basis_key, m)] = {
-                    s: dict(sorted(row.items()))
-                    for s, row in joint_rows(joint, m, width).items()}
+                _oracle_cache[(basis_key, m)] = _Rows(joint, m, width,
+                                                      ordered=True)
         else:
             _oracle_cache[(basis_key, n)] = _tally(
                 generate.gen_class(n, basis_key, "auto", caps))

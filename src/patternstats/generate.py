@@ -32,7 +32,11 @@ each new value placed in one of the slots around the values before it,
 and each pattern forbids one interval of slots fixed by the chosen slot
 (:data:`_FORBID`).  So a state is the slot flags, runs of forbidden slots
 collapsed, with the slot just above the last value and the last step.
-Only a basis with a pattern of another length is listed for its rows.
+The moves out of a state depend on its flags and the basis alone, so a
+pass finds the moves of each distinct flag string once, in a memo local
+to the call and shared by all its levels; a state's mark and last step
+only say which moves are ascents and what each adds to the tally.  Only
+a basis with a pattern of another length is listed for its rows.
 
 The structured classes (:data:`STRUCTURED`) are the two Catalan classes
 Av(231) and Av(321) and the five pair classes of the paper.  They are
@@ -320,6 +324,22 @@ def _collapse(flags: bytearray) -> bytes:
     return bytes(flags)
 
 
+def _moves(flags: bytes, rules) -> list[tuple[int, bytes, int]]:
+    # (j, the flags after a value in slot j, the slot just above that value)
+    # for each allowed slot j
+    moves = []
+    j = flags.find(1)
+    while j >= 0:
+        new = bytearray(flags[:j] + b"\1" + flags[j:])
+        for rule in rules:
+            lo, hi = rule(j, len(flags))
+            new[lo:hi + 1] = bytes(max(hi + 1 - lo, 0))
+        below = _collapse(new[:j + 1])
+        moves.append((j, below + _collapse(new[j + 1:]), len(below)))
+        j = flags.find(1, j + 1)
+    return moves
+
+
 def count_lengths(max_n: int, basis,
                   caps: Caps = Caps()) -> list[dict[int, int]]:
     """The joint tallies {joint key: members} of lengths 0..max_n of a basis
@@ -327,7 +347,7 @@ def count_lengths(max_n: int, basis,
 
     Keys pack the statistics as :func:`~patternstats.stats.step_gains`
     does at width ``joint_width(max_n)`` for every length, and
-    :func:`~patternstats.stats.joint_rows` decodes them at that width.
+    :func:`~patternstats.stats.joint_row` projects them at that width.
     The cap of the "auto" route is checked for max_n first.
 
     Each new value goes in an allowed slot around the prefix's values
@@ -337,7 +357,11 @@ def count_lengths(max_n: int, basis,
     slot stays forbidden, since a value there would end an occurrence.  A
     state is (slot flags, the slot just above the last value, the last
     step), each run of forbidden slots collapsed into one, and it carries
-    the tally of its prefixes' joint keys.
+    the tally of its prefixes' joint keys.  The next flags depend on the
+    flags and the basis alone, so the moves of each distinct flag string
+    are found once per call and shared by every level of the pass; a
+    state's slot mark and last step choose only whether a move is an
+    ascent and what it adds to the keys.
     """
     key = normalize_basis(basis)
     if not all(len(p) == 3 for p in key):
@@ -346,6 +370,7 @@ def count_lengths(max_n: int, basis,
     class_cap(max_n, key, "auto", caps)
     rules = [_FORBID[p] for p in key]
     gains = step_gains(joint_width(max_n))
+    moves: dict[bytes, list[tuple[int, bytes, int]]] = {}
     # the first value forbids nothing and is no step
     level = {(b"\1\1", 1, 2): {0: 1}}
     tallies = [{0: 1}, {0: 1}][:max_n + 1]
@@ -353,15 +378,12 @@ def count_lengths(max_n: int, basis,
         after: dict[tuple[bytes, int, int], dict[int, int]] = {}
         for (flags, mark, prev), tally in level.items():
             gain = gains[prev]
-            j = flags.find(1)
-            while j >= 0:
-                new = bytearray(flags[:j] + b"\1" + flags[j:])
-                for rule in rules:
-                    lo, hi = rule(j, len(flags))
-                    new[lo:hi + 1] = bytes(max(hi + 1 - lo, 0))
-                below = _collapse(new[:j + 1])
+            found = moves.get(flags)
+            if found is None:
+                found = moves[flags] = _moves(flags, rules)
+            for j, new, at in found:
                 up = int(j >= mark)
-                state = (below + _collapse(new[j + 1:]), len(below), up)
+                state = (new, at, up)
                 step = gain[up]
                 into = after.get(state)
                 if into is None:
@@ -369,7 +391,6 @@ def count_lengths(max_n: int, basis,
                 else:
                     for k, c in tally.items():
                         into[k + step] = into.get(k + step, 0) + c
-                j = flags.find(1, j + 1)
         joint: dict[int, int] = {}
         for tally in after.values():
             for k, c in tally.items():

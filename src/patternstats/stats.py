@@ -17,8 +17,9 @@ dasc, ddes), packed in one int, a field of :func:`joint_width` bits each;
 des is n - 1 - asc.  :func:`step_gains` says what each step of the word
 adds to that key, so a listed class packs each distinct word with
 :func:`word_key` and a counted class adds the gains as it goes, and
-:func:`joint_rows` expands either tally into the six rows.  A counting
-pass packs every length at the width of its longest.
+:func:`joint_row` projects either tally onto the row of one statistic,
+so a caller that reads one statistic pays for one row, not six.  A
+counting pass packs every length at the width of its longest.
 """
 
 from __future__ import annotations
@@ -123,22 +124,25 @@ def word_key(w: bytes, gains: tuple[tuple[int, int], ...]) -> int:
     return key
 
 
-def joint_rows(joint: dict[int, int], n: int,
-               width: int | None = None) -> dict[str, dict[int, int]]:
-    """The six rows {k: count} of a joint tally {joint key: count} over
-    length n, with keys inserted in the order the joint keys first give
-    them.  Fields are ``width`` bits wide, :func:`joint_width` of n unless
-    the keys were packed for a longer length."""
+def joint_row(joint: dict[int, int], n: int, stat: str,
+              width: int | None = None) -> dict[int, int]:
+    """The row {k: count} of one statistic of a joint tally {joint key:
+    count} over length n, with keys inserted in the order the joint keys
+    first give them.  Fields are ``width`` bits wide, :func:`joint_width`
+    of n unless the keys were packed for a longer length."""
+    if stat not in STATS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
     width = joint_width(n) if width is None else width
+    shift = JOINT.index("asc" if stat == "des" else stat) * width
     mask = (1 << width) - 1
-    steps = max(n - 1, 0)
-    rows: dict[str, dict[int, int]] = {s: {} for s in STATS}
+    row: dict[int, int] = {}
     for key, count in joint.items():
-        values = {s: key >> i * width & mask for i, s in enumerate(JOINT)}
-        values["des"] = steps - values["asc"]
-        for s, row in rows.items():
-            row[values[s]] = row.get(values[s], 0) + count
-    return rows
+        value = key >> shift & mask
+        row[value] = row.get(value, 0) + count
+    if stat == "des":
+        steps = max(n - 1, 0)
+        row = {steps - value: count for value, count in row.items()}
+    return row
 
 
 def all_stats(p: Perm) -> dict[str, int]:

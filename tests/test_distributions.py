@@ -407,3 +407,40 @@ def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):
                        match="^permutation size 11 exceeds cap 10$"):
         dist_table("asc", [(1, 3, 2)], range(12))
     assert passes == [12]
+
+
+def _expand(joint, n, width):
+    # the six rows of a joint tally, every field of each key decoded at
+    # once, keys in the order the joint keys first give them
+    mask = (1 << width) - 1
+    rows = {s: {} for s in stats.STATS}
+    for key, count in joint.items():
+        values = {s: key >> i * width & mask
+                  for i, s in enumerate(stats.JOINT)}
+        values["des"] = max(n - 1, 0) - values["asc"]
+        for s, row in rows.items():
+            row[values[s]] = row.get(values[s], 0) + count
+    return rows
+
+
+def test_rows_do_not_depend_on_which_statistic_is_read_first():
+    # each row is projected from the cached joint tally when first read;
+    # read in either order, the rows and their key order are the same, and
+    # equal a six-row expansion of that tally: keys increasing on the
+    # counted route, in first-given order on the listed one
+    cases = [(key, 8) for key in _length3_bases()] + [(((2, 1, 4, 3),), 7)]
+    for key, top in cases:
+        seen = []
+        for order in (stats.STATS, stats.STATS[::-1]):
+            distributions.clear_caches()
+            rows = {s: dist_table(s, key, range(top + 1)).rows for s in order}
+            seen.append({s: {n: list(row.items()) for n, row in rows[s].items()}
+                         for s in stats.STATS})
+        assert seen[0] == seen[1], key
+        for n in range(top + 1):
+            entry = distributions._oracle_cache[(key, n)]
+            want = _expand(entry.joint, n, entry.width)
+            if len(key[0]) == 3:
+                want = {s: dict(sorted(row.items())) for s, row in want.items()}
+            assert {s: list(row.items()) for s, row in want.items()} == {
+                s: seen[0][s][n] for s in stats.STATS}, (key, n)

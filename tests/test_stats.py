@@ -9,7 +9,7 @@ from patternstats.stats import (
     STATS,
     all_stats,
     consec3_count,
-    joint_rows,
+    joint_row,
     joint_width,
     stat,
     step_gains,
@@ -91,6 +91,9 @@ def test_word_key_matches_word_stats():
         gains = step_gains(joint_width(m + 1))
         for w in itertools.product((0, 1), repeat=m):
             w = bytes(w)
-            rows = joint_rows({word_key(w, gains): 1}, m + 1)
+            rows = {s: joint_row({word_key(w, gains): 1}, m + 1, s)
+                    for s in STATS}
             assert rows == {s: {v: 1} for s, v in word_stats(w).items()}
+    with pytest.raises(ValueError, match="^unknown statistic 'peaks'"):
+        joint_row({0: 1}, 1, "peaks")
 

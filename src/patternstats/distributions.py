@@ -29,21 +29,19 @@ Oracle rows are cached per (basis, n) as one joint tally of (asc, pk,
 vl, dasc, ddes), des being n - 1 - asc, with the width it was packed at;
 :func:`~patternstats.stats.joint_row` projects a statistic's row from it
 when that row is first read, so a caller that reads one statistic pays
-for one row.  A counted row's keys come in increasing order, a listed
-row's in the order its joint keys first give them, whichever statistic
-is read first.  A basis of length-3 patterns is counted, not listed: on
-a cache miss one :func:`~patternstats.generate.count_lengths` pass fills
-the tallies of every length up to the largest the caller asks for (the
-top of a ``dist`` range, a check's ``max_n``), so a range costs one
-pass, not one per n.
+for one row.  Every row's keys come in increasing order, whichever
+statistic is read first.  A basis of length-3 patterns is counted, not
+listed: on a cache miss one :func:`~patternstats.generate.count_lengths`
+pass fills the tallies of every length up to the largest the caller asks
+for (the top of a ``dist`` range, a check's ``max_n``), so a range costs
+one pass, not one per n.
 A basis with a pattern of another length is listed at each n and its
 members tallied, one joint key per distinct up-down word.  Generation
 caps arrive as a :class:`~patternstats.generate.Caps` value, which is
 passed whole to :func:`~patternstats.generate.gen_class`; the cap of the
-route an enumeration takes is checked by
-:func:`~patternstats.generate.class_cap` at each n before the cache, so a
-cached row never passes a size the caps refuse, and a pass counts no
-length the caps refuse.
+basis is checked by :func:`~patternstats.generate.class_cap` at each n
+before the cache, so a cached row never passes a size the caps refuse,
+and a pass counts no length the caps refuse.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
 images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
 :func:`~patternstats.formulas.closed_form_row`.
@@ -93,13 +91,10 @@ class UnsupportedMethodError(ValueError):
 
 class _Rows(Mapping):
     """The six rows of one length's joint tally, each projected by
-    :func:`~patternstats.stats.joint_row` when it is first read.  Keys come
-    in increasing order when ``ordered``, else in the order the joint keys
-    first give them."""
+    :func:`~patternstats.stats.joint_row` when it is first read."""
 
-    def __init__(self, joint: dict[int, int], n: int, width: int,
-                 ordered: bool):
-        self.joint, self.n, self.width, self.ordered = joint, n, width, ordered
+    def __init__(self, joint: dict[int, int], n: int, width: int):
+        self.joint, self.n, self.width = joint, n, width
         self._rows: dict[str, dict[int, int]] = {}
 
     def __getitem__(self, stat: str) -> dict[int, int]:
@@ -107,10 +102,8 @@ class _Rows(Mapping):
         if row is None:
             if stat not in STATS:
                 raise KeyError(stat)
-            row = joint_row(self.joint, self.n, stat, self.width)
-            if self.ordered:
-                row = dict(sorted(row.items()))
-            self._rows[stat] = row
+            row = self._rows[stat] = joint_row(self.joint, self.n, stat,
+                                               self.width)
         return row
 
     def __iter__(self) -> Iterator[str]:
@@ -133,9 +126,7 @@ def clear_caches() -> None:
 
 def _tally(members: Iterable[Perm]) -> _Rows:
     # every statistic is a function of the up-down word, so each distinct
-    # word gives one joint key; words, and so joint keys, come in order of
-    # first appearance, so every row's keys are inserted in the order a
-    # member-by-member tally would insert them
+    # word gives one joint key
     words = Counter(map(up_down, members))
     n = len(next(iter(words), b"")) + 1
     width = joint_width(n)
@@ -144,26 +135,25 @@ def _tally(members: Iterable[Perm]) -> _Rows:
     for w, count in words.items():
         key = word_key(w, gains)
         joint[key] = joint.get(key, 0) + count
-    return _Rows(joint, n, width, ordered=False)
+    return _Rows(joint, n, width)
 
 
 def _oracle_rows(basis_key: tuple, n: int, caps: Caps, top: int = 0) -> _Rows:
     # checked before the cache, so that a hit cannot pass a size the caps
     # refuse.  A miss on a basis of length-3 patterns counts every length
-    # to max(n, top) that the caps allow in one pass, each row's keys in
-    # increasing order; any other basis is listed at n alone
-    cap = generate.class_cap(n, basis_key, "auto", caps)
+    # to max(n, top) that the caps allow in one pass; any other basis is
+    # listed at n alone
+    cap = generate.class_cap(n, basis_key, caps)
     if (basis_key, n) not in _oracle_cache:
         if all(len(p) == 3 for p in basis_key):
             top = min(max(n, top), cap)
             width = joint_width(top)
             for m, joint in enumerate(
                     generate.count_lengths(top, basis_key, caps)):
-                _oracle_cache[(basis_key, m)] = _Rows(joint, m, width,
-                                                      ordered=True)
+                _oracle_cache[(basis_key, m)] = _Rows(joint, m, width)
         else:
             _oracle_cache[(basis_key, n)] = _tally(
-                generate.gen_class(n, basis_key, "auto", caps))
+                generate.gen_class(n, basis_key, caps))
     return _oracle_cache[(basis_key, n)]
 
 
@@ -176,7 +166,7 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
 def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
     # every n is checked, in order, before the first enumeration
     for n in ns:
-        generate.class_cap(n, key, "auto", caps)
+        generate.class_cap(n, key, caps)
     top = max(ns, default=0)
     return {n: dict(_oracle_rows(key, n, caps, top)[stat]) for n in ns}
 
@@ -251,9 +241,9 @@ def distribution(stat: str, basis, n: int, method: str = "oracle",
     return dist_table(stat, basis, [n], method, caps).rows[n]
 
 
-def class_size(n: int, basis, method: str = "auto", caps: Caps = Caps()) -> int:
+def class_size(n: int, basis, caps: Caps = Caps()) -> int:
     """Number of length-n permutations avoiding the basis."""
-    return sum(1 for _ in generate.gen_class(n, basis, method, caps))
+    return sum(1 for _ in generate.gen_class(n, basis, caps))
 
 
 # -- verification -------------------------------------------------------------
@@ -331,8 +321,8 @@ def _check_card_single(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for text in _SINGLE_BASES:
         key = parse_basis(text)
         for n in range(max_n + 1):
-            report.eq(class_size(n, key, method="filter", caps=caps),
-                      formulas.catalan(n), f"|S_{n}({text})| by filter")
+            report.eq(class_size(n, key, caps), formulas.catalan(n),
+                      f"|S_{n}({text})|")
 
 
 @_check("CARD_PAIRS")
@@ -372,15 +362,15 @@ def _reference(key: tuple[Perm, ...], n: int,
         return "bit words", map(getattr(bijections, f"decode_{tag}"), words)
     image = transform_basis(key, "c")
     return (f"complements of {format_basis(image)}",
-            map(SYMMETRIES["c"], generate.gen_class(n, image, "filter", caps)))
+            map(SYMMETRIES["c"], generate.gen_class(n, image, caps)))
 
 
 @_check("STRUCTURED_MATCHES_FILTER", bound=9)
 def _check_structured_filter(report: VerifyReport, max_n: int,
                              caps: Caps) -> None:
-    for key in generate.structured_bases():
+    for key in generate.STRUCTURED:
         for n in range(max_n + 1):
-            structured = sorted(generate.gen_class(n, key, "structured", caps))
+            structured = sorted(generate.gen_class(n, key, caps))
             report.ok(len(set(structured)) == len(structured),
                       f"duplicates from structured {format_basis(key)} at n={n}")
             route, reference = _reference(key, n, caps)
@@ -493,7 +483,7 @@ def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
 def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = parse_basis("312")
     for n in range(max_n + 1):
-        for p in generate.gen_class(n, key, "auto", caps):
+        for p in generate.gen_class(n, key, caps):
             q = bijections.rewrite_312_to_321(p)
             report.ok(avoids_all(q, [(3, 2, 1)]), f"image avoids 321 for {p}")
             report.eq(ltr_maxima(q), ltr_maxima(p), f"maxima preserved for {p}")
@@ -506,7 +496,7 @@ def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
 def _check_phi231(report: VerifyReport, max_n: int, caps: Caps) -> None:
     key = parse_basis("231")
     for n in range(max_n + 1):
-        for p in generate.gen_class(n, key, "auto", caps):
+        for p in generate.gen_class(n, key, caps):
             d = bijections.to_dyck_231(p)
             report.eq(bijections.from_dyck_231(d), p, f"round trip for {p}")
             report.eq(factor_count(d, "DUU"), all_stats(p)["pk"],

@@ -3,9 +3,9 @@
 Everything is a generator with a fixed, documented order so that results
 are reproducible: full symmetric groups and binary words come out in
 lexicographic order, Dyck words in lexicographic order with D < U, and
-every class, on either route, in lexicographic order.
+every class in lexicographic order.
 
-The filter route walks a basis of length-3 patterns over value sets.
+:func:`gen_class` walks a basis of length-3 patterns over value sets.
 Whether a value may come next in an avoider depends only on the set of
 values already used (West, "Generating trees and forbidden subsequences",
 1996; Vatter, "Finitely labeled generating trees and restricted
@@ -41,18 +41,18 @@ a basis with a pattern of another length is listed for its rows.
 The structured classes (:data:`STRUCTURED`) are the two Catalan classes
 Av(231) and Av(321) and the five pair classes of the paper.  They are
 listed by the same walk as every other basis of length-3 patterns, so
-they come out in lexicographic order; the route decides only the cap,
+they come out in lexicographic order; they differ only in their cap,
 ``structured`` rather than ``perm``.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value: :func:`gen_class` takes it whole, and
 each word generator (:func:`gen_all`, :func:`gen_bits`, :func:`gen_dyck`,
 :func:`gen_indec`) takes an optional ``cap`` that defaults to its field of
-``Caps()``.  This module alone decides which route a basis and method
-take and which cap applies: :func:`class_cap` checks a size against the
-route's cap, for :func:`gen_class` and for callers that must refuse a
-size before reading a cache.  A structured class is checked against the
-class cap alone; its walk reads no capped Dyck or binary word generator.
+``Caps()``.  This module alone decides which cap applies to a basis:
+:func:`class_cap` checks a size against it, for :func:`gen_class` and
+for callers that must refuse a size before reading a cache.  A
+structured class is checked against the class cap alone; its walk reads
+no capped Dyck or binary word generator.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .stats import joint_width, step_gains
 class Caps:
     """Size caps for one run: generation by kind, and the series degree."""
 
-    perm: int = 10        # gen_all and the filter route
+    perm: int = 10        # gen_all and every class outside STRUCTURED
     dyck: int = 14        # gen_dyck and gen_indec
     bits: int = 30        # gen_bits
     structured: int = 14  # every class of STRUCTURED
@@ -91,9 +91,8 @@ class CapExceededError(ValueError):
 
 
 class UnsupportedBasisError(ValueError):
-    """The basis is outside what was asked of it: method "structured" for a
-    basis not in :data:`STRUCTURED`, or :func:`count_lengths` for a basis
-    with a pattern of a length other than 3."""
+    """:func:`count_lengths` was given a basis with a pattern of a length
+    other than 3."""
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -109,7 +108,7 @@ def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
     return iter(itertools.permutations(range(1, n + 1)))
 
 
-# -- the filter route's value-set walk ----------------------------------------
+# -- the value-set walk -------------------------------------------------------
 
 def _low(x: int) -> int:
     return x & -x
@@ -237,36 +236,19 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
 # -- the structured classes --------------------------------------------------
 
 # the bases whose classes take the structured cap; each is listed by the
-# filter route's walk
+# walk, as every other basis of length-3 patterns is
 STRUCTURED = tuple(map(parse_basis, (
     "231", "321", "213,312", "132,213", "213,231", "123,132", "132,321")))
 
 
-def structured_bases() -> tuple[tuple[Perm, ...], ...]:
-    return STRUCTURED
+def class_cap(n: int, key: tuple[Perm, ...], caps: Caps) -> int:
+    """The cap of the class of ``key``, with n checked against it.
 
-
-def _route(key: tuple[Perm, ...], method: str) -> str:
-    # "structured" or "filter"; "auto" is structured for a key in STRUCTURED
-    if method == "auto":
-        return "structured" if key in STRUCTURED else "filter"
-    if method == "structured":
-        if key not in STRUCTURED:
-            raise UnsupportedBasisError(
-                f"no structured generator for basis {key!r}")
-    elif method != "filter":
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
-def class_cap(n: int, key: tuple[Perm, ...], method: str, caps: Caps) -> int:
-    """The cap of the route :func:`gen_class` takes, with n checked against it.
-
-    ``key`` is a normalized basis.  The structured route is capped by
-    ``caps.structured`` and names the size a "class" size in its error;
-    the filter route is capped by ``caps.perm`` and says "permutation".
+    ``key`` is a normalized basis.  A class of :data:`STRUCTURED` is capped
+    by ``caps.structured`` and names the size a "class" size in its error;
+    any other is capped by ``caps.perm`` and says "permutation".
     """
-    if _route(key, method) == "structured":
+    if key in STRUCTURED:
         cap, what = caps.structured, "class"
     else:
         cap, what = caps.perm, "permutation"
@@ -274,23 +256,18 @@ def class_cap(n: int, key: tuple[Perm, ...], method: str, caps: Caps) -> int:
     return cap
 
 
-def gen_class(n: int, basis, method: str = "auto",
-              caps: Caps = Caps()) -> Iterator[Perm]:
-    """All permutations of length n avoiding every pattern in ``basis``.
+def gen_class(n: int, basis, caps: Caps = Caps()) -> Iterator[Perm]:
+    """All permutations of length n avoiding every pattern in ``basis``,
+    in lexicographic order.
 
-    ``method`` is "filter", "structured" (only for a basis in
-    :data:`STRUCTURED`), or "auto" (structured for such a basis, filter
-    otherwise).  The method picks only the cap: ``caps`` is the run's
-    :class:`Caps`, and the route taken is capped by its field, ``perm`` or
-    ``structured``.  Every class comes out in lexicographic order.
-
-    The cap is checked first, by :func:`class_cap`.  A basis of length-3
+    ``caps`` is the run's :class:`Caps`; the size is checked first against
+    the cap :func:`class_cap` gives the basis.  A basis of length-3
     patterns is then walked over value sets, the completions of each set
     with at most :data:`_LISTED` values left listed once; any other basis
     is scanned over :func:`gen_all` with ``avoids_all``.
     """
     key = normalize_basis(basis)
-    cap = class_cap(n, key, method, caps)
+    cap = class_cap(n, key, caps)
     if all(len(p) == 3 for p in key):
         return _walk(n, key)
     return (p for p in gen_all(n, cap=cap) if avoids_all(p, key))
@@ -348,7 +325,7 @@ def count_lengths(max_n: int, basis,
     Keys pack the statistics as :func:`~patternstats.stats.step_gains`
     does at width ``joint_width(max_n)`` for every length, and
     :func:`~patternstats.stats.joint_row` projects them at that width.
-    The cap of the "auto" route is checked for max_n first.
+    The cap :func:`class_cap` gives the basis is checked for max_n first.
 
     Each new value goes in an allowed slot around the prefix's values
     (West 1996; Albert, Linton & Ruškuc, "The insertion encoding of
@@ -367,7 +344,7 @@ def count_lengths(max_n: int, basis,
     if not all(len(p) == 3 for p in key):
         raise UnsupportedBasisError(
             f"basis {key!r} has a pattern of length other than 3")
-    class_cap(max_n, key, "auto", caps)
+    class_cap(max_n, key, caps)
     rules = [_FORBID[p] for p in key]
     gains = step_gains(joint_width(max_n))
     moves: dict[bytes, list[tuple[int, bytes, int]]] = {}

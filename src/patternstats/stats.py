@@ -127,8 +127,7 @@ def word_key(w: bytes, gains: tuple[tuple[int, int], ...]) -> int:
 def joint_row(joint: dict[int, int], n: int, stat: str,
               width: int | None = None) -> dict[int, int]:
     """The row {k: count} of one statistic of a joint tally {joint key:
-    count} over length n, with keys inserted in the order the joint keys
-    first give them.  Fields are ``width`` bits wide, :func:`joint_width`
+    count} over length n, keys in increasing order.  Fields are ``width`` bits wide, :func:`joint_width`
     of n unless the keys were packed for a longer length."""
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
@@ -142,7 +141,7 @@ def joint_row(joint: dict[int, int], n: int, stat: str,
     if stat == "des":
         steps = max(n - 1, 0)
         row = {steps - value: count for value, count in row.items()}
-    return row
+    return dict(sorted(row.items()))
 
 
 def all_stats(p: Perm) -> dict[str, int]:

@@ -181,9 +181,8 @@ _WALK_FAULTS = {
     ids=[f"{walked}-{listed}" for walked, (listed, _) in _WALK_FAULTS.items()])
 def test_structured_check_catches_a_fault_in_the_catalan_walk(
         monkeypatch, walked):
-    # a walk that lists a class of the right size for one structured basis,
-    # on both the structured and the filter route, is told apart only by a
-    # reference that shares no rule with that walk
+    # a walk that lists a class of the right size for one structured basis
+    # is told apart only by a reference that shares no rule with that walk
     listed, reference = _WALK_FAULTS[walked]
     basis, wrong = perms.parse_basis(walked), perms.parse_basis(listed)
     real = generate._walk
@@ -238,43 +237,40 @@ def _length3_bases():
             for basis in itertools.combinations(patterns, r)]
 
 
-def test_refused_sizes_follow_the_route_cap():
-    # class_size, gen_class and distribution refuse exactly the sizes the
-    # cap of the route refuses, and name the route, on a cold and on a warm
-    # cache
+def test_refused_sizes_follow_the_one_cap_rule():
+    # class_size, gen_class, distribution and, for a basis of length-3
+    # patterns, count_lengths refuse exactly the sizes above the basis's
+    # cap, caps.structured for a key in STRUCTURED and caps.perm for any
+    # other, with its message, on a cold and on a warm cache
     caps = generate.Caps(perm=5, structured=6)
-    limits = {"structured": (caps.structured, "class"),
-              "filter": (caps.perm, "permutation")}
-    bases = _length3_bases()
-    assert len(bases) == 63
+    bases = _length3_bases() + [((2, 1, 4, 3),), ((1, 2), (2, 3, 1))]
+    assert len(bases) == 65
     distributions.clear_caches()
     for warm in (False, True):
         if warm:
             for key in bases:
                 for n in range(8):
                     distribution("pk", key, n)
-                    class_size(n, key, method="filter")
+                    class_size(n, key)
         for key in bases:
-            structured = key in generate.STRUCTURED
-            routes = {"auto": "structured" if structured else "filter",
-                      "filter": "filter"}
-            if structured:
-                routes["structured"] = "structured"
-            for method, route in routes.items():
-                cap, what = limits[route]
-                calls = [lambda: class_size(n, key, method=method, caps=caps),
-                         lambda: generate.gen_class(n, key, method, caps)]
-                if method == "auto":
-                    calls.append(lambda: distribution("pk", key, n, caps=caps))
-                for n in range(8):
-                    for call in calls:
-                        if n <= cap:
-                            call()
-                            continue
-                        with pytest.raises(
-                                generate.CapExceededError,
-                                match=f"^{what} size {n} exceeds cap {cap}$"):
-                            call()
+            if key in generate.STRUCTURED:
+                cap, what = caps.structured, "class"
+            else:
+                cap, what = caps.perm, "permutation"
+            calls = [lambda: class_size(n, key, caps),
+                     lambda: generate.gen_class(n, key, caps),
+                     lambda: distribution("pk", key, n, caps=caps)]
+            if all(len(p) == 3 for p in key):
+                calls.append(lambda: generate.count_lengths(n, key, caps))
+            for n in range(8):
+                for call in calls:
+                    if n <= cap:
+                        call()
+                        continue
+                    with pytest.raises(
+                            generate.CapExceededError,
+                            match=f"^{what} size {n} exceeds cap {cap}$"):
+                        call()
 
 
 def _per_n_rows(stat, key, ns, method):
@@ -334,17 +330,15 @@ def _tally_by_member(members):
 
 
 def test_tally_by_word_matches_tally_by_member():
-    # equal rows, with keys in the same order, so every repr is unchanged
+    # equal rows, each with its keys in increasing order
     cases = [itertools.permutations(range(1, n + 1)) for n in range(9)]
-    cases += [generate.gen_class(n, key, method="structured")
-              for key in generate.structured_bases() for n in range(11)]
+    cases += [generate.gen_class(n, key)
+              for key in generate.STRUCTURED for n in range(11)]
     for members in cases:
         members = list(members)
         got = distributions._tally(members)
-        want = _tally_by_member(members)
-        assert got == want
-        assert [list(row.items()) for row in got.values()] == \
-            [list(row.items()) for row in want.values()]
+        assert got == _tally_by_member(members)
+        assert all(list(row) == sorted(row) for row in got.values())
 
 
 def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
@@ -354,9 +348,9 @@ def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
     listed = []
     real = generate.gen_class
 
-    def spy(n, basis, method="auto", caps=generate.Caps()):
+    def spy(n, basis, caps=generate.Caps()):
         listed.append(perms.normalize_basis(basis))
-        return real(n, basis, method, caps)
+        return real(n, basis, caps)
 
     monkeypatch.setattr(generate, "gen_class", spy)
     distributions.clear_caches()
@@ -426,8 +420,8 @@ def _expand(joint, n, width):
 def test_rows_do_not_depend_on_which_statistic_is_read_first():
     # each row is projected from the cached joint tally when first read;
     # read in either order, the rows and their key order are the same, and
-    # equal a six-row expansion of that tally: keys increasing on the
-    # counted route, in first-given order on the listed one
+    # equal a six-row expansion of that tally, keys in increasing order on
+    # a counted and on a listed basis alike
     cases = [(key, 8) for key in _length3_bases()] + [(((2, 1, 4, 3),), 7)]
     for key, top in cases:
         seen = []
@@ -440,7 +434,5 @@ def test_rows_do_not_depend_on_which_statistic_is_read_first():
         for n in range(top + 1):
             entry = distributions._oracle_cache[(key, n)]
             want = _expand(entry.joint, n, entry.width)
-            if len(key[0]) == 3:
-                want = {s: dict(sorted(row.items())) for s, row in want.items()}
-            assert {s: list(row.items()) for s, row in want.items()} == {
+            assert {s: sorted(row.items()) for s, row in want.items()} == {
                 s: seen[0][s][n] for s in stats.STATS}, (key, n)

@@ -19,7 +19,6 @@ from patternstats.generate import (
     gen_class,
     gen_dyck,
     gen_indec,
-    structured_bases,
 )
 from patternstats.perms import (
     avoids_all,
@@ -94,12 +93,13 @@ def test_gen_class_123_321_dies_out():
 
 
 def test_structured_agrees_with_filter_and_naive():
-    for key in structured_bases():
+    # the walk against a filter of S_n by avoids_all and against the naive
+    # subsequence search, both in lex order
+    for key in generate.STRUCTURED:
         for n in range(7):
-            structured = sorted(gen_class(n, key, method="structured"))
-            assert structured == sorted(gen_class(n, key, method="filter"))
-            assert len(set(structured)) == len(structured)
-            assert structured == sorted(naive_class(n, key))
+            got = list(gen_class(n, key))
+            assert got == _scan(n, key)
+            assert got == naive_class(n, key)
 
 
 def _decoded(decode):
@@ -117,21 +117,17 @@ _REBUILT = {
 }
 
 
-def _key(text):
-    return parse_basis(text)
-
-
 def test_structured_sequences_match_plain_references():
     # the same members as a plain route, for n <= 11 for the Catalan
     # classes and up to the structured cap for the pairs
     for n in range(12):
-        assert (sorted(gen_class(n, [(2, 3, 1)], method="structured"))
+        assert (sorted(gen_class(n, [(2, 3, 1)]))
                 == sorted(split_at_max_231(n)))
-        assert (sorted(gen_class(n, [(3, 2, 1)], method="structured"))
+        assert (sorted(gen_class(n, [(3, 2, 1)]))
                 == sorted(bijections.from_dyck_321(d) for d in gen_dyck(n)))
     for n in range(Caps().structured + 1):
         for text, reference in _REBUILT.items():
-            got = gen_class(n, _key(text), method="structured")
+            got = gen_class(n, parse_basis(text))
             assert sorted(got) == (sorted(reference(n)) if n else [()])
 
 
@@ -143,37 +139,34 @@ def test_binary_pair_walks_call_no_decoder(monkeypatch):
     for name in ("decode_132_213", "decode_213_231", "decode_123_132"):
         monkeypatch.setattr(bijections, name, refuse)
     for text in ("132,213", "213,231", "123,132"):
-        key = _key(text)
+        key = parse_basis(text)
         for n in range(9):
-            got = list(gen_class(n, key, method="structured"))
+            got = list(gen_class(n, key))
             assert len(got) == max(2 ** (n - 1), 1)
-            assert got == list(gen_class(n, key, method="filter"))
+            assert got == _scan(n, key)
 
 
 def test_structured_order_is_pinned():
-    # every structured class comes out in the filter walk's lex order
-    for key in structured_bases():
+    # every structured class comes out in lex order, each member once: in
+    # the order of gen_all's filter to n = 8, and sorted beyond it
+    for key in generate.STRUCTURED:
         for n in range(11):
-            got = list(gen_class(n, key, method="structured"))
-            assert got == list(gen_class(n, key, method="filter"))
-            assert got == sorted(got)
-
-
-def test_gen_class_method_errors():
-    with pytest.raises(UnsupportedBasisError):
-        next(gen_class(3, [(1, 2, 3)], method="structured"))
-    with pytest.raises(ValueError):
-        next(gen_class(3, [(1, 2, 3)], method="bogus"))
+            got = list(gen_class(n, key))
+            assert got == sorted(set(got))
+            if n <= 8:
+                assert got == _scan(n, key)
 
 
 def test_structured_bases_registered():
-    keys = structured_bases()
+    # normalized keys, since class_cap looks a normalized basis up in them
+    keys = generate.STRUCTURED
     assert normalize_basis([(2, 3, 1)]) in keys
     assert normalize_basis([(3, 2, 1)]) in keys
-    assert len(keys) == 7
+    assert len(set(keys)) == 7
+    assert all(normalize_basis(key) == key for key in keys)
 
 
-# -- the filter route's value-set walk ------------------------------------------
+# -- the value-set walk ------------------------------------------------------
 
 PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))
 
@@ -192,7 +185,7 @@ def test_filter_walk_matches_scan_for_every_length3_basis():
         held = [(p, {q for q in PATTERNS3 if contains(p, q)})
                 for p in gen_all(n)]
         for key in bases:
-            assert list(gen_class(n, key, method="filter")) == [
+            assert list(gen_class(n, key)) == [
                 p for p, patterns in held if patterns.isdisjoint(key)]
 
 
@@ -200,7 +193,7 @@ def test_filter_fallback_for_other_pattern_lengths():
     for key in ([(2, 1)], [(1, 2), (3, 2, 1)], [(2, 1, 4, 3)],
                 [(1, 3, 2), (4, 3, 2, 1)]):
         for n in range(7):
-            got = list(gen_class(n, key, method="filter"))
+            got = list(gen_class(n, key))
             assert got == _scan(n, normalize_basis(key))
             assert got == naive_class(n, key)
 
@@ -208,15 +201,15 @@ def test_filter_fallback_for_other_pattern_lengths():
 def test_filter_walk_does_no_n_factorial_work(monkeypatch):
     # a basis of length-3 patterns never reaches gen_all; any other does
     def refuse(n, cap=None):
-        raise AssertionError("the filter route scanned S_n")
+        raise AssertionError("gen_class scanned S_n")
 
     monkeypatch.setattr(generate, "gen_all", refuse)
-    members = list(gen_class(10, [(3, 1, 2)], method="filter"))
+    members = list(gen_class(10, [(3, 1, 2)]))
     assert len(members) == catalan(10)
     assert members == sorted(set(members))
     assert all(avoids_all(p, [(3, 1, 2)]) for p in members)
     with pytest.raises(AssertionError, match="scanned S_n"):
-        gen_class(6, [(1, 3, 2), (4, 3, 2, 1)], method="filter")
+        gen_class(6, [(1, 3, 2), (4, 3, 2, 1)])
 
 
 def test_walk_lists_no_value_set_above_the_listed_size(monkeypatch):
@@ -230,7 +223,7 @@ def test_walk_lists_no_value_set_above_the_listed_size(monkeypatch):
         return real(used, left, rules, memo)
 
     monkeypatch.setattr(generate, "_completions", spy)
-    members = list(gen_class(12, [(3, 1, 2)], "filter", Caps(perm=12)))
+    members = list(gen_class(12, [(3, 1, 2)], Caps(perm=12)))
     assert listed and max(listed) <= generate._LISTED
     assert len(members) == catalan(12)
     assert members == sorted(set(members))
@@ -253,28 +246,26 @@ def test_walk_lists_no_empty_value_set_for_one_pattern(monkeypatch):
     caps = Caps(perm=12)
     for p in PATTERNS3:
         for n in range(13):
-            assert sum(1 for _ in gen_class(n, [p], "filter", caps)) == catalan(n)
+            assert sum(1 for _ in gen_class(n, [p], caps)) == catalan(n)
             assert not empty, (p, n)
-    members = sum(1 for _ in gen_class(12, [(1, 2, 3), (1, 3, 2)], "filter",
-                                       caps))
+    members = sum(1 for _ in gen_class(12, [(1, 2, 3), (1, 3, 2)], caps))
     assert members == 2 ** 11 and empty
 
 
 def test_filter_cap_checked_after_a_walk():
-    assert sum(1 for _ in gen_class(6, [(1, 2, 3)], method="filter")) == 132
+    assert sum(1 for _ in gen_class(6, [(1, 2, 3)])) == 132
     with pytest.raises(CapExceededError, match="permutation size 6 exceeds cap 5"):
-        distributions.class_size(6, [(1, 2, 3)], method="filter",
-                                 caps=Caps(perm=5))
+        distributions.class_size(6, [(1, 2, 3)], Caps(perm=5))
 
 
 def test_walks_read_in_turns_across_a_later_walk():
     # two walks at one n are read in turns, with a third basis walked
     # between them; each still gives its own class
-    first = gen_class(7, [(1, 2, 3)], method="filter")
-    second = gen_class(7, [(1, 3, 2), (2, 3, 1)], method="filter")
+    first = gen_class(7, [(1, 2, 3)])
+    second = gen_class(7, [(1, 3, 2), (2, 3, 1)])
     got_first = [next(first) for _ in range(20)]
     got_second = [next(second) for _ in range(20)]
-    assert list(gen_class(7, [(3, 2, 1)], method="filter")) == _scan(
+    assert list(gen_class(7, [(3, 2, 1)])) == _scan(
         7, ((3, 2, 1),))
     got_first += first
     got_second += second
@@ -286,7 +277,7 @@ def test_filter_independent_of_request_order():
     a, b = ((1, 2, 3),), ((1, 3, 2),)
 
     def run(order):
-        return {key: list(gen_class(6, key, method="filter")) for key in order}
+        return {key: list(gen_class(6, key)) for key in order}
 
     assert run([a, b]) == run([b, a])
 
@@ -305,7 +296,7 @@ BASES3 = [key for r in range(1, 7)
 
 
 def _listed_rows(max_n, key):
-    return [distributions._tally(gen_class(n, key, method="filter"))
+    return [distributions._tally(gen_class(n, key))
             for n in range(max_n + 1)]
 
 
@@ -336,10 +327,10 @@ def test_counted_catalan_rows_match_the_dyck_bijections(text, from_dyck):
 
 
 @pytest.mark.parametrize("key", [
-    key for key in structured_bases() if len(key) == 2], ids=format_basis)
+    key for key in generate.STRUCTURED if len(key) == 2], ids=format_basis)
 def test_counted_pair_rows_match_the_structured_listing(key):
     assert _counted_rows(14, key) == [
-        distributions._tally(gen_class(n, key, method="structured"))
+        distributions._tally(gen_class(n, key))
         for n in range(15)]
 
 
@@ -426,7 +417,7 @@ def test_counted_rows_match_the_filter_listing(key, stat, n):
     width = joint_width(8)
     joint = generate.count_lengths(8, key)[n]
     assert joint_row(joint, n, stat, width) == distributions._tally(
-        gen_class(n, key, method="filter"))[stat]
+        gen_class(n, key))[stat]
 
 
 # (basis text, largest n) of the cross-checks of closed forms and series:

@@ -5,24 +5,32 @@ as a tuple of rows, one per power of z up to the truncation degree; row n
 lists the coefficients of q^0, q^1, ... with trailing zeros trimmed.
 Operations never consult terms beyond the truncation degree.
 
-Five named series are exposed:
+One solver expands every named series.  An equation
+G = P0 + P1 G + P2 G^2 is given as the rows (P0, P1, P2), each in the row
+format above, with P1 and P2 free of z^0.  Row n of G then needs only
+rows 0..n-1 of G and of G^2, and row m of G^2 only rows 0..m of G, so
+:func:`_solve` adds one row of G^2 and then one row of G per step.  Each
+row is computed once, so a solve to degree N takes O(N^2) products of
+rows.  With P2 = 0 the equation is linear, and the solve expands the
+rational series P0 / (1 - P1).  Two equations are given:
 
-* ``series_des_321`` — descent counts over 321-avoiders: the unique
-  power-series solution G of z(1 - z + qz) G^2 - G + 1 = 0 with G(0) = 1.
-  It is solved forward, one row per step: row n of G is
-  S_{n-1} + (q - 1) S_{n-2}, where S = G^2, and row m of S needs only
-  rows 0..m of G.  Each row is computed once, so a solve to degree N
-  takes O(N^2) products of rows.
-* ``series_pk_321`` — peak counts over 321-avoiders, 1 + z G^2, read off
-  the rows of S built by the same solve.
+* ``_DES_321``: G = 1 + z(1 - z + qz) G^2, descents over 321-avoiders.
+* ``_DDES_132_213``: F = 1 - qz + (z + qz + z^2 - qz^2) F, that is
+  F = (1 - qz) / (1 - z - z^2 - qz + qz^2), double descents over
+  {132,213}-avoiders.
+
+Five named series are read off these two solves:
+
+* ``series_des_321`` — G: descent counts over 321-avoiders.
+* ``series_pk_321`` — 1 + z G^2: peak counts over 321-avoiders, read off
+  the rows of G^2 built by the same solve.
 * ``series_indec_uud`` — UUD counts over indecomposable Dyck words,
   (G - 1) / G.  Since G - 1 = z(1 - z + qz) G^2, this equals
   z(1 - z + qz) G, so it needs no division.
 * ``series_indec_interior_uud`` — interior UUD counts over indecomposable
   Dyck words, z G.
-* ``series_ddes_132_213`` — double-descent counts over {132,213}-avoiders:
-  the rational function (1 - qz) / (1 - z - z^2 - qz + qz^2) expanded via
-  its row recurrence.
+* ``series_ddes_132_213`` — F: double-descent counts over
+  {132,213}-avoiders.
 
 Every ``series_*`` function raises ``ValueError`` for a negative degree.
 
@@ -109,13 +117,6 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"max_n must be nonnegative: {max_n}")
 
 
-def _times_w(x: list[Row], n: int) -> Row:
-    """Row n of z(1 - z + qz) X, from rows X_0..X_{n-1}."""
-    if n < 2:
-        return x[0] if n == 1 else ()
-    return _combine((1, 0, x[n - 1]), (-1, 0, x[n - 2]), (1, 1, x[n - 2]))
-
-
 def _square_row(g: list[Row], m: int) -> Row:
     """Row m of G^2 from rows G_0..G_m, by the symmetric half of the
     convolution."""
@@ -126,19 +127,39 @@ def _square_row(g: list[Row], m: int) -> Row:
     return _combine(*terms)
 
 
-def _solve_321(max_n: int) -> tuple[list[Row], list[Row]]:
-    """Rows of G = 1 + z(1 - z + qz) G^2 to degree max_n, and of S = G^2 to
-    degree max_n - 1.
+# (P0, P1, P2) of G = P0 + P1 G + P2 G^2, each as rows in z over q
+_DES_321 = (((1,),), (), ((), (1,), (-1, 1)))
+_DDES_132_213 = (((1,), (0, -1)), ((), (1, 1), (1, -1)), ())
 
-    Row n of G needs only S_0..S_{n-1}, and S_m only G_0..G_m, so each
-    step adds one row of S and then one row of G.
+
+def _terms(p) -> list[tuple[int, int, int]]:
+    """The nonzero (z power, q power, coefficient) terms of rows p."""
+    return [(j, i, c) for j, row in enumerate(p) for i, c in enumerate(row)
+            if c]
+
+
+def _times(terms, x: list[Row], n: int) -> list:
+    """The (factor, shift, row) terms of row n of P X, for P free of z^0
+    given by its :func:`_terms`, from rows X_0..X_{n-1}."""
+    return [(c, i, x[n - j]) for j, i, c in terms if j <= n]
+
+
+def _solve(equation, max_n: int) -> tuple[list[Row], list[Row]]:
+    """Rows of G = P0 + P1 G + P2 G^2 to degree max_n, and of S = G^2 to
+    degree max_n - 1 (none when P2 = 0).
+
+    Row n of G needs only G_0..G_{n-1} and S_0..S_{n-1}, and S_m only
+    G_0..G_m, so each step adds one row of S and then one row of G.
     """
     _check_max_n(max_n)
-    g: list[Row] = [(1,)]
-    s: list[Row] = []
-    for n in range(1, max_n + 1):
-        s.append(_square_row(g, n - 1))
-        g.append(_times_w(s, n))
+    p0 = equation[0] + ((),) * (max_n + 1)
+    p1, p2 = map(_terms, equation[1:])
+    g, s = [], []
+    for n in range(max_n + 1):
+        if p2 and n:
+            s.append(_square_row(g, n - 1))
+        g.append(_combine((1, 0, p0[n]), *_times(p1, g, n),
+                          *_times(p2, s, n)))
     return g, s
 
 
@@ -155,7 +176,7 @@ def series_des_321(max_n: int) -> BivariateSeries:
 
     Equivalently, Dyck words of semilength n with k UUD factors.
     """
-    return BivariateSeries(_solve_321(max_n)[0])
+    return BivariateSeries(_solve(_DES_321, max_n)[0])
 
 
 def series_pk_321(max_n: int) -> BivariateSeries:
@@ -163,13 +184,13 @@ def series_pk_321(max_n: int) -> BivariateSeries:
 
     Equivalently, Dyck words of semilength n with k interior UUD factors.
     """
-    return BivariateSeries([(1,)] + _solve_321(max_n)[1])
+    return BivariateSeries([(1,)] + _solve(_DES_321, max_n)[1])
 
 
 def series_indec_uud(max_n: int) -> BivariateSeries:
     """Coefficient of z^n q^k counts indecomposable words with k UUD factors."""
-    g = _solve_321(max_n)[0]
-    return BivariateSeries([_times_w(g, n) for n in range(max_n + 1)])
+    g, w = _solve(_DES_321, max_n)[0], _terms(_DES_321[2])
+    return BivariateSeries(_combine(*_times(w, g, n)) for n in range(len(g)))
 
 
 def series_indec_interior_uud(max_n: int) -> BivariateSeries:
@@ -177,21 +198,13 @@ def series_indec_interior_uud(max_n: int) -> BivariateSeries:
 
     This is the z-shift of :func:`series_des_321`.
     """
-    g = _solve_321(max_n)[0]
-    return BivariateSeries([()] + g[:max_n])
+    return BivariateSeries([()] + _solve(_DES_321, max_n)[0][:max_n])
 
 
 def series_ddes_132_213(max_n: int) -> BivariateSeries:
     """Coefficient of z^n q^k counts {132,213}-avoiders with k double descents.
 
-    Rows follow the recurrence F_n = (1 + q) F_{n-1} + (1 - q) F_{n-2}
-    with corrections +1 at n = 0 and -q at n = 1, which expands the
-    rational form (1 - qz) / (1 - z - z^2 - qz + qz^2).  The corrections
-    make F_0 = F_1 = 1.
+    This is the solution F of F = 1 - qz + (z + qz + z^2 - qz^2) F, that
+    is the rational series (1 - qz) / (1 - z - z^2 - qz + qz^2).
     """
-    _check_max_n(max_n)
-    rows: list[Row] = [(1,), (1,)][:max_n + 1]
-    for n in range(2, max_n + 1):
-        a, b = rows[n - 1], rows[n - 2]
-        rows.append(_combine((1, 0, a), (1, 1, a), (1, 0, b), (-1, 1, b)))
-    return BivariateSeries(rows)
+    return BivariateSeries(_solve(_DDES_132_213, max_n)[0])

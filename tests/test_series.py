@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patternstats.cli import main
 from patternstats.dyck import interior_uud_count, uud_count
 from patternstats.formulas import catalan, closed_form_row
 from patternstats.generate import gen_bits, gen_dyck, gen_indec
 from patternstats.series import (
+    _solve,
     series_ddes_132_213,
     series_des_321,
     series_indec_interior_uud,
@@ -84,14 +87,18 @@ def test_coeff_contracts():
         a.row_counts(5)
 
 
-def test_degree_zero():
-    a = series_des_321(0)
-    assert a.degree == 0
-    assert a.row_counts(0) == {0: 1}
-
-
 ALL_SERIES = (series_des_321, series_pk_321, series_indec_uud,
               series_indec_interior_uud, series_ddes_132_213)
+
+
+@pytest.mark.parametrize("fn", ALL_SERIES, ids=lambda fn: fn.__name__)
+def test_degree_zero(fn):
+    # B and D have no z^0 term; the other three start 1 + z
+    row0 = () if fn in (series_indec_uud, series_indec_interior_uud) else (1,)
+    a = fn(0)
+    assert a.degree == 0
+    assert a.rows == (row0,)
+    assert fn(1).rows == (row0, (1,))
 
 
 def _trim(row):
@@ -154,9 +161,10 @@ def test_every_series_matches_the_reference_route():
 
 
 def test_des_321_solves_its_functional_equation():
-    # G = 1 + z(1 - z + qz) G^2, checked through n = 60
+    # G = 1 + z(1 - z + qz) G^2, checked through n = 60, and pk321 = 1 + z G^2
     g = series_des_321(60).rows
     sq = _ref_mul(g, g, 60)
+    assert series_pk_321(60).rows == ((1,),) + tuple(sq[:60])
     for n in range(1, 61):
         want = list(sq[n - 1]) + [0]
         if n >= 2:
@@ -196,6 +204,44 @@ def test_ddes_132_213_satisfies_its_rational_form():
                 for k, c in enumerate(f[n - z_lag]):
                     acc[k + q_shift] += sign * c
         assert _trim(acc) == {0: (1,), 1: (0, -1)}.get(n, ()), n
+
+
+def _pad(p, n_max):
+    """Rows 0..n_max of the polynomial with rows p."""
+    return list(p[:n_max + 1]) + [()] * (n_max + 1 - len(p))
+
+
+def _ref_add(*xs):
+    """Rows of the sum of series with equally many rows."""
+    out = []
+    for rows in zip(*xs):
+        acc = [0] * max(map(len, rows))
+        for row in rows:
+            for k, c in enumerate(row):
+                acc[k] += c
+        out.append(_trim(acc))
+    return out
+
+
+_ROWS = st.lists(st.lists(st.integers(-3, 3), max_size=3).map(tuple),
+                 max_size=4).map(tuple)
+# P1 and P2 have no z^0 row; () is the zero polynomial
+_NO_Z0 = st.one_of(st.just(()), _ROWS.map(lambda rows: ((),) + rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p0=_ROWS, p1=_NO_Z0, p2=_NO_Z0, n_max=st.integers(0, 8))
+# G = 1 + z(1 - z + qz) G^2, and F = 1 - qz + (z + qz + z^2 - qz^2) F
+@example(p0=((1,),), p1=(), p2=((), (1,), (-1, 1)), n_max=8)
+@example(p0=((1,), (0, -1)), p1=((), (1, 1), (1, -1)), p2=(), n_max=8)
+def test_solve_satisfies_its_equation(p0, p1, p2, n_max):
+    # G = P0 + P1 G + P2 G^2 mod z^(n_max + 1), and S = G^2 to n_max - 1
+    g, s = _solve((p0, p1, p2), n_max)
+    sq = _ref_mul(g, g, n_max)
+    assert g == _ref_add(_pad(p0, n_max),
+                         _ref_mul(_pad(p1, n_max), g, n_max),
+                         _ref_mul(_pad(p2, n_max), sq, n_max))
+    assert s == (sq[:n_max] if any(map(any, p2)) else [])
 
 
 @pytest.mark.parametrize("fn", ALL_SERIES, ids=lambda fn: fn.__name__)

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .dyck import check_dyck, semilength, uud_count
+from .dyck import check_dyck, interior_uud_count, semilength, uud_count
 from .perms import Perm, check_perm, contains, format_perm, ltr_maxima, reduce_word
-from .stats import des
 
 
 class PatternViolation(ValueError):
@@ -238,8 +237,10 @@ def rewrite_321_to_312(p: Perm) -> Perm:
 def uud_des_involution(d: str) -> str:
     """Involution on Dyck words trading a leading UD run for a terminal rise.
 
-    Writing s = uud count of ``d`` and t = descent count of the
-    321-avoiding preimage of ``d``:
+    Write s for the uud count of ``d`` and t for the descent count of the
+    321-avoiding preimage of ``d``.  By the psi-hat identity of
+    :func:`to_indec_dyck_321` (checked by ``PSI_HAT_DES_TRANSPORT``), t is
+    the interior UUD count of U d D, so no preimage is built.  Then:
 
     * s == t: ``d`` is fixed.
     * s == t - 1: ``d`` = (UD)^i d' D U D^j with i maximal and d' not
@@ -252,7 +253,7 @@ def uud_des_involution(d: str) -> str:
     check_dyck(d)
     n = semilength(d)
     s = uud_count(d)
-    t = des(from_dyck_321(d))
+    t = interior_uud_count("U" + d + "D")
     if s == t:
         return d
     if s == t - 1:

@@ -24,6 +24,13 @@ runner makes the report, applies the check's size bound, and reports an
 error a map raises on an image another map produced (a pattern violation,
 a broken invariant, a malformed bit or Dyck word) as the check's failure.
 Cap errors, any other error, and a negative ``max_n`` still raise.
+``verify_all`` makes one listing per run and passes it to every check it
+runs; a check run alone makes its own, and no listing outlives its run.
+The listing holds the Dyck words of each semilength, listed once, and
+maps each word through ``from_dyck_321`` and ``from_dyck_231`` at most
+once, on the word's first use.  A comparison's label is a template with
+its arguments, formatted only when the comparison is its check's first
+failure.
 
 Oracle rows are cached per (basis, n) as one joint tally of (asc, pk,
 vl, dasc, ddes), des being n - 1 - asc, with the width it was packed at;
@@ -248,6 +255,12 @@ def class_size(n: int, basis, caps: Caps = Caps()) -> int:
 
 # -- verification -------------------------------------------------------------
 
+def _label(where: str, args: tuple) -> str:
+    # a label given with arguments is a str.format template, formatted only
+    # when its comparison is the first to fail; one without is taken as is
+    return where.format(*args) if args else where
+
+
 @dataclass
 class VerifyReport:
     """One check's outcome: its comparisons and the first that failed."""
@@ -258,23 +271,24 @@ class VerifyReport:
     checked: int = 0
     failure: str | None = None
 
-    def eq(self, got, want, where: str) -> None:
+    def eq(self, got, want, where: str, *args) -> None:
         self.checked += 1
         if self.passed and got != want:
             self.passed = False
-            self.failure = f"{where}: got {got!r}, expected {want!r}"
+            self.failure = (f"{_label(where, args)}: "
+                            f"got {got!r}, expected {want!r}")
 
-    def ok(self, cond: bool, where: str) -> None:
+    def ok(self, cond: bool, where: str, *args) -> None:
         self.checked += 1
         if self.passed and not cond:
-            self.passed, self.failure = False, where
+            self.passed, self.failure = False, _label(where, args)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-# check name -> (fn(report, max_n, caps), largest n it runs to), in the
-# order ``verify --list`` prints
+# check name -> (fn(report, max_n, caps, listing), largest n it runs to), in
+# the order ``verify --list`` prints
 _CHECKS: dict[str, tuple[Callable, int | None]] = {}
 
 # raised by a map on an image another map produced: the check fails, and
@@ -283,19 +297,56 @@ _MAP_ERRORS = (bijections.PatternViolation, bijections.InvariantError,
                bijections.InvalidBitsError, dyck.InvalidDyckError)
 
 
+class _Listing:
+    """The Dyck words of one verify run and their 321- and 231-images.
+
+    Each semilength is listed once, under ``caps.dyck``.  Each word's image
+    is computed on its first use, by ``bijections.from_dyck_<tag>`` as it
+    stands then.  A map that raises stores no image, so a later use raises
+    again."""
+
+    def __init__(self, caps: Caps):
+        self.caps = caps
+        self._dyck: dict[int, list[str]] = {}
+        self._images: dict[str, dict[str, Perm]] = {"321": {}, "231": {}}
+
+    def dyck(self, n: int) -> list[str]:
+        words = self._dyck.get(n)
+        if words is None:
+            words = self._dyck[n] = list(
+                generate.gen_dyck(n, cap=self.caps.dyck))
+        return words
+
+    def indec(self, n: int) -> list[str]:
+        # the words gen_indec lists, under its cap check of n itself
+        generate._check_cap(n, self.caps.dyck, "Dyck word")
+        return ["U" + d + "D" for d in self.dyck(n - 1)] if n else []
+
+    def from_dyck(self, tag: str, d: str) -> Perm:
+        images = self._images[tag]
+        p = images.get(d)
+        if p is None:
+            p = images[d] = getattr(bijections, f"from_dyck_{tag}")(d)
+        return p
+
+
 def _check(name: str, bound: int | None = None):
-    """Register fn(report, max_n, caps) as check ``name``, to n <= bound."""
+    """Register fn(report, max_n, caps, listing) as check ``name``, to
+    n <= bound."""
     def register(fn):
         _CHECKS[name] = (fn, bound)
         return fn
     return register
 
 
-def _run_check(name: str, max_n: int, caps: Caps) -> VerifyReport:
+def _run_check(name: str, max_n: int, caps: Caps,
+               listing: _Listing | None = None) -> VerifyReport:
+    # a check run alone lists its own Dyck words
     fn, bound = _CHECKS[name]
     report = VerifyReport(name, max_n if bound is None else min(max_n, bound))
     try:
-        fn(report, report.max_n, caps)
+        fn(report, report.max_n, caps,
+           _Listing(caps) if listing is None else listing)
     except _MAP_ERRORS as exc:
         report.ok(False, f"raised {type(exc).__name__}: {exc}")
     return report
@@ -313,79 +364,83 @@ def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
     for n in range(max_n + 1):
         report.eq(_oracle_rows(left_key, n, caps, max_n)[left_stat],
                   _oracle_rows(right_key, n, caps, max_n)[right_stat],
-                  f"{where} at n={n}")
+                  "{} at n={}", where, n)
 
 
 @_check("CARD_SINGLE_CATALAN")
-def _check_card_single(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_card_single(report: VerifyReport, max_n: int, caps: Caps,
+                       listing: _Listing) -> None:
     for text in _SINGLE_BASES:
         key = parse_basis(text)
         for n in range(max_n + 1):
             report.eq(class_size(n, key, caps), formulas.catalan(n),
-                      f"|S_{n}({text})|")
+                      "|S_{}({})|", n, text)
 
 
 @_check("CARD_PAIRS")
-def _check_card_pairs(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_card_pairs(report: VerifyReport, max_n: int, caps: Caps,
+                      listing: _Listing) -> None:
     for text in ("213,312", "132,213", "213,231", "123,132"):
         key = parse_basis(text)
         for n in range(1, max_n + 1):
             report.eq(class_size(n, key, caps=caps), 2 ** (n - 1),
-                      f"|S_{n}({text})|")
+                      "|S_{}({})|", n, text)
     key = parse_basis("132,321")
     for n in range(1, max_n + 1):
         report.eq(class_size(n, key, caps=caps), formulas.binom(n, 2) + 1,
-                  f"|S_{n}(132,321)|")
+                  "|S_{}(132,321)|", n)
 
 
 @_check("CARD_123_321_EMPTY")
-def _check_card_123_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_card_123_321(report: VerifyReport, max_n: int, caps: Caps,
+                        listing: _Listing) -> None:
     key = parse_basis("123,321")
     for n in range(5, max_n + 1):
-        report.eq(class_size(n, key, caps=caps), 0, f"|S_{n}(123,321)|")
+        report.eq(class_size(n, key, caps=caps), 0, "|S_{}(123,321)|", n)
 
 
 def _reference(key: tuple[Perm, ...], n: int,
-               caps: Caps) -> tuple[str, Iterable[Perm]]:
+               listing: _Listing) -> tuple[str, Iterable[Perm]]:
     # (its name, a listing) of structured class key at n that shares no rule
     # with the walk: Av(231) and Av(321) from Dyck words, an encoded pair
     # through its decoder, and any other pair as the complements of the walk
     # over the complement basis, whose _NEXT rules are disjoint from its own
     tag = format_basis(key).replace(",", "_")
     if len(key) == 1:
-        from_dyck = getattr(bijections, f"from_dyck_{tag}")
-        return "Dyck words", map(from_dyck, generate.gen_dyck(n, cap=caps.dyck))
+        return "Dyck words", map(partial(listing.from_dyck, tag),
+                                 listing.dyck(n))
     if tag in _ENCODINGS:
         if n == 0:
             return "bit words", [()]
-        words = generate.gen_bits(n - 1, cap=caps.bits)
+        words = generate.gen_bits(n - 1, cap=listing.caps.bits)
         return "bit words", map(getattr(bijections, f"decode_{tag}"), words)
     image = transform_basis(key, "c")
     return (f"complements of {format_basis(image)}",
-            map(SYMMETRIES["c"], generate.gen_class(n, image, caps)))
+            map(SYMMETRIES["c"], generate.gen_class(n, image, listing.caps)))
 
 
 @_check("STRUCTURED_MATCHES_FILTER", bound=9)
-def _check_structured_filter(report: VerifyReport, max_n: int,
-                             caps: Caps) -> None:
+def _check_structured_filter(report: VerifyReport, max_n: int, caps: Caps,
+                             listing: _Listing) -> None:
     for key in generate.STRUCTURED:
+        text = format_basis(key)
         for n in range(max_n + 1):
             structured = sorted(generate.gen_class(n, key, caps))
             report.ok(len(set(structured)) == len(structured),
-                      f"duplicates from structured {format_basis(key)} at n={n}")
-            route, reference = _reference(key, n, caps)
+                      "duplicates from structured {} at n={}", text, n)
+            route, reference = _reference(key, n, listing)
             report.eq(structured, sorted(reference),
-                      f"structured vs {route} for {format_basis(key)} at n={n}")
+                      "structured vs {} for {} at n={}", route, text, n)
 
 
-def _check_formula(fid: str, report: VerifyReport, max_n: int,
-                   caps: Caps) -> None:
+def _check_formula(fid: str, report: VerifyReport, max_n: int, caps: Caps,
+                   listing: _Listing) -> None:
     spec = formulas.formula(fid)
     for n in range(spec.min_n, max_n + 1):
         want = formulas.closed_form_row(fid, n)
         got = _oracle_rows(spec.basis, n, caps, max_n)[spec.stat]
-        report.eq(got, want,
-                  f"{spec.stat} over {format_basis(spec.basis)} at n={n}")
+        report.eq(got, want, "{} over {} at n={}", spec.stat,
+                  format_basis(spec.basis), n)
 
 
 for _fid in formulas.formula_ids():
@@ -393,7 +448,8 @@ for _fid in formulas.formula_ids():
 
 
 def _check_series(name: str, basis: str, rows: list[tuple[str, str]],
-                  report: VerifyReport, max_n: int, caps: Caps) -> None:
+                  report: VerifyReport, max_n: int, caps: Caps,
+                  listing: _Listing) -> None:
     """Rows of the series ``series.SERIES[name]`` against the oracle's rows
     of each (statistic, label) pair over the basis."""
     expansion = series.expand(name, max_n)
@@ -402,7 +458,7 @@ def _check_series(name: str, basis: str, rows: list[tuple[str, str]],
         oracle = _oracle_rows(key, n, caps, max_n)
         for stat, label in rows:
             report.eq(expansion.row_counts(n), oracle[stat],
-                      f"{label} at n={n}")
+                      "{} at n={}", label, n)
 
 
 _check("SERIES_DES321_ORACLE")(partial(
@@ -412,7 +468,8 @@ _check("SERIES_PK321_ORACLE")(partial(
 
 
 @_check("SERIES_B_PK231")
-def _check_series_b(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_series_b(report: VerifyReport, max_n: int, caps: Caps,
+                    listing: _Listing) -> None:
     # identity: B = z(1 - q) + sum a(n,k) q^(k+1) z^(n+1) over the
     # peak counts for 231-avoiders, whose n = 0 row is the single empty
     # permutation; the corrections collapse the z^1 row to exactly 1.
@@ -423,10 +480,11 @@ def _check_series_b(report: VerifyReport, max_n: int, caps: Caps) -> None:
     for n in range(1, max_n):
         want = {k + 1: v
                 for k, v in formulas.closed_form_row("PK231", n).items()}
-        report.eq(b.row_counts(n + 1), want, f"row n={n + 1} vs shifted counts")
+        report.eq(b.row_counts(n + 1), want, "row n={} vs shifted counts",
+                  n + 1)
     for n in range(min(max_n, 10) + 1):
-        report.eq(_tally_words(generate.gen_indec(n, cap=caps.dyck), uud_count),
-                  b.row_counts(n), f"indecomposable UUD tally at n={n}")
+        report.eq(_tally_words(listing.indec(n), uud_count),
+                  b.row_counts(n), "indecomposable UUD tally at n={}", n)
 
 
 _check("SERIES_DDES_132_213_ORACLE")(partial(
@@ -435,94 +493,104 @@ _check("SERIES_DDES_132_213_ORACLE")(partial(
 
 
 @_check("UUD_DES_EQUIDISTRIBUTION")
-def _check_uud_des_equidist(report: VerifyReport, max_n: int,
-                            caps: Caps) -> None:
+def _check_uud_des_equidist(report: VerifyReport, max_n: int, caps: Caps,
+                            listing: _Listing) -> None:
     key = parse_basis("321")
     for n in range(max_n + 1):
-        report.eq(_tally_words(generate.gen_dyck(n, cap=caps.dyck), uud_count),
+        report.eq(_tally_words(listing.dyck(n), uud_count),
                   _oracle_rows(key, n, caps, max_n)["des"],
-                  f"UUD tally vs descents at n={n}")
+                  "UUD tally vs descents at n={}", n)
 
 
 @_check("INTERIOR_UUD_INDEC_DES")
-def _check_interior_uud_indec(report: VerifyReport, max_n: int,
-                              caps: Caps) -> None:
+def _check_interior_uud_indec(report: VerifyReport, max_n: int, caps: Caps,
+                              listing: _Listing) -> None:
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
     key = parse_basis("321")
     for n in range(max_n + 1):
-        report.eq(_tally_words(generate.gen_indec(n + 1, cap=caps.dyck),
-                               interior_uud_count),
+        report.eq(_tally_words(listing.indec(n + 1), interior_uud_count),
                   _oracle_rows(key, n, caps, max_n)["des"],
-                  f"interior UUD over indecomposables at n={n + 1}")
-        report.eq(d.row_counts(n + 1), a.row_counts(n), f"z-shift at n={n}")
+                  "interior UUD over indecomposables at n={}", n + 1)
+        report.eq(d.row_counts(n + 1), a.row_counts(n), "z-shift at n={}", n)
 
 
 @_check("IOTA_INVOLUTION", bound=8)
-def _check_iota(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_iota(report: VerifyReport, max_n: int, caps: Caps,
+                listing: _Listing) -> None:
+    # t is read off the 321-image, not through the map's own shortcut
+    psi_inv = partial(listing.from_dyck, "321")
     for n in range(max_n + 1):
-        for d in generate.gen_dyck(n, cap=caps.dyck):
+        for d in listing.dyck(n):
             s = uud_count(d)
-            t = all_stats(bijections.from_dyck_321(d))["des"]
+            t = all_stats(psi_inv(d))["des"]
             e = bijections.uud_des_involution(d)
-            report.eq(bijections.uud_des_involution(e), d, f"involution at {d}")
+            report.eq(bijections.uud_des_involution(e), d,
+                      "involution at {}", d)
             if s == t:
-                report.eq(e, d, f"fixed point at {d}")
+                report.eq(e, d, "fixed point at {}", d)
             else:
-                got = (uud_count(e), all_stats(bijections.from_dyck_321(e))["des"])
-                report.eq(got, (t, s), f"population swap at {d}")
+                got = (uud_count(e), all_stats(psi_inv(e))["des"])
+                report.eq(got, (t, s), "population swap at {}", d)
 
 
 @_check("PK_312_EQ_321")
-def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps,
+                      listing: _Listing) -> None:
     _same_rows(report, ("pk", parse_basis("312")), ("pk", parse_basis("321")),
                "peak rows", max_n, caps)
 
 
 @_check("ZETA_PROPERTIES")
-def _check_zeta(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_zeta(report: VerifyReport, max_n: int, caps: Caps,
+                listing: _Listing) -> None:
     key = parse_basis("312")
     for n in range(max_n + 1):
         for p in generate.gen_class(n, key, caps):
             q = bijections.rewrite_312_to_321(p)
-            report.ok(avoids_all(q, [(3, 2, 1)]), f"image avoids 321 for {p}")
-            report.eq(ltr_maxima(q), ltr_maxima(p), f"maxima preserved for {p}")
+            report.ok(avoids_all(q, [(3, 2, 1)]), "image avoids 321 for {}", p)
+            report.eq(ltr_maxima(q), ltr_maxima(p),
+                      "maxima preserved for {}", p)
             report.eq(all_stats(q)["pk"], all_stats(p)["pk"],
-                      f"peaks preserved for {p}")
-            report.eq(bijections.rewrite_321_to_312(q), p, f"round trip for {p}")
+                      "peaks preserved for {}", p)
+            report.eq(bijections.rewrite_321_to_312(q), p,
+                      "round trip for {}", p)
 
 
 @_check("PHI231_TRANSPORT")
-def _check_phi231(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_phi231(report: VerifyReport, max_n: int, caps: Caps,
+                  listing: _Listing) -> None:
     key = parse_basis("231")
     for n in range(max_n + 1):
         for p in generate.gen_class(n, key, caps):
             d = bijections.to_dyck_231(p)
-            report.eq(bijections.from_dyck_231(d), p, f"round trip for {p}")
+            report.eq(listing.from_dyck("231", d), p, "round trip for {}", p)
             report.eq(factor_count(d, "DUU"), all_stats(p)["pk"],
-                      f"DUU count for {p}")
+                      "DUU count for {}", p)
 
 
 @_check("PSI321_TRANSPORT")
-def _check_psi321(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_psi321(report: VerifyReport, max_n: int, caps: Caps,
+                  listing: _Listing) -> None:
     rt_bound = min(max_n, 8)
     for n in range(max_n + 1):
-        for d in generate.gen_dyck(n, cap=caps.dyck):
-            p = bijections.from_dyck_321(d)
-            report.ok(avoids_all(p, [(3, 2, 1)]), f"image avoids 321 for {d}")
+        for d in listing.dyck(n):
+            p = listing.from_dyck("321", d)
+            report.ok(avoids_all(p, [(3, 2, 1)]), "image avoids 321 for {}", d)
             report.eq(all_stats(p)["pk"], interior_uud_count(d),
-                      f"interior UUD count for {d}")
+                      "interior UUD count for {}", d)
             if n <= rt_bound:
-                report.eq(bijections.to_dyck_321(p), d, f"round trip for {d}")
+                report.eq(bijections.to_dyck_321(p), d, "round trip for {}", d)
 
 
 @_check("PSI_HAT_DES_TRANSPORT")
-def _check_psi_hat(report: VerifyReport, max_n: int, caps: Caps) -> None:
+def _check_psi_hat(report: VerifyReport, max_n: int, caps: Caps,
+                   listing: _Listing) -> None:
     for n in range(max_n + 1):
-        for d in generate.gen_dyck(n, cap=caps.dyck):
-            p = bijections.from_dyck_321(d)
+        for d in listing.dyck(n):
+            p = listing.from_dyck("321", d)
             report.eq(all_stats(p)["des"], interior_uud_count("U" + d + "D"),
-                      f"descents vs wrapped interior UUD for {d}")
+                      "descents vs wrapped interior UUD for {}", d)
 
 
 def _ascent_word_stats(bits: str) -> dict[str, int]:
@@ -554,8 +622,8 @@ _STAT_LABELS = {"asc": "ascents", "des": "descents", "dasc": "dasc",
                 "ddes": "ddes", "pk": "peaks", "vl": "valleys"}
 
 
-def _check_encoding(tag: str, report: VerifyReport, max_n: int,
-                    caps: Caps) -> None:
+def _check_encoding(tag: str, report: VerifyReport, max_n: int, caps: Caps,
+                    listing: _Listing) -> None:
     basis, word_stats = _ENCODINGS[tag]
     decode = getattr(bijections, f"decode_{tag}")
     encode = getattr(bijections, f"encode_{tag}")
@@ -563,11 +631,12 @@ def _check_encoding(tag: str, report: VerifyReport, max_n: int,
         for bits in generate.gen_bits(n - 1, cap=caps.bits):
             p = decode(bits)
             report.ok(avoids_all(p, basis),
-                      f"decoded member avoids basis for {bits}")
-            report.eq(encode(p), bits, f"round trip for {bits}")
+                      "decoded member avoids basis for {}", bits)
+            report.eq(encode(p), bits, "round trip for {}", bits)
             st = all_stats(p)
             for stat, want in word_stats(bits).items():
-                report.eq(st[stat], want, f"{_STAT_LABELS[stat]} for {bits}")
+                report.eq(st[stat], want,
+                          "{} for {}", _STAT_LABELS[stat], bits)
 
 
 for _tag in _ENCODINGS:
@@ -613,7 +682,7 @@ def symmetry_check(family: str, basis, transform: str, max_n: int,
 
 
 def _check_symmetry_family(family: str, report: VerifyReport, max_n: int,
-                           caps: Caps) -> None:
+                           caps: Caps, listing: _Listing) -> None:
     for text in _SINGLE_BASES + _PAIR_BASES:
         for transform in ("r", "c", "rc"):
             _symmetry_rows(report, family, parse_basis(text), transform,
@@ -626,15 +695,16 @@ for _family in _FAMILIES:
 
 
 @_check("CLASS_132_213_EQ_213_231")
-def _check_132_213_eq_213_231(report: VerifyReport, max_n: int,
-                              caps: Caps) -> None:
+def _check_132_213_eq_213_231(report: VerifyReport, max_n: int, caps: Caps,
+                              listing: _Listing) -> None:
     a, b = parse_basis("132,213"), parse_basis("213,231")
     for stat in STATS:
         _same_rows(report, (stat, a), (stat, b), f"{stat} rows", max_n, caps)
 
 
 def checks() -> dict[str, Callable[..., VerifyReport]]:
-    """All registered verification checks, name -> fn(max_n, caps)."""
+    """All registered verification checks, name -> fn(max_n, caps); a
+    check called so lists its own Dyck words."""
     return {name: partial(_run_check, name) for name in _CHECKS}
 
 
@@ -652,7 +722,9 @@ def verify_all(max_n: int, selection=None,
     for name in names:
         if name not in registry:
             raise KeyError(f"unknown check {name!r}")
-    return [registry[name](max_n, caps) for name in names]
+    # one listing for the run's checks, dropped when the run returns
+    listing = _Listing(caps)
+    return [registry[name](max_n, caps, listing) for name in names]
 
 
 def reports_json(reports: list[VerifyReport]) -> str:

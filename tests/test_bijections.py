@@ -167,6 +167,24 @@ def test_involution_is_involution_exhaustive():
                 assert (uud_count(e), des(from_dyck_321(e))) == (t, s)
 
 
+def test_involution_equals_the_map_that_built_the_preimage(monkeypatch):
+    # the reference takes t = des(from_dyck_321(d)), as the map did before
+    # it read t off U d D; only t differs between the two
+    from patternstats.stats import des
+
+    words = [d for n in range(11) for d in gen_dyck(n)]
+    got = [uud_des_involution(d) for d in words]
+    wrapped = []
+
+    def preimage_des(w):
+        wrapped.append(w)
+        return des(from_dyck_321(w[1:-1]))
+
+    monkeypatch.setattr(bijections, "interior_uud_count", preimage_des)
+    assert [uud_des_involution(d) for d in words] == got
+    assert wrapped == ["U" + d + "D" for d in words]
+
+
 def test_encode_132_213_known_values():
     assert encode_132_213((3, 2, 1)) == "00"
     assert encode_132_213((1, 2)) == "1"
@@ -249,8 +267,8 @@ def test_encodings_refuse_the_empty_permutation(encode, decode):
 
 @pytest.mark.parametrize("fn,arg,patch", [
     # the two branches of iota, each fed a wrong descent count
-    (uud_des_involution, "UUDD", ("des", lambda p: 2)),
-    (uud_des_involution, "UUDUDD", ("des", lambda p: 0)),
+    (uud_des_involution, "UUDD", ("interior_uud_count", lambda w: 2)),
+    (uud_des_involution, "UUDUDD", ("interior_uud_count", lambda w: 0)),
     # the encoders, each fed a permutation outside its domain
     (encode_213_231, (2, 1, 3), ("_require_avoiding", lambda p, *pats: p)),
     (encode_123_132, (1, 2, 3), ("_require_avoiding", lambda p, *pats: p)),

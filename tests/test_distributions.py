@@ -205,6 +205,17 @@ def test_cap_and_size_errors_still_raise():
         verify_all(-1, selection="CARD_PAIRS")
 
 
+def test_listed_indecomposables_keep_their_cap_on_n():
+    # gen_indec checks semilength n itself, not the n - 1 it wraps
+    with pytest.raises(generate.CapExceededError,
+                       match="Dyck word size 6 exceeds cap 5"):
+        verify_all(5, selection="INTERIOR_UUD_INDEC_DES",
+                   caps=generate.Caps(dyck=5))
+    report, = verify_all(5, selection="INTERIOR_UUD_INDEC_DES",
+                         caps=generate.Caps(dyck=6))
+    assert report.passed
+
+
 def test_reports_json_shape():
     reports = verify_all(4, selection=["FORMULA_PK231", "IOTA_INVOLUTION"])
     blob = json.loads(distributions.reports_json(reports))
@@ -375,6 +386,87 @@ def test_verify_counts_each_class_once_to_max_n(monkeypatch):
     assert all(r.passed for r in verify_all(7))
     assert passes and {max_n for _, max_n in passes} == {7}
     assert len(passes) == len(set(passes))
+
+
+def test_verify_lists_and_maps_each_dyck_word_once(monkeypatch):
+    # one listing per run: every semilength is listed once, and each word
+    # goes through each inverse map at most once, whichever checks read it
+    listed, mapped = [], {"231": [], "321": []}
+    real_dyck = generate.gen_dyck
+
+    def spy_dyck(n, cap=None):
+        listed.append(n)
+        return real_dyck(n, cap)
+
+    monkeypatch.setattr(generate, "gen_dyck", spy_dyck)
+    for tag, words in mapped.items():
+        real = getattr(bijections, f"from_dyck_{tag}")
+        monkeypatch.setattr(bijections, f"from_dyck_{tag}",
+                            lambda d, real=real, words=words:
+                            words.append(d) or real(d))
+    distributions.clear_caches()
+    assert all(r.passed for r in verify_all(7))
+    assert sorted(listed) == list(range(8))
+    every_word = sum(formulas.catalan(n) for n in range(8))
+    for words in mapped.values():
+        assert len(words) == len(set(words)) == every_word == 626
+
+
+def test_a_check_reports_alike_alone_and_among_all():
+    # what one check reads from a run's listing or the oracle cache does
+    # not depend on which checks ran before it
+    distributions.clear_caches()
+    together = {r.name: r.to_dict() for r in verify_all(7)}
+    registry = distributions.checks()
+    assert list(together) == list(registry)
+    for name, report in together.items():
+        distributions.clear_caches()
+        assert verify_all(7, selection=name)[0].to_dict() == report
+        assert registry[name](7, generate.Caps()).to_dict() == report
+
+
+def test_no_listing_outlives_its_run(monkeypatch):
+    assert all(r.passed for r in verify_all(7))
+    orig = bijections.from_dyck_321
+    monkeypatch.setattr(bijections, "from_dyck_321",
+                        lambda d: orig(d)[::-1] if d == "UUUDDD" else orig(d))
+    report, = verify_all(5, selection="PSI321_TRANSPORT")
+    assert not report.passed
+    assert report.failure == "image avoids 321 for UUUDDD"
+
+
+def test_report_formats_a_label_only_on_its_first_failure():
+    formatted = []
+
+    class Arg:
+        def __format__(self, spec):
+            formatted.append(spec)
+            return "arg"
+
+    report = distributions.VerifyReport("X", 0)
+    report.eq(1, 1, "at {}", Arg())
+    report.ok(True, "at {}", Arg())
+    assert formatted == [] and report.passed
+    report.eq(1, 2, "at {}", Arg())
+    report.ok(False, "at {}", Arg())
+    assert (report.failure, report.checked) == ("at arg: got 1, expected 2", 4)
+    assert formatted == [""]
+    # a label without arguments is taken as it stands, braces and all
+    plain = distributions.VerifyReport("Y", 0)
+    plain.ok(False, "not a word over {0,1}")
+    assert plain.failure == "not a word over {0,1}"
+
+
+def test_a_tuple_label_keeps_its_text(monkeypatch):
+    # the failure string is the one the eagerly formatted labels gave
+    orig = bijections.rewrite_321_to_312
+    monkeypatch.setattr(
+        bijections, "rewrite_321_to_312",
+        lambda p: orig(p)[::-1] if len(p) == 4 and p[0] == 2 else orig(p))
+    report, = verify_all(6, selection="ZETA_PROPERTIES")
+    assert (report.passed, report.checked) == (False, 788)
+    assert report.failure == ("round trip for (2, 1, 3, 4): "
+                              "got (4, 3, 1, 2), expected (2, 1, 3, 4)")
 
 
 def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):

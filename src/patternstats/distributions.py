@@ -16,10 +16,14 @@ crosses a limit fails at its first refused size.  Where several
 methods support a pair they must agree; ``verify_all`` checks that,
 every bijection property, every series identity, and the
 reverse/complement symmetry identities, and reports the first
-counterexample of each failing check.
+counterexample of each failing check.  A symmetry family names one
+statistic, and :data:`~patternstats.stats.STAT_IMAGE` gives the statistic
+it is compared with over each image class.
 
 Each check is registered once, in the order ``verify --list`` prints, as a
-function that records its comparisons on a :class:`VerifyReport`.  One
+function that records its comparisons on a :class:`VerifyReport`; the
+three class-size checks are one runner over rows of (basis, first n,
+size(n)).  One
 runner makes the report, applies the check's size bound, and reports an
 error a map raises on an image another map produced (a pattern violation,
 a broken invariant, a malformed bit or Dyck word) as the check's failure.
@@ -63,7 +67,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from . import bijections, dyck, formulas, generate, series
+from . import bijections, dyck, formulas, generate, series, stats
 from .dyck import factor_count, interior_uud_count, uud_count
 from .generate import Caps
 from .perms import (
@@ -367,36 +371,29 @@ def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
                   "{} at n={}", where, n)
 
 
-@_check("CARD_SINGLE_CATALAN")
-def _check_card_single(report: VerifyReport, max_n: int, caps: Caps,
-                       listing: _Listing) -> None:
-    for text in _SINGLE_BASES:
+def _check_sizes(rows: list[tuple[str, int, Callable[[int], int]]],
+                 report: VerifyReport, max_n: int, caps: Caps,
+                 listing: _Listing) -> None:
+    """|S_n(basis)| against size(n) for each row (basis text, first n,
+    size), first n <= n <= max_n."""
+    for text, first, size in rows:
         key = parse_basis(text)
-        for n in range(max_n + 1):
-            report.eq(class_size(n, key, caps), formulas.catalan(n),
+        for n in range(first, max_n + 1):
+            report.eq(class_size(n, key, caps), size(n),
                       "|S_{}({})|", n, text)
 
 
-@_check("CARD_PAIRS")
-def _check_card_pairs(report: VerifyReport, max_n: int, caps: Caps,
-                      listing: _Listing) -> None:
-    for text in ("213,312", "132,213", "213,231", "123,132"):
-        key = parse_basis(text)
-        for n in range(1, max_n + 1):
-            report.eq(class_size(n, key, caps=caps), 2 ** (n - 1),
-                      "|S_{}({})|", n, text)
-    key = parse_basis("132,321")
-    for n in range(1, max_n + 1):
-        report.eq(class_size(n, key, caps=caps), formulas.binom(n, 2) + 1,
-                  "|S_{}(132,321)|", n)
-
-
-@_check("CARD_123_321_EMPTY")
-def _check_card_123_321(report: VerifyReport, max_n: int, caps: Caps,
-                        listing: _Listing) -> None:
-    key = parse_basis("123,321")
-    for n in range(5, max_n + 1):
-        report.eq(class_size(n, key, caps=caps), 0, "|S_{}(123,321)|", n)
+# sizes are looked up at call time, so that a wrapped formula is the one
+# called
+_check("CARD_SINGLE_CATALAN")(partial(
+    _check_sizes, [(text, 0, lambda n: formulas.catalan(n))
+                   for text in _SINGLE_BASES]))
+_check("CARD_PAIRS")(partial(
+    _check_sizes, [(text, 1, lambda n: 2 ** (n - 1))
+                   for text in ("213,312", "132,213", "213,231", "123,132")]
+    + [("132,321", 1, lambda n: formulas.binom(n, 2) + 1)]))
+_check("CARD_123_321_EMPTY")(partial(
+    _check_sizes, [("123,321", 5, lambda n: 0)]))
 
 
 def _reference(key: tuple[Perm, ...], n: int,
@@ -523,14 +520,14 @@ def _check_iota(report: VerifyReport, max_n: int, caps: Caps,
     for n in range(max_n + 1):
         for d in listing.dyck(n):
             s = uud_count(d)
-            t = all_stats(psi_inv(d))["des"]
+            t = stats.des(psi_inv(d))
             e = bijections.uud_des_involution(d)
             report.eq(bijections.uud_des_involution(e), d,
                       "involution at {}", d)
             if s == t:
                 report.eq(e, d, "fixed point at {}", d)
             else:
-                got = (uud_count(e), all_stats(psi_inv(e))["des"])
+                got = (uud_count(e), stats.des(psi_inv(e)))
                 report.eq(got, (t, s), "population swap at {}", d)
 
 
@@ -551,8 +548,7 @@ def _check_zeta(report: VerifyReport, max_n: int, caps: Caps,
             report.ok(avoids_all(q, [(3, 2, 1)]), "image avoids 321 for {}", p)
             report.eq(ltr_maxima(q), ltr_maxima(p),
                       "maxima preserved for {}", p)
-            report.eq(all_stats(q)["pk"], all_stats(p)["pk"],
-                      "peaks preserved for {}", p)
+            report.eq(stats.pk(q), stats.pk(p), "peaks preserved for {}", p)
             report.eq(bijections.rewrite_321_to_312(q), p,
                       "round trip for {}", p)
 
@@ -565,7 +561,7 @@ def _check_phi231(report: VerifyReport, max_n: int, caps: Caps,
         for p in generate.gen_class(n, key, caps):
             d = bijections.to_dyck_231(p)
             report.eq(listing.from_dyck("231", d), p, "round trip for {}", p)
-            report.eq(factor_count(d, "DUU"), all_stats(p)["pk"],
+            report.eq(factor_count(d, "DUU"), stats.pk(p),
                       "DUU count for {}", p)
 
 
@@ -577,7 +573,7 @@ def _check_psi321(report: VerifyReport, max_n: int, caps: Caps,
         for d in listing.dyck(n):
             p = listing.from_dyck("321", d)
             report.ok(avoids_all(p, [(3, 2, 1)]), "image avoids 321 for {}", d)
-            report.eq(all_stats(p)["pk"], interior_uud_count(d),
+            report.eq(stats.pk(p), interior_uud_count(d),
                       "interior UUD count for {}", d)
             if n <= rt_bound:
                 report.eq(bijections.to_dyck_321(p), d, "round trip for {}", d)
@@ -589,15 +585,15 @@ def _check_psi_hat(report: VerifyReport, max_n: int, caps: Caps,
     for n in range(max_n + 1):
         for d in listing.dyck(n):
             p = listing.from_dyck("321", d)
-            report.eq(all_stats(p)["des"], interior_uud_count("U" + d + "D"),
+            report.eq(stats.des(p), interior_uud_count("U" + d + "D"),
                       "descents vs wrapped interior UUD for {}", d)
 
 
 def _ascent_word_stats(bits: str) -> dict[str, int]:
-    # bit i is 1 exactly when position i is an ascent
-    return {"asc": bits.count("1"), "des": bits.count("0"),
-            "dasc": factor_count(bits, "11"), "ddes": factor_count(bits, "00"),
-            "pk": factor_count(bits, "10"), "vl": factor_count(bits, "01")}
+    # bit i is 1 exactly when position i is an ascent, so the bits are the
+    # up-down word and each statistic counts its factor in them
+    return {stat: factor_count(bits, factor)
+            for stat, factor in stats.FACTORS.items()}
 
 
 def _word_stats_123_132(bits: str) -> dict[str, int]:
@@ -643,12 +639,9 @@ for _tag in _ENCODINGS:
     _check(f"ENC_{_tag}_TRANSPORT")(partial(_check_encoding, _tag))
 
 
-_FAMILIES = {
-    "asc_des": {"r": ("asc", "des"), "c": ("asc", "des"), "rc": ("asc", "asc")},
-    "dasc_ddes": {"r": ("dasc", "ddes"), "c": ("dasc", "ddes"),
-                  "rc": ("dasc", "dasc")},
-    "pk_vl": {"r": ("pk", "pk"), "c": ("pk", "vl"), "rc": ("pk", "vl")},
-}
+# family -> its statistic s: s over a class equals stats.STAT_IMAGE[t][s]
+# over the image of the class under each transform t
+_FAMILIES = {"asc_des": "asc", "dasc_ddes": "dasc", "pk_vl": "pk"}
 
 
 def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
@@ -661,8 +654,9 @@ def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
 
 def _symmetry_rows(report: VerifyReport, family: str, key: tuple,
                    transform: str, max_n: int, caps: Caps) -> None:
-    left_stat, right_stat = _FAMILIES[family][transform]
     image = transform_basis(key, transform)
+    left_stat = _FAMILIES[family]
+    right_stat = stats.STAT_IMAGE[transform][left_stat]
     _same_rows(report, (left_stat, key), (right_stat, image),
                f"{left_stat}({format_basis(key)}) vs "
                f"{right_stat}({format_basis(image)})", max_n, caps)

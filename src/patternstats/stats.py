@@ -6,17 +6,29 @@ valleys use windows of length 3.  Every statistic of the empty and the
 singleton permutation is 0.
 
 All six depend only on the up-down word of a permutation, the bytes
-``w[i] = [p[i] < p[i+1]]``: asc counts the 1s and des the 0s, pk counts
-the factors 10 and vl the factors 01, and dasc = asc - vl - [w starts
-with 1], ddes = des - pk - [w starts with 0].  :func:`all_stats` reads
-them off that word with byte counts; the one-statistic functions
-:func:`asc` ... :func:`vl` keep the window definitions.
+``w[i] = [p[i] < p[i+1]]``: each counts the occurrences of one factor of
+that word, and :data:`FACTORS` is the one table of those factors (asc
+counts 1, des 0, dasc 11, ddes 00, pk 10 and vl 01).  Three things are
+derived from it:
+
+- :data:`STAT_IMAGE`, what r, c and rc do to each statistic.  Reversing a
+  permutation reverses and complements its word, complementing it
+  complements the word, and rc reverses the word, so s(p) is the
+  statistic of t(p) that counts the image of s's factor;
+- :func:`step_gains`, what each step of a word adds to a joint key: one
+  to each field whose factor the step ends;
+- the word statistics of the encoding checks in
+  :mod:`~patternstats.distributions`.
+
+:func:`all_stats` reads all six off the word with byte counts
+(:func:`word_stats`), and the one-statistic functions :func:`asc` ...
+:func:`vl` keep the window definitions; both stay independent of the
+table, as references for it.
 
 A tally over a class keeps one joint count per value of (asc, pk, vl,
 dasc, ddes), packed in one int, a field of :func:`joint_width` bits each;
-des is n - 1 - asc.  :func:`step_gains` says what each step of the word
-adds to that key, so a listed class packs each distinct word with
-:func:`word_key` and a counted class adds the gains as it goes, and
+des is n - 1 - asc.  A listed class packs each distinct word with
+:func:`word_key` and a counted class adds the step gains as it goes, and
 :func:`joint_row` projects either tally onto the row of one statistic,
 so a caller that reads one statistic pays for one row, not six.  A
 counting pass packs every length at the width of its longest.
@@ -28,7 +40,22 @@ from operator import lt
 
 from .perms import Perm, reduce_word
 
-STATS = ("asc", "des", "dasc", "ddes", "pk", "vl")
+# statistic -> the factor of the up-down word it counts, 1 for an ascent
+FACTORS = {"asc": "1", "des": "0", "dasc": "11", "ddes": "00",
+           "pk": "10", "vl": "01"}
+STATS = tuple(FACTORS)
+
+_FLIP = str.maketrans("01", "10")
+# transform -> what it does to a factor, as r, c and rc of perms.SYMMETRIES
+# act on the up-down word
+_WORD_MAPS = {"r": lambda f: f[::-1].translate(_FLIP),
+              "c": lambda f: f.translate(_FLIP),
+              "rc": lambda f: f[::-1]}
+_COUNTING = {factor: stat for stat, factor in FACTORS.items()}
+# transform -> {s: the statistic of t(p) that equals s(p)}
+STAT_IMAGE = {t: {stat: _COUNTING[move(factor)]
+                  for stat, factor in FACTORS.items()}
+              for t, move in _WORD_MAPS.items()}
 
 
 def asc(p: Perm) -> int:
@@ -102,17 +129,25 @@ def joint_width(n: int) -> int:
     return max(n, 1).bit_length()
 
 
+# _ENDS[prev][up]: the indices in JOINT of the fields whose factor the step
+# ends, indexed as the gains of step_gains
+_ENDS = tuple(tuple(tuple(i for i, stat in enumerate(JOINT)
+                          if (before + up).endswith(FACTORS[stat]))
+                    for up in "01")
+              for before in ("0", "1", ""))
+
+
 def step_gains(width: int) -> tuple[tuple[int, int], ...]:
     """What one step of an up-down word adds to a joint key.
 
     ``gains[prev][up]`` is the gain of an ascent (``up`` 1) or a descent
     (``up`` 0) after a descent (``prev`` 0), after an ascent (1), or as the
-    first step (2).  Packing the statistics in fields of ``width`` bits,
-    this is the one definition both the listing tally and the counting walk
-    of a class use.
+    first step (2): one in each field, of ``width`` bits, whose factor the
+    step ends.  This is the one definition both the listing tally and the
+    counting walk of a class use.
     """
-    asc, pk, vl, dasc, ddes = (1 << i * width for i in range(len(JOINT)))
-    return ((ddes, asc + vl), (pk, asc + dasc), (0, asc))
+    return tuple(tuple(sum(1 << i * width for i in fields) for fields in row)
+                 for row in _ENDS)
 
 
 def word_key(w: bytes, gains: tuple[tuple[int, int], ...]) -> int:

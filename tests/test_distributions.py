@@ -95,6 +95,50 @@ def test_symmetry_check_reports():
     assert rep.passed
     with pytest.raises(ValueError):
         symmetry_check("nope", [(2, 3, 1)], "r", 4)
+    with pytest.raises(ValueError, match="^unknown transform 'x'$"):
+        symmetry_check("asc_des", [(2, 3, 1)], "x", 4)
+
+
+def test_symmetry_checks_compare_the_pinned_statistic_pairs(monkeypatch):
+    # rows that name their statistic make every comparison fail with its
+    # label, which names the two statistics compared: the nine pairs the
+    # families compared when each was written out by hand
+    monkeypatch.setattr(
+        distributions, "_oracle_rows",
+        lambda key, n, caps, top=0: {s: {(key, s): 1} for s in stats.STATS})
+    seen = {}
+    for family in ("asc_des", "dasc_ddes", "pk_vl"):
+        for transform in ("r", "c", "rc"):
+            report = symmetry_check(family, [(2, 3, 1)], transform, 0)
+            seen[family, transform] = re.match(
+                r"(\w+)\(231\) vs (\w+)\(\d+\) at n=0: ",
+                report.failure).groups()
+    assert seen == {
+        ("asc_des", "r"): ("asc", "des"), ("asc_des", "c"): ("asc", "des"),
+        ("asc_des", "rc"): ("asc", "asc"),
+        ("dasc_ddes", "r"): ("dasc", "ddes"),
+        ("dasc_ddes", "c"): ("dasc", "ddes"),
+        ("dasc_ddes", "rc"): ("dasc", "dasc"),
+        ("pk_vl", "r"): ("pk", "pk"), ("pk_vl", "c"): ("pk", "vl"),
+        ("pk_vl", "rc"): ("pk", "vl"),
+    }
+
+
+def test_card_checks_report_an_off_by_one_size(monkeypatch):
+    # one wrong size, |S_4(132,321)| = 8, fails CARD_PAIRS alone, with the
+    # counts and the label the three hand-written checks reported
+    real, bad = distributions.class_size, perms.parse_basis("132,321")
+    monkeypatch.setattr(
+        distributions, "class_size",
+        lambda n, key, caps=generate.Caps():
+            real(n, key, caps) + (n == 4 and key == bad))
+    reports = verify_all(6, ["CARD_SINGLE_CATALAN", "CARD_PAIRS",
+                             "CARD_123_321_EMPTY"])
+    assert [(r.name, r.passed, r.checked, r.failure) for r in reports] == [
+        ("CARD_SINGLE_CATALAN", True, 42, None),
+        ("CARD_PAIRS", False, 30, "|S_4(132,321)|: got 8, expected 7"),
+        ("CARD_123_321_EMPTY", True, 2, None),
+    ]
 
 
 def test_symmetry_check_refuses_a_negative_max_n():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from patternstats.perms import complement, parse_perm, reverse
+from patternstats.perms import SYMMETRIES, parse_perm
 from patternstats.stats import (
+    FACTORS,
+    STAT_IMAGE,
     STATS,
     all_stats,
     consec3_count,
@@ -20,8 +22,6 @@ from patternstats.stats import (
 
 from helpers import naive_stat
 
-small_perms = st.integers(0, 8).flatmap(
-    lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))
 perms_to_200 = st.integers(0, 200).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple))
 
@@ -76,12 +76,39 @@ def test_window_identities_exhaustive():
                 assert s["asc"] + s["des"] == n - 1
 
 
-@given(small_perms)
-def test_stat_symmetries(p):
-    s = all_stats(p)
-    assert s["pk"] == all_stats(complement(p))["vl"]
-    assert s["dasc"] == all_stats(reverse(p))["ddes"]
-    assert s["asc"] == all_stats(reverse(p))["des"]
+def test_stat_symmetries():
+    # s(p) = STAT_IMAGE[t][s](t(p)) for all 18 (transform, statistic)
+    # pairs, by the window definitions, on every permutation of length <= 7
+    assert STAT_IMAGE.keys() == SYMMETRIES.keys()
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            for t, move in SYMMETRIES.items():
+                image = move(p)
+                for s in STATS:
+                    assert naive_stat(s, p) == naive_stat(
+                        STAT_IMAGE[t][s], image), (t, s, p)
+
+
+def test_factors_are_the_window_definitions():
+    # each statistic counts its factor of the up-down word, and STATS keeps
+    # the order the rows and CLI choices have always had
+    assert STATS == ("asc", "des", "dasc", "ddes", "pk", "vl")
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            bits = "".join(map(str, up_down(p)))
+            for s, factor in FACTORS.items():
+                count = sum(bits.startswith(factor, i)
+                            for i in range(len(bits)))
+                assert count == naive_stat(s, p), (s, p)
+
+
+def test_step_gains_keep_the_hand_table():
+    # what the gains read off FACTORS, at every width: ddes after a
+    # descent, a peak after an ascent, asc and vl or dasc for an ascent
+    for width in range(1, 13):
+        asc, pk, vl, dasc, ddes = (1 << i * width for i in range(5))
+        assert step_gains(width) == (
+            (ddes, asc + vl), (pk, asc + dasc), (0, asc))
 
 
 def test_word_key_matches_word_stats():

@@ -27,32 +27,33 @@ size(n)).  One
 runner makes the report, applies the check's size bound, and reports an
 error a map raises on an image another map produced (a pattern violation,
 a broken invariant, a malformed bit or Dyck word) as the check's failure.
-Cap errors, any other error, and a negative ``max_n`` still raise.
-``verify_all`` makes one listing per run and passes it to every check it
-runs; a check run alone makes its own, and no listing outlives its run.
-The listing holds the Dyck words of each semilength, listed once, and
-maps each word through ``from_dyck_321`` and ``from_dyck_231`` at most
-once, on the word's first use.  A comparison's label is a template with
-its arguments, formatted only when the comparison is its check's first
-failure.
+Cap errors, any other error, and a negative ``max_n`` still raise.  A
+comparison's label is a template with its arguments, formatted only when
+the comparison is its check's first failure.
 
-Oracle rows are cached per (basis, n) as one joint tally of (asc, pk,
-vl, dasc, ddes), des being n - 1 - asc, with the width it was packed at;
-:func:`~patternstats.stats.joint_row` projects a statistic's row from it
-when that row is first read, so a caller that reads one statistic pays
-for one row.  Every row's keys come in increasing order, whichever
+One run per call: ``verify_all`` makes one :class:`_Run` and passes it to
+every check it runs, and a check run alone, ``symmetry_check`` and the
+oracle route of ``dist_table`` each make their own.  The run is dropped
+when the call returns, and the module keeps nothing between calls, so no
+earlier call can change a result.  A run lists the Dyck words of each
+semilength once, maps each word through ``from_dyck_321`` and
+``from_dyck_231`` at most once, on the word's first use, and holds the
+oracle rows of each (basis, n) the call reads as one joint tally of (asc,
+pk, vl, dasc, ddes), des being n - 1 - asc, with the width it was packed
+at.  :func:`~patternstats.stats.joint_row` projects a statistic's row
+from it when that row is first read, so a caller that reads one statistic
+pays for one row.  Every row's keys come in increasing order, whichever
 statistic is read first.  A basis of length-3 patterns is counted, not
-listed: on a cache miss one :func:`~patternstats.generate.count_lengths`
-pass fills the tallies of every length up to the largest the caller asks
-for (the top of a ``dist`` range, a check's ``max_n``), so a range costs
-one pass, not one per n.
+listed: its first read makes one
+:func:`~patternstats.generate.count_lengths` pass that fills the tallies
+of every length up to the run's top (the top of a ``dist`` range, a
+check's ``max_n``), so a range costs one pass, not one per n.
 A basis with a pattern of another length is listed at each n and its
 members tallied, one joint key per distinct up-down word.  Generation
 caps arrive as a :class:`~patternstats.generate.Caps` value, which is
 passed whole to :func:`~patternstats.generate.gen_class`; the cap of the
 basis is checked by :func:`~patternstats.generate.class_cap` at each n
-before the cache, so a cached row never passes a size the caps refuse,
-and a pass counts no length the caps refuse.
+before any pass, and a pass counts no length the caps refuse.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
 images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
 :func:`~patternstats.formulas.closed_form_row`.
@@ -127,12 +128,9 @@ class _Rows(Mapping):
         return repr(dict(self))
 
 
-_oracle_cache: dict[tuple, _Rows] = {}
-
-
 def clear_caches() -> None:
-    """Forget the cached oracle rows."""
-    _oracle_cache.clear()
+    """Do nothing: the engine keeps nothing between calls.  Every row and
+    listing lives in the :class:`_Run` of the call that made it."""
 
 
 def _tally(members: Iterable[Perm]) -> _Rows:
@@ -149,23 +147,61 @@ def _tally(members: Iterable[Perm]) -> _Rows:
     return _Rows(joint, n, width)
 
 
-def _oracle_rows(basis_key: tuple, n: int, caps: Caps, top: int = 0) -> _Rows:
-    # checked before the cache, so that a hit cannot pass a size the caps
-    # refuse.  A miss on a basis of length-3 patterns counts every length
-    # to max(n, top) that the caps allow in one pass; any other basis is
-    # listed at n alone
-    cap = generate.class_cap(n, basis_key, caps)
-    if (basis_key, n) not in _oracle_cache:
-        if all(len(p) == 3 for p in basis_key):
-            top = min(max(n, top), cap)
-            width = joint_width(top)
-            for m, joint in enumerate(
-                    generate.count_lengths(top, basis_key, caps)):
-                _oracle_cache[(basis_key, m)] = _Rows(joint, m, width)
-        else:
-            _oracle_cache[(basis_key, n)] = _tally(
-                generate.gen_class(n, basis_key, caps))
-    return _oracle_cache[(basis_key, n)]
+class _Run:
+    """What one engine call lists and counts; the call drops it when it
+    returns.
+
+    Each semilength's Dyck words are listed once, under ``caps.dyck``.
+    Each word's 321- or 231-image is computed on its first use, by
+    ``bijections.from_dyck_<tag>`` as it stands then; a map that raises
+    stores no image, so a later use raises again.
+
+    :meth:`rows` gives the :class:`_Rows` of a (basis, n), with n checked
+    against the basis's cap on every read.  A basis of length-3 patterns
+    is counted, not listed: its first read makes one
+    :func:`~patternstats.generate.count_lengths` pass to ``top`` (or to n,
+    if larger), capped, which fills the rows of every length up to it.  A
+    basis with a pattern of another length is listed at n and its members
+    tallied."""
+
+    def __init__(self, caps: Caps, top: int):
+        self.caps, self.top = caps, top
+        self._dyck: dict[int, list[str]] = {}
+        self._images: dict[str, dict[str, Perm]] = {"321": {}, "231": {}}
+        self._rows: dict[tuple, _Rows] = {}
+
+    def rows(self, key: tuple, n: int) -> _Rows:
+        cap = generate.class_cap(n, key, self.caps)
+        if (key, n) not in self._rows:
+            if all(len(p) == 3 for p in key):
+                top = min(max(n, self.top), cap)
+                width = joint_width(top)
+                for m, joint in enumerate(
+                        generate.count_lengths(top, key, self.caps)):
+                    self._rows[key, m] = _Rows(joint, m, width)
+            else:
+                self._rows[key, n] = _tally(
+                    generate.gen_class(n, key, self.caps))
+        return self._rows[key, n]
+
+    def dyck(self, n: int) -> list[str]:
+        words = self._dyck.get(n)
+        if words is None:
+            words = self._dyck[n] = list(
+                generate.gen_dyck(n, cap=self.caps.dyck))
+        return words
+
+    def indec(self, n: int) -> list[str]:
+        # the words gen_indec lists, under its cap check of n itself
+        generate._check_cap(n, self.caps.dyck, "Dyck word")
+        return ["U" + d + "D" for d in self.dyck(n - 1)] if n else []
+
+    def from_dyck(self, tag: str, d: str) -> Perm:
+        images = self._images[tag]
+        p = images.get(d)
+        if p is None:
+            p = images[d] = getattr(bijections, f"from_dyck_{tag}")(d)
+        return p
 
 
 # (statistic, basis) -> name of its series in ``series.SERIES``
@@ -175,11 +211,11 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
 
 
 def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
-    # every n is checked, in order, before the first enumeration
+    # every n is checked, in order, before the one run counts to the largest
     for n in ns:
         generate.class_cap(n, key, caps)
-    top = max(ns, default=0)
-    return {n: dict(_oracle_rows(key, n, caps, top)[stat]) for n in ns}
+    run = _Run(caps, max(ns, default=0))
+    return {n: run.rows(key, n)[stat] for n in ns}
 
 
 def _closed_form(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
@@ -291,8 +327,8 @@ class VerifyReport:
         return asdict(self)
 
 
-# check name -> (fn(report, max_n, caps, listing), largest n it runs to), in
-# the order ``verify --list`` prints
+# check name -> (fn(report, max_n, run), largest n it runs to), in the order
+# ``verify --list`` prints
 _CHECKS: dict[str, tuple[Callable, int | None]] = {}
 
 # raised by a map on an image another map produced: the check fails, and
@@ -301,42 +337,8 @@ _MAP_ERRORS = (bijections.PatternViolation, bijections.InvariantError,
                bijections.InvalidBitsError, dyck.InvalidDyckError)
 
 
-class _Listing:
-    """The Dyck words of one verify run and their 321- and 231-images.
-
-    Each semilength is listed once, under ``caps.dyck``.  Each word's image
-    is computed on its first use, by ``bijections.from_dyck_<tag>`` as it
-    stands then.  A map that raises stores no image, so a later use raises
-    again."""
-
-    def __init__(self, caps: Caps):
-        self.caps = caps
-        self._dyck: dict[int, list[str]] = {}
-        self._images: dict[str, dict[str, Perm]] = {"321": {}, "231": {}}
-
-    def dyck(self, n: int) -> list[str]:
-        words = self._dyck.get(n)
-        if words is None:
-            words = self._dyck[n] = list(
-                generate.gen_dyck(n, cap=self.caps.dyck))
-        return words
-
-    def indec(self, n: int) -> list[str]:
-        # the words gen_indec lists, under its cap check of n itself
-        generate._check_cap(n, self.caps.dyck, "Dyck word")
-        return ["U" + d + "D" for d in self.dyck(n - 1)] if n else []
-
-    def from_dyck(self, tag: str, d: str) -> Perm:
-        images = self._images[tag]
-        p = images.get(d)
-        if p is None:
-            p = images[d] = getattr(bijections, f"from_dyck_{tag}")(d)
-        return p
-
-
 def _check(name: str, bound: int | None = None):
-    """Register fn(report, max_n, caps, listing) as check ``name``, to
-    n <= bound."""
+    """Register fn(report, max_n, run) as check ``name``, to n <= bound."""
     def register(fn):
         _CHECKS[name] = (fn, bound)
         return fn
@@ -344,13 +346,13 @@ def _check(name: str, bound: int | None = None):
 
 
 def _run_check(name: str, max_n: int, caps: Caps,
-               listing: _Listing | None = None) -> VerifyReport:
-    # a check run alone lists its own Dyck words
+               run: _Run | None = None) -> VerifyReport:
+    # a check run alone makes its own run
     fn, bound = _CHECKS[name]
     report = VerifyReport(name, max_n if bound is None else min(max_n, bound))
     try:
-        fn(report, report.max_n, caps,
-           _Listing(caps) if listing is None else listing)
+        fn(report, report.max_n,
+           _Run(caps, report.max_n) if run is None else run)
     except _MAP_ERRORS as exc:
         report.ok(False, f"raised {type(exc).__name__}: {exc}")
     return report
@@ -362,24 +364,23 @@ def _tally_words(words: Iterable[str], count) -> dict[int, int]:
 
 
 def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
-               max_n: int, caps: Caps) -> None:
+               max_n: int, run: _Run) -> None:
     """Compare the oracle rows of two (statistic, basis) pairs, n <= max_n."""
     (left_stat, left_key), (right_stat, right_key) = left, right
     for n in range(max_n + 1):
-        report.eq(_oracle_rows(left_key, n, caps, max_n)[left_stat],
-                  _oracle_rows(right_key, n, caps, max_n)[right_stat],
+        report.eq(run.rows(left_key, n)[left_stat],
+                  run.rows(right_key, n)[right_stat],
                   "{} at n={}", where, n)
 
 
 def _check_sizes(rows: list[tuple[str, int, Callable[[int], int]]],
-                 report: VerifyReport, max_n: int, caps: Caps,
-                 listing: _Listing) -> None:
+                 report: VerifyReport, max_n: int, run: _Run) -> None:
     """|S_n(basis)| against size(n) for each row (basis text, first n,
     size), first n <= n <= max_n."""
     for text, first, size in rows:
         key = parse_basis(text)
         for n in range(first, max_n + 1):
-            report.eq(class_size(n, key, caps), size(n),
+            report.eq(class_size(n, key, run.caps), size(n),
                       "|S_{}({})|", n, text)
 
 
@@ -397,45 +398,44 @@ _check("CARD_123_321_EMPTY")(partial(
 
 
 def _reference(key: tuple[Perm, ...], n: int,
-               listing: _Listing) -> tuple[str, Iterable[Perm]]:
+               run: _Run) -> tuple[str, Iterable[Perm]]:
     # (its name, a listing) of structured class key at n that shares no rule
     # with the walk: Av(231) and Av(321) from Dyck words, an encoded pair
     # through its decoder, and any other pair as the complements of the walk
     # over the complement basis, whose _NEXT rules are disjoint from its own
     tag = format_basis(key).replace(",", "_")
     if len(key) == 1:
-        return "Dyck words", map(partial(listing.from_dyck, tag),
-                                 listing.dyck(n))
+        return "Dyck words", map(partial(run.from_dyck, tag), run.dyck(n))
     if tag in _ENCODINGS:
         if n == 0:
             return "bit words", [()]
-        words = generate.gen_bits(n - 1, cap=listing.caps.bits)
+        words = generate.gen_bits(n - 1, cap=run.caps.bits)
         return "bit words", map(getattr(bijections, f"decode_{tag}"), words)
     image = transform_basis(key, "c")
     return (f"complements of {format_basis(image)}",
-            map(SYMMETRIES["c"], generate.gen_class(n, image, listing.caps)))
+            map(SYMMETRIES["c"], generate.gen_class(n, image, run.caps)))
 
 
 @_check("STRUCTURED_MATCHES_FILTER", bound=9)
-def _check_structured_filter(report: VerifyReport, max_n: int, caps: Caps,
-                             listing: _Listing) -> None:
+def _check_structured_filter(report: VerifyReport, max_n: int,
+                             run: _Run) -> None:
     for key in generate.STRUCTURED:
         text = format_basis(key)
         for n in range(max_n + 1):
-            structured = sorted(generate.gen_class(n, key, caps))
+            structured = sorted(generate.gen_class(n, key, run.caps))
             report.ok(len(set(structured)) == len(structured),
                       "duplicates from structured {} at n={}", text, n)
-            route, reference = _reference(key, n, listing)
+            route, reference = _reference(key, n, run)
             report.eq(structured, sorted(reference),
                       "structured vs {} for {} at n={}", route, text, n)
 
 
-def _check_formula(fid: str, report: VerifyReport, max_n: int, caps: Caps,
-                   listing: _Listing) -> None:
+def _check_formula(fid: str, report: VerifyReport, max_n: int,
+                   run: _Run) -> None:
     spec = formulas.formula(fid)
     for n in range(spec.min_n, max_n + 1):
         want = formulas.closed_form_row(fid, n)
-        got = _oracle_rows(spec.basis, n, caps, max_n)[spec.stat]
+        got = run.rows(spec.basis, n)[spec.stat]
         report.eq(got, want, "{} over {} at n={}", spec.stat,
                   format_basis(spec.basis), n)
 
@@ -445,14 +445,13 @@ for _fid in formulas.formula_ids():
 
 
 def _check_series(name: str, basis: str, rows: list[tuple[str, str]],
-                  report: VerifyReport, max_n: int, caps: Caps,
-                  listing: _Listing) -> None:
+                  report: VerifyReport, max_n: int, run: _Run) -> None:
     """Rows of the series ``series.SERIES[name]`` against the oracle's rows
     of each (statistic, label) pair over the basis."""
     expansion = series.expand(name, max_n)
     key = parse_basis(basis)
     for n in range(max_n + 1):
-        oracle = _oracle_rows(key, n, caps, max_n)
+        oracle = run.rows(key, n)
         for stat, label in rows:
             report.eq(expansion.row_counts(n), oracle[stat],
                       "{} at n={}", label, n)
@@ -465,8 +464,7 @@ _check("SERIES_PK321_ORACLE")(partial(
 
 
 @_check("SERIES_B_PK231")
-def _check_series_b(report: VerifyReport, max_n: int, caps: Caps,
-                    listing: _Listing) -> None:
+def _check_series_b(report: VerifyReport, max_n: int, run: _Run) -> None:
     # identity: B = z(1 - q) + sum a(n,k) q^(k+1) z^(n+1) over the
     # peak counts for 231-avoiders, whose n = 0 row is the single empty
     # permutation; the corrections collapse the z^1 row to exactly 1.
@@ -480,7 +478,7 @@ def _check_series_b(report: VerifyReport, max_n: int, caps: Caps,
         report.eq(b.row_counts(n + 1), want, "row n={} vs shifted counts",
                   n + 1)
     for n in range(min(max_n, 10) + 1):
-        report.eq(_tally_words(listing.indec(n), uud_count),
+        report.eq(_tally_words(run.indec(n), uud_count),
                   b.row_counts(n), "indecomposable UUD tally at n={}", n)
 
 
@@ -490,35 +488,34 @@ _check("SERIES_DDES_132_213_ORACLE")(partial(
 
 
 @_check("UUD_DES_EQUIDISTRIBUTION")
-def _check_uud_des_equidist(report: VerifyReport, max_n: int, caps: Caps,
-                            listing: _Listing) -> None:
+def _check_uud_des_equidist(report: VerifyReport, max_n: int,
+                            run: _Run) -> None:
     key = parse_basis("321")
     for n in range(max_n + 1):
-        report.eq(_tally_words(listing.dyck(n), uud_count),
-                  _oracle_rows(key, n, caps, max_n)["des"],
+        report.eq(_tally_words(run.dyck(n), uud_count),
+                  run.rows(key, n)["des"],
                   "UUD tally vs descents at n={}", n)
 
 
 @_check("INTERIOR_UUD_INDEC_DES")
-def _check_interior_uud_indec(report: VerifyReport, max_n: int, caps: Caps,
-                              listing: _Listing) -> None:
+def _check_interior_uud_indec(report: VerifyReport, max_n: int,
+                              run: _Run) -> None:
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
     key = parse_basis("321")
     for n in range(max_n + 1):
-        report.eq(_tally_words(listing.indec(n + 1), interior_uud_count),
-                  _oracle_rows(key, n, caps, max_n)["des"],
+        report.eq(_tally_words(run.indec(n + 1), interior_uud_count),
+                  run.rows(key, n)["des"],
                   "interior UUD over indecomposables at n={}", n + 1)
         report.eq(d.row_counts(n + 1), a.row_counts(n), "z-shift at n={}", n)
 
 
 @_check("IOTA_INVOLUTION", bound=8)
-def _check_iota(report: VerifyReport, max_n: int, caps: Caps,
-                listing: _Listing) -> None:
+def _check_iota(report: VerifyReport, max_n: int, run: _Run) -> None:
     # t is read off the 321-image, not through the map's own shortcut
-    psi_inv = partial(listing.from_dyck, "321")
+    psi_inv = partial(run.from_dyck, "321")
     for n in range(max_n + 1):
-        for d in listing.dyck(n):
+        for d in run.dyck(n):
             s = uud_count(d)
             t = stats.des(psi_inv(d))
             e = bijections.uud_des_involution(d)
@@ -532,18 +529,16 @@ def _check_iota(report: VerifyReport, max_n: int, caps: Caps,
 
 
 @_check("PK_312_EQ_321")
-def _check_pk_312_321(report: VerifyReport, max_n: int, caps: Caps,
-                      listing: _Listing) -> None:
+def _check_pk_312_321(report: VerifyReport, max_n: int, run: _Run) -> None:
     _same_rows(report, ("pk", parse_basis("312")), ("pk", parse_basis("321")),
-               "peak rows", max_n, caps)
+               "peak rows", max_n, run)
 
 
 @_check("ZETA_PROPERTIES")
-def _check_zeta(report: VerifyReport, max_n: int, caps: Caps,
-                listing: _Listing) -> None:
+def _check_zeta(report: VerifyReport, max_n: int, run: _Run) -> None:
     key = parse_basis("312")
     for n in range(max_n + 1):
-        for p in generate.gen_class(n, key, caps):
+        for p in generate.gen_class(n, key, run.caps):
             q = bijections.rewrite_312_to_321(p)
             report.ok(avoids_all(q, [(3, 2, 1)]), "image avoids 321 for {}", p)
             report.eq(ltr_maxima(q), ltr_maxima(p),
@@ -554,24 +549,22 @@ def _check_zeta(report: VerifyReport, max_n: int, caps: Caps,
 
 
 @_check("PHI231_TRANSPORT")
-def _check_phi231(report: VerifyReport, max_n: int, caps: Caps,
-                  listing: _Listing) -> None:
+def _check_phi231(report: VerifyReport, max_n: int, run: _Run) -> None:
     key = parse_basis("231")
     for n in range(max_n + 1):
-        for p in generate.gen_class(n, key, caps):
+        for p in generate.gen_class(n, key, run.caps):
             d = bijections.to_dyck_231(p)
-            report.eq(listing.from_dyck("231", d), p, "round trip for {}", p)
+            report.eq(run.from_dyck("231", d), p, "round trip for {}", p)
             report.eq(factor_count(d, "DUU"), stats.pk(p),
                       "DUU count for {}", p)
 
 
 @_check("PSI321_TRANSPORT")
-def _check_psi321(report: VerifyReport, max_n: int, caps: Caps,
-                  listing: _Listing) -> None:
+def _check_psi321(report: VerifyReport, max_n: int, run: _Run) -> None:
     rt_bound = min(max_n, 8)
     for n in range(max_n + 1):
-        for d in listing.dyck(n):
-            p = listing.from_dyck("321", d)
+        for d in run.dyck(n):
+            p = run.from_dyck("321", d)
             report.ok(avoids_all(p, [(3, 2, 1)]), "image avoids 321 for {}", d)
             report.eq(stats.pk(p), interior_uud_count(d),
                       "interior UUD count for {}", d)
@@ -580,11 +573,10 @@ def _check_psi321(report: VerifyReport, max_n: int, caps: Caps,
 
 
 @_check("PSI_HAT_DES_TRANSPORT")
-def _check_psi_hat(report: VerifyReport, max_n: int, caps: Caps,
-                   listing: _Listing) -> None:
+def _check_psi_hat(report: VerifyReport, max_n: int, run: _Run) -> None:
     for n in range(max_n + 1):
-        for d in listing.dyck(n):
-            p = listing.from_dyck("321", d)
+        for d in run.dyck(n):
+            p = run.from_dyck("321", d)
             report.eq(stats.des(p), interior_uud_count("U" + d + "D"),
                       "descents vs wrapped interior UUD for {}", d)
 
@@ -618,13 +610,13 @@ _STAT_LABELS = {"asc": "ascents", "des": "descents", "dasc": "dasc",
                 "ddes": "ddes", "pk": "peaks", "vl": "valleys"}
 
 
-def _check_encoding(tag: str, report: VerifyReport, max_n: int, caps: Caps,
-                    listing: _Listing) -> None:
+def _check_encoding(tag: str, report: VerifyReport, max_n: int,
+                    run: _Run) -> None:
     basis, word_stats = _ENCODINGS[tag]
     decode = getattr(bijections, f"decode_{tag}")
     encode = getattr(bijections, f"encode_{tag}")
     for n in range(1, max_n + 1):
-        for bits in generate.gen_bits(n - 1, cap=caps.bits):
+        for bits in generate.gen_bits(n - 1, cap=run.caps.bits):
             p = decode(bits)
             report.ok(avoids_all(p, basis),
                       "decoded member avoids basis for {}", bits)
@@ -653,13 +645,13 @@ def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
 
 
 def _symmetry_rows(report: VerifyReport, family: str, key: tuple,
-                   transform: str, max_n: int, caps: Caps) -> None:
+                   transform: str, max_n: int, run: _Run) -> None:
     image = transform_basis(key, transform)
     left_stat = _FAMILIES[family]
     right_stat = stats.STAT_IMAGE[transform][left_stat]
     _same_rows(report, (left_stat, key), (right_stat, image),
                f"{left_stat}({format_basis(key)}) vs "
-               f"{right_stat}({format_basis(image)})", max_n, caps)
+               f"{right_stat}({format_basis(image)})", max_n, run)
 
 
 def symmetry_check(family: str, basis, transform: str, max_n: int,
@@ -671,16 +663,16 @@ def symmetry_check(family: str, basis, transform: str, max_n: int,
     key = normalize_basis(basis)
     report = VerifyReport(
         f"SYMMETRY_{family.upper()}_{format_basis(key)}_{transform}", max_n)
-    _symmetry_rows(report, family, key, transform, max_n, caps)
+    _symmetry_rows(report, family, key, transform, max_n, _Run(caps, max_n))
     return report
 
 
 def _check_symmetry_family(family: str, report: VerifyReport, max_n: int,
-                           caps: Caps, listing: _Listing) -> None:
+                           run: _Run) -> None:
     for text in _SINGLE_BASES + _PAIR_BASES:
         for transform in ("r", "c", "rc"):
             _symmetry_rows(report, family, parse_basis(text), transform,
-                           max_n, caps)
+                           max_n, run)
 
 
 for _family in _FAMILIES:
@@ -689,16 +681,16 @@ for _family in _FAMILIES:
 
 
 @_check("CLASS_132_213_EQ_213_231")
-def _check_132_213_eq_213_231(report: VerifyReport, max_n: int, caps: Caps,
-                              listing: _Listing) -> None:
+def _check_132_213_eq_213_231(report: VerifyReport, max_n: int,
+                              run: _Run) -> None:
     a, b = parse_basis("132,213"), parse_basis("213,231")
     for stat in STATS:
-        _same_rows(report, (stat, a), (stat, b), f"{stat} rows", max_n, caps)
+        _same_rows(report, (stat, a), (stat, b), f"{stat} rows", max_n, run)
 
 
 def checks() -> dict[str, Callable[..., VerifyReport]]:
     """All registered verification checks, name -> fn(max_n, caps); a
-    check called so lists its own Dyck words."""
+    check called so makes its own run."""
     return {name: partial(_run_check, name) for name in _CHECKS}
 
 
@@ -716,9 +708,9 @@ def verify_all(max_n: int, selection=None,
     for name in names:
         if name not in registry:
             raise KeyError(f"unknown check {name!r}")
-    # one listing for the run's checks, dropped when the run returns
-    listing = _Listing(caps)
-    return [registry[name](max_n, caps, listing) for name in names]
+    # one run for every check, dropped when verify_all returns
+    run = _Run(caps, max_n)
+    return [registry[name](max_n, caps, run) for name in names]
 
 
 def reports_json(reports: list[VerifyReport]) -> str:

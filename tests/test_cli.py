@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from patternstats import bijections, cli, distributions, formulas, series
+from patternstats import bijections, cli, formulas, series
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
 from patternstats.stats import STATS
@@ -268,12 +268,10 @@ def test_verify_catches_injected_off_by_one(capsys, monkeypatch):
     broken = dataclasses.replace(
         spec, fn=lambda n, k: spec.fn(n, k) + (1 if (n, k) == (4, 0) else 0))
     monkeypatch.setitem(formulas.FORMULAS, "PK231", broken)
-    distributions.clear_caches()
     code, out, _ = run(capsys, "verify", "--only", "FORMULA_PK231",
                        "--max-n", "6")
     assert code == 1
     assert "FAIL FORMULA_PK231" in out
-    distributions.clear_caches()
 
 
 def test_verify_json_reports(capsys):
@@ -304,7 +302,6 @@ def test_oeis_offline_check_exits_3(capsys, tmp_path):
 
 
 def test_config_file_sets_caps(capsys, tmp_path):
-    distributions.clear_caches()
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("# caps\ngen_cap = 5\n")
     code, _, err = run(capsys, "--config", str(cfg), "dist", "--stat", "asc",
@@ -344,7 +341,6 @@ def test_main_twice_in_one_process_matches_fresh_processes(capsys, tmp_path,
     monkeypatch.setattr(cli, "build_parser",
                         lambda: built.append(1) or real())
     cli._parser.cache_clear()
-    distributions.clear_caches()
     in_process = [run(capsys, *argv)[:2] for argv in calls]
     fresh = [subprocess.run([sys.executable, "-m", "patternstats.cli", *argv],
                             capture_output=True, text=True)
@@ -480,7 +476,6 @@ _PINNED_STDOUT = {
 
 @pytest.mark.parametrize("argv", list(_PINNED_STDOUT))
 def test_verify_stdout_is_pinned(capsys, argv):
-    distributions.clear_caches()
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
@@ -526,7 +521,6 @@ _PINNED_FILTER_DIST_STDOUT = {
 
 
 def _dist_digest(capsys, basis, ns):
-    distributions.clear_caches()
     digest = hashlib.sha256()
     for stat in STATS:
         code, out, _ = run(capsys, "dist", "--stat", stat, "--avoid", basis,

@@ -104,8 +104,8 @@ def test_symmetry_checks_compare_the_pinned_statistic_pairs(monkeypatch):
     # label, which names the two statistics compared: the nine pairs the
     # families compared when each was written out by hand
     monkeypatch.setattr(
-        distributions, "_oracle_rows",
-        lambda key, n, caps, top=0: {s: {(key, s): 1} for s in stats.STATS})
+        distributions._Run, "rows",
+        lambda run, key, n: {s: {(key, s): 1} for s in stats.STATS})
     seen = {}
     for family in ("asc_des", "dasc_ddes", "pk_vl"):
         for transform in ("r", "c", "rc"):
@@ -159,7 +159,6 @@ def test_injected_off_by_one_formula_fails(monkeypatch):
     broken = dataclasses.replace(
         spec, fn=lambda n, k: spec.fn(n, k) + (1 if k == 0 else 0))
     monkeypatch.setitem(formulas.FORMULAS, "PK231", broken)
-    distributions.clear_caches()
     reports = verify_all(5, selection="FORMULA_PK231")
     assert not reports[0].passed
     assert "n=1" in reports[0].failure
@@ -271,7 +270,6 @@ def test_reports_json_shape():
 
 
 def test_structured_route_checks_only_the_class_cap():
-    distributions.clear_caches()
     words_capped = generate.Caps(dyck=2, bits=2)
     for basis in ([(3, 2, 1)], [(1, 3, 2), (2, 1, 3)], [(1, 2, 3), (1, 3, 2)]):
         assert (distribution("pk", basis, 6, caps=words_capped)
@@ -296,13 +294,13 @@ def test_refused_sizes_follow_the_one_cap_rule():
     # class_size, gen_class, distribution and, for a basis of length-3
     # patterns, count_lengths refuse exactly the sizes above the basis's
     # cap, caps.structured for a key in STRUCTURED and caps.perm for any
-    # other, with its message, on a cold and on a warm cache
+    # other, with its message, alone and after every class was read to
+    # n = 7 in the same process
     caps = generate.Caps(perm=5, structured=6)
     bases = _length3_bases() + [((2, 1, 4, 3),), ((1, 2), (2, 3, 1))]
     assert len(bases) == 65
-    distributions.clear_caches()
-    for warm in (False, True):
-        if warm:
+    for after_reads in (False, True):
+        if after_reads:
             for key in bases:
                 for n in range(8):
                     distribution("pk", key, n)
@@ -344,7 +342,6 @@ def test_dist_table_equals_per_n_rows():
     # or the same first error, for every method on all 72 cells; every
     # closed form is stated for n >= 1, so range(10) compares its error
     # and range(3, 10) its rows
-    distributions.clear_caches()
     answered = {ns: dict.fromkeys(distributions.METHODS, 0)
                 for ns in (range(10), range(3, 10))}
     for text in distributions._SINGLE_BASES + distributions._PAIR_BASES:
@@ -408,7 +405,6 @@ def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
         return real(n, basis, caps)
 
     monkeypatch.setattr(generate, "gen_class", spy)
-    distributions.clear_caches()
     bases = _length3_bases() + [((1, 2), (2, 3, 1)), ((2, 1, 4, 3),)]
     for key in bases:
         assert distribution("pk", key, 5) == naive_dist("pk", 5, key)
@@ -426,7 +422,6 @@ def test_verify_counts_each_class_once_to_max_n(monkeypatch):
         return real(max_n, basis, caps)
 
     monkeypatch.setattr(generate, "count_lengths", spy)
-    distributions.clear_caches()
     assert all(r.passed for r in verify_all(7))
     assert passes and {max_n for _, max_n in passes} == {7}
     assert len(passes) == len(set(passes))
@@ -448,7 +443,6 @@ def test_verify_lists_and_maps_each_dyck_word_once(monkeypatch):
         monkeypatch.setattr(bijections, f"from_dyck_{tag}",
                             lambda d, real=real, words=words:
                             words.append(d) or real(d))
-    distributions.clear_caches()
     assert all(r.passed for r in verify_all(7))
     assert sorted(listed) == list(range(8))
     every_word = sum(formulas.catalan(n) for n in range(8))
@@ -457,14 +451,12 @@ def test_verify_lists_and_maps_each_dyck_word_once(monkeypatch):
 
 
 def test_a_check_reports_alike_alone_and_among_all():
-    # what one check reads from a run's listing or the oracle cache does
-    # not depend on which checks ran before it
-    distributions.clear_caches()
+    # what one check reads from its run's listing or rows does not depend
+    # on which checks ran before it
     together = {r.name: r.to_dict() for r in verify_all(7)}
     registry = distributions.checks()
     assert list(together) == list(registry)
     for name, report in together.items():
-        distributions.clear_caches()
         assert verify_all(7, selection=name)[0].to_dict() == report
         assert registry[name](7, generate.Caps()).to_dict() == report
 
@@ -514,14 +506,13 @@ def test_a_tuple_label_keeps_its_text(monkeypatch):
 
 
 def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):
-    # one pass serves a range and any later range below its top; a range
-    # that crosses a cap fails at its first refused n, before any pass
+    # one pass serves a range, and each call makes its own; a range that
+    # crosses a cap fails at its first refused n, before any pass
     passes = []
     real = generate.count_lengths
     monkeypatch.setattr(generate, "count_lengths",
                         lambda max_n, basis, caps: passes.append(max_n)
                         or real(max_n, basis, caps))
-    distributions.clear_caches()
     key = [(2, 1, 3), (3, 1, 2)]
     table = dist_table("pk", key, range(3, 13))
     assert passes == [12]
@@ -529,14 +520,14 @@ def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):
         2 ** (n - 1) for n in range(3, 13)]
     assert dist_table("pk", key, range(7)).rows == {
         n: naive_dist("pk", n, key) for n in range(7)}
-    assert passes == [12]
+    assert passes == [12, 6]
     with pytest.raises(generate.CapExceededError,
                        match="^class size 15 exceeds cap 14$"):
         dist_table("pk", key, range(10, 16))
     with pytest.raises(generate.CapExceededError,
                        match="^permutation size 11 exceeds cap 10$"):
         dist_table("asc", [(1, 3, 2)], range(12))
-    assert passes == [12]
+    assert passes == [12, 6]
 
 
 def _expand(joint, n, width):
@@ -554,7 +545,7 @@ def _expand(joint, n, width):
 
 
 def test_rows_do_not_depend_on_which_statistic_is_read_first():
-    # each row is projected from the cached joint tally when first read;
+    # each row is projected from the run's joint tally when first read;
     # read in either order, the rows and their key order are the same, and
     # equal a six-row expansion of that tally, keys in increasing order on
     # a counted and on a listed basis alike
@@ -562,13 +553,75 @@ def test_rows_do_not_depend_on_which_statistic_is_read_first():
     for key, top in cases:
         seen = []
         for order in (stats.STATS, stats.STATS[::-1]):
-            distributions.clear_caches()
-            rows = {s: dist_table(s, key, range(top + 1)).rows for s in order}
+            run = distributions._Run(generate.Caps(), top)
+            rows = {s: {n: run.rows(key, n)[s] for n in range(top + 1)}
+                    for s in order}
             seen.append({s: {n: list(row.items()) for n, row in rows[s].items()}
                          for s in stats.STATS})
         assert seen[0] == seen[1], key
         for n in range(top + 1):
-            entry = distributions._oracle_cache[(key, n)]
+            entry = run.rows(key, n)
             want = _expand(entry.joint, n, entry.width)
             assert {s: sorted(row.items()) for s, row in want.items()} == {
                 s: seen[0][s][n] for s in stats.STATS}, (key, n)
+
+
+def _bump_count(monkeypatch, text, n):
+    # count_lengths with one more member under one joint key of basis
+    # ``text`` at length n
+    key, real = perms.parse_basis(text), generate.count_lengths
+
+    def bumped(max_n, basis, caps=generate.Caps()):
+        tallies = real(max_n, basis, caps)
+        if perms.normalize_basis(basis) == key and n <= max_n:
+            first = min(tallies[n])
+            tallies[n][first] += 1
+        return tallies
+
+    monkeypatch.setattr(generate, "count_lengths", bumped)
+
+
+def test_a_dist_table_reads_no_rows_an_earlier_call_counted(monkeypatch):
+    # a count changed after one call shows in the next call's rows, with
+    # nothing cleared in between
+    key = perms.parse_basis("231")
+    before = dist_table("pk", key, range(8)).rows
+    _bump_count(monkeypatch, "231", 5)
+    after = dist_table("pk", key, range(8)).rows
+    assert sum(after[5].values()) == sum(before[5].values()) + 1
+    assert {n: row for n, row in after.items() if n != 5} == {
+        n: row for n, row in before.items() if n != 5}
+
+
+def test_a_verify_run_reads_no_rows_an_earlier_run_counted(monkeypatch):
+    report, = verify_all(6, selection="PK_312_EQ_321")
+    assert report.passed
+    _bump_count(monkeypatch, "312", 4)
+    report, = verify_all(6, selection="PK_312_EQ_321")
+    assert not report.passed
+    assert report.failure.startswith("peak rows at n=4: ")
+
+
+def _container_sizes(module):
+    return {name: len(value) for name, value in vars(module).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
+def test_engine_calls_leave_the_module_as_they_found_it():
+    # no verify run or dist range keeps anything in a module-level dict,
+    # list or set, for a listed basis (12, 321) and a counted one (123,
+    # 231) alike
+    before = _container_sizes(distributions)
+    assert all(r.passed for r in verify_all(7))
+    dist_table("pk", [(1, 2), (3, 2, 1)], range(7))
+    dist_table("vl", [(1, 2, 3), (2, 3, 1)], range(11))
+    assert _container_sizes(distributions) == before
+
+
+def test_clear_caches_changes_no_row():
+    # it stays callable, and with nothing kept between calls it has
+    # nothing to clear
+    before = dist_table("pk", [(2, 3, 1)], range(8)).rows
+    assert distributions.clear_caches() is None
+    assert dist_table("pk", [(2, 3, 1)], range(8)).rows == before

@@ -337,7 +337,6 @@ def test_counted_pair_rows_match_the_structured_listing(key):
 def test_joint_fields_hold_every_value():
     # 2^69 members of Av(132,312) at n = 70: asc reaches 69, which a
     # 6-bit field would wrap
-    distributions.clear_caches()
     key, caps = parse_basis("132,312"), Caps(perm=70)
     rows = {s: distributions.distribution(s, key, 70, caps=caps)
             for s in STATS}

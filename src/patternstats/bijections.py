@@ -30,18 +30,28 @@ Seven maps, each with its inverse where the map is not an involution:
   of length n - 1, for n >= 1, built by repeatedly removing the entry 1
   from the last or second-to-last position.
 
-All forward maps validate their avoidance precondition eagerly and raise
+All forward maps validate their avoidance precondition and raise
 :class:`PatternViolation` otherwise.  The three encodings are defined for
 n >= 1 and refuse the empty permutation with
 :class:`EmptyPermutationError`.
+
+Each map decides its domain inside the pass it already makes, not in a
+pass of its own: stack sorting pops 1..n in order exactly on S_n(231), a
+stack realises exactly S_n(312) (Knuth, TAOCP §2.2.1), a permutation avoids
+321 exactly when its non-left-to-right maxima increase, and each encoder's
+loop succeeds exactly on its class.  When the pass refuses an input,
+:func:`_require_avoiding` (or :func:`_require_encodable`) runs on it to
+raise the error, so each map refuses the same inputs with the same
+exception as a check made before the pass would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NoReturn
 
 from .dyck import check_dyck, interior_uud_count, semilength, uud_count
-from .perms import Perm, check_perm, contains, format_perm, ltr_maxima, reduce_word
+from .perms import Perm, check_perm, contains, format_perm, reduce_word
 
 
 class PatternViolation(ValueError):
@@ -88,8 +98,18 @@ def _require_encodable(p: Perm, *patterns: Perm) -> Perm:
     return p
 
 
+def _refuse(check, p, *patterns: Perm) -> NoReturn:
+    """Raise what ``check`` raises for ``p``, which a map's own pass refused.
+
+    Should ``check`` accept ``p``, the pass and the check disagree, and
+    :class:`InvariantError` says so.
+    """
+    check(p, *patterns)
+    raise InvariantError(f"{p!r} passes its check, not its map")
+
+
 def check_bits(bits: str) -> str:
-    if any(ch not in "01" for ch in bits):
+    if not set(bits) <= {"0", "1"}:
         raise InvalidBitsError(f"expected a word over {{0,1}}: {bits!r}")
     return bits
 
@@ -103,16 +123,23 @@ def to_dyck_231(p: Perm) -> str:
     the stack; at the end, pop the rest.  A push is U and a pop is D.  The
     word for ``a (max) b`` is ``word(a) U word(b) D``; singletons map to UD
     and the empty permutation to the empty word.
+
+    The pops come out as 1, 2, ..., n exactly when ``p`` is a permutation
+    that avoids 231, so the sort is its own domain check.
     """
-    p = _require_avoiding(p, (2, 3, 1))
+    p = tuple(p)
     out = []
     stack: list[int] = []
+    pops = []
     for x in p:
         while stack and stack[-1] < x:
-            stack.pop()
+            pops.append(stack.pop())
             out.append("D")
         stack.append(x)
         out.append("U")
+    # the rest of the stack pops from the top down
+    if pops + stack[::-1] != list(range(1, len(p) + 1)):
+        _refuse(_require_avoiding, p, (2, 3, 1))
     out.append("D" * len(stack))
     return "".join(out)
 
@@ -121,9 +148,10 @@ def from_dyck_231(d: str) -> Perm:
     """Inverse of :func:`to_dyck_231`.
 
     A 231-avoider stack-sorts to 1..n, so the k-th pop outputs k: each U
-    pushes the rank, among all Ds, of its matching D.
+    pushes the rank, among all Ds, of its matching D.  A D with no U to
+    match, a letter other than U and D, or a U left unmatched at the end
+    shows that ``d`` is not a Dyck word.
     """
-    check_dyck(d)
     out: list[int] = []
     pending: list[int] = []  # indices in ``out`` of the unmatched Us
     rank = 0
@@ -131,9 +159,13 @@ def from_dyck_231(d: str) -> Perm:
         if step == "U":
             pending.append(len(out))
             out.append(0)
-        else:
+        elif step == "D" and pending:
             rank += 1
             out[pending.pop()] = rank
+        else:
+            _refuse(check_dyck, d)
+    if pending:
+        _refuse(check_dyck, d)
     return tuple(out)
 
 
@@ -145,17 +177,20 @@ def to_dyck_321(p: Perm) -> str:
     Walk the lattice points (position, value) of the entries that are not
     left-to-right maxima: each contributes the E steps needed to reach its
     column followed by the N steps to reach its row, with a final run to
-    the corner (n + 1, n); then read E as U and N as D.
+    the corner (n + 1, n); then read E as U and N as D.  The path exists
+    exactly when those entries increase, that is, when ``p`` avoids 321.
     """
-    p = _require_avoiding(p, (3, 2, 1))
+    p = check_perm(p)
     n = len(p)
-    maxima = {pos for pos, _ in ltr_maxima(p)}
     out = []
     x, y = 1, 0
-    for pos in range(1, n + 1):
-        if pos in maxima:
+    top = 0  # the largest entry so far
+    for pos, val in enumerate(p, start=1):
+        if val > top:
+            top = val
             continue
-        val = p[pos - 1]
+        if val < y:
+            _refuse(_require_avoiding, p, (3, 2, 1))
         out.append("U" * (pos - x))
         out.append("D" * (val - y))
         x, y = pos, val
@@ -203,12 +238,27 @@ def rewrite_312_to_321(p: Perm) -> Perm:
 
     Left-to-right maxima keep position and value; the remaining entries
     are rearranged into increasing order.  Peak count is preserved.
+
+    A stack fed 1..n outputs ``p`` exactly when ``p`` avoids 312 (Knuth,
+    TAOCP §2.2.1): an entry above every earlier one is a maximum and pushes
+    the values up to it, and each entry must then be on top.
     """
-    p = _require_avoiding(p, (3, 1, 2))
-    maxpos = {pos for pos, _ in ltr_maxima(p)}
-    others = iter(sorted(v for i, v in enumerate(p, start=1) if i not in maxpos))
-    return tuple(p[i - 1] if i in maxpos else next(others)
-                 for i in range(1, len(p) + 1))
+    p = check_perm(p)
+    stack: list[int] = []
+    top = 0  # the largest entry so far, and the last value pushed
+    others = []  # positions of the entries that are not maxima
+    for i, v in enumerate(p):
+        if v > top:
+            stack.extend(range(top + 1, v + 1))
+            top = v
+        else:
+            others.append(i)
+        if stack.pop() != v:
+            _refuse(_require_avoiding, p, (3, 1, 2))
+    out = list(p)
+    for i, v in zip(others, sorted(p[i] for i in others)):
+        out[i] = v
+    return tuple(out)
 
 
 def rewrite_321_to_312(p: Perm) -> Perm:
@@ -217,19 +267,14 @@ def rewrite_321_to_312(p: Perm) -> Perm:
     Each non-maximum position receives the largest unused value below the
     most recent left-to-right maximum.
     """
-    p = _require_avoiding(p, (3, 2, 1))
-    maxima = dict(ltr_maxima(p))
-    avail = sorted(v for i, v in enumerate(p, start=1) if i not in maxima)
-    out = []
-    current = 0
-    for i in range(1, len(p) + 1):
-        if i in maxima:
-            current = maxima[i]
-            out.append(current)
-        else:
-            j = bisect_left(avail, current) - 1
-            out.append(avail.pop(j))
-    return tuple(out)
+    p = check_perm(p)
+    top = 0
+    tops = [(top := v) if v > top else top for v in p]  # the running maxima
+    avail = [v for v, t in zip(p, tops) if v < t]
+    if avail != sorted(avail):  # p avoids 321 when its non-maxima increase
+        _refuse(_require_avoiding, p, (3, 2, 1))
+    return tuple([v if v == t else avail.pop(bisect_left(avail, t) - 1)
+                  for v, t in zip(p, tops)])
 
 
 # -- the UUD/descent involution ---------------------------------------------
@@ -283,9 +328,15 @@ def uud_des_involution(d: str) -> str:
 # -- binary encodings of the two-pattern classes -----------------------------
 
 def encode_132_213(p: Perm) -> str:
-    """Ascent-indicator word of a {132,213}-avoider (1 = ascent)."""
-    p = _require_encodable(p, (1, 3, 2), (2, 1, 3))
-    return "".join("1" if p[i] < p[i + 1] else "0" for i in range(len(p) - 1))
+    """Ascent-indicator word of a {132,213}-avoider (1 = ascent).
+
+    ``p`` is in the domain exactly when the word decodes back to ``p``.
+    """
+    p = tuple(p)
+    bits = "".join(["1" if a < b else "0" for a, b in zip(p, p[1:])])
+    if decode_132_213(bits) != p:
+        _refuse(_require_encodable, p, (1, 3, 2), (2, 1, 3))
+    return bits
 
 
 def decode_132_213(bits: str) -> Perm:
@@ -308,20 +359,23 @@ def encode_213_231(p: Perm) -> str:
     """Suffix-extreme word of a {213,231}-avoider.
 
     Bit i is 0 when position i holds the maximum of the remaining suffix
-    and 1 when it holds the minimum.
+    and 1 when it holds the minimum.  ``p`` is in the domain exactly when
+    every entry is one end of the values left and the last is the one left.
     """
-    p = _require_encodable(p, (2, 1, 3), (2, 3, 1))
+    p = tuple(p)
     lo, hi = 1, len(p)
     out = []
     for v in p[:-1]:
         if v == hi:
             out.append("0")
             hi -= 1
-        else:
-            if v != lo:
-                raise InvariantError(f"{v} is neither end of its suffix in {p}")
+        elif v == lo:
             out.append("1")
             lo += 1
+        else:
+            _refuse(_require_encodable, p, (2, 1, 3), (2, 3, 1))
+    if p[-1:] != (lo,):
+        _refuse(_require_encodable, p, (2, 1, 3), (2, 3, 1))
     return "".join(out)
 
 
@@ -352,12 +406,13 @@ def encode_123_132(p: Perm) -> str:
 
     Each step drops the smallest entry left, so after k steps the entries
     left are exactly k + 1..n and the reduced 1 is the value k + 1.  The
-    map works on the original values, so it runs in linear time.
+    map works on the original values, so it runs in linear time.  ``p``
+    is in the domain exactly when every step finds its value and n is left.
 
     >>> encode_123_132((6, 5, 3, 2, 4, 1))
     '11001'
     """
-    p = _require_encodable(p, (1, 2, 3), (1, 3, 2))
+    p = tuple(p)
     bits = []
     q = list(p)
     for low in range(1, len(p)):
@@ -368,8 +423,11 @@ def encode_123_132(p: Perm) -> str:
             bits.append("0")
             del q[-2]
         else:
+            _require_encodable(p, (1, 2, 3), (1, 3, 2))
             raise InvariantError(
                 f"1 is not in the last two positions of {reduce_word(q)}")
+    if q != [len(p)]:
+        _refuse(_require_encodable, p, (1, 2, 3), (1, 3, 2))
     return "".join(reversed(bits))
 
 

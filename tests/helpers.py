@@ -92,3 +92,20 @@ def subsets_213_312(n):
         for prefix in itertools.combinations(values, r):
             suffix = tuple(sorted(set(values) - set(prefix), reverse=True))
             yield prefix + (n,) + suffix
+
+
+def random_dyck(rng, n):
+    """A uniform Dyck word of semilength n, drawn with ``rng``.
+
+    Cycle lemma: of the rotations of a word with n Us and n + 1 Ds, exactly
+    the one starting after the walk's first minimum stays at or above its
+    start until the final D.
+    """
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    h = low = cut = 0
+    for i, s in enumerate(steps):
+        h += 1 if s == "U" else -1
+        if h < low:
+            low, cut = h, i + 1
+    return "".join(steps[cut:] + steps[:cut])[:-1]

@@ -35,7 +35,7 @@ from patternstats.dyck import (
 from patternstats.generate import gen_bits, gen_dyck
 from patternstats.perms import avoids_all, ltr_maxima, parse_perm
 
-from helpers import naive_class, naive_stat
+from helpers import naive_class, naive_stat, random_dyck
 
 
 def test_to_dyck_231_base_cases():
@@ -61,20 +61,6 @@ def test_dyck_231_roundtrip_and_peak_transport():
             assert duu == naive_stat("pk", p)
 
 
-def _random_dyck(rng, n):
-    # cycle lemma: of the rotations of a word with n Us and n + 1 Ds, exactly
-    # the one starting after the walk's first minimum stays at or above its
-    # start until the final D
-    steps = ["U"] * n + ["D"] * (n + 1)
-    rng.shuffle(steps)
-    h = low = cut = 0
-    for i, s in enumerate(steps):
-        h += 1 if s == "U" else -1
-        if h < low:
-            low, cut = h, i + 1
-    return "".join(steps[cut:] + steps[:cut])[:-1]
-
-
 def test_dyck_231_large_sizes():
     p = tuple(range(3000, 0, -1))
     d = to_dyck_231(p)
@@ -82,7 +68,7 @@ def test_dyck_231_large_sizes():
     assert from_dyck_231(d) == p
     rng = random.Random(2018)
     for _ in range(20):
-        d = _random_dyck(rng, 500)
+        d = random_dyck(rng, 500)
         p = from_dyck_231(d)
         assert sorted(p) == list(range(1, 501))
         assert to_dyck_231(p) == d

@@ -113,6 +113,15 @@ def test_map_domain_violation_names_pattern(capsys):
     assert "321" in err
 
 
+@pytest.mark.parametrize("name,text,err", [
+    ("zeta", "312", "permutation 312 contains 312\n"),
+    ("phi", "1,1", "not a permutation of 1..2: (1, 1)\n"),
+    ("phi_inv", "UDD", "prefix falls below the axis (position 3)\n"),
+])
+def test_map_refusals_keep_their_message(capsys, name, text, err):
+    assert run(capsys, "map", "--bijection", name, "--input", text) == (2, "", err)
+
+
 def test_map_encoding(capsys):
     code, out, _ = run(capsys, "map", "--bijection", "enc123132",
                        "--input", "653241", "--format", "json")

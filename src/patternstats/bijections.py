@@ -200,17 +200,26 @@ def to_dyck_321(p: Perm) -> str:
 
 
 def from_dyck_321(d: str) -> Perm:
-    """Inverse of :func:`to_dyck_321`."""
-    check_dyck(d)
+    """Inverse of :func:`to_dyck_321`.
+
+    The block split decides the Dyck condition.  A path falls lowest at
+    the ends of its D-runs, so ``d`` is a Dyck word exactly when no block
+    ends below the axis and ``d`` holds only Us and Ds, as many of each.
+    """
     # each U-run/D-run block ends at a corner (position, value) of a
-    # non-left-to-right maximum; the last block ends at column n + 1
+    # non-left-to-right maximum, at height x - 1 - y; the last block ends
+    # at column n + 1
     corners = []
     x, y = 1, 0
     for block in d.replace("DU", "D U").split()[:-1]:
-        up = block.index("D")
+        up = block.find("D")
         x += up
         y += len(block) - up
+        if y >= x:
+            _refuse(check_dyck, d)
         corners.append((x, y))
+    if not len(d) == 2 * d.count("U") == 2 * d.count("D"):
+        _refuse(check_dyck, d)
     # the maxima take the remaining values in increasing order.  Values
     # rise with positions: deleting from the top and inserting from the
     # left leaves every earlier deletion or insertion in place

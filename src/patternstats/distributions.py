@@ -38,22 +38,20 @@ when the call returns, and the module keeps nothing between calls, so no
 earlier call can change a result.  A run lists the Dyck words of each
 semilength once, maps each word through ``from_dyck_321`` and
 ``from_dyck_231`` at most once, on the word's first use, and holds the
-oracle rows of each (basis, n) the call reads as one joint tally of (asc,
-pk, vl, dasc, ddes), des being n - 1 - asc, with the width it was packed
-at.  :func:`~patternstats.stats.joint_row` projects a statistic's row
-from it when that row is first read, so a caller that reads one statistic
-pays for one row.  Every row's keys come in increasing order, whichever
-statistic is read first.  A basis of length-3 patterns is counted, not
-listed: its first read makes one
-:func:`~patternstats.generate.count_lengths` pass that fills the tallies
-of every length up to the run's top (the top of a ``dist`` range, a
-check's ``max_n``), so a range costs one pass, not one per n.
-A basis with a pattern of another length is listed at each n and its
-members tallied, one joint key per distinct up-down word.  Generation
-caps arrive as a :class:`~patternstats.generate.Caps` value, which is
-passed whole to :func:`~patternstats.generate.gen_class`; the cap of the
-basis is checked by :func:`~patternstats.generate.class_cap` at each n
-before any pass, and a pass counts no length the caps refuse.
+oracle rows of each (basis, n) the call reads, each row's keys in
+increasing order.  A basis of length-3 patterns is counted, not listed:
+its first read makes one :func:`~patternstats.generate.count_lengths`
+call that fills the rows of every length up to the run's top (the top of
+a ``dist`` range, a check's ``max_n``), so a range costs one call, not
+one per n.  The call counts only the statistics the run asks for: the
+one statistic of a ``dist`` row, all six for ``verify``.  A basis with
+a pattern of another length is listed at each n and its members tallied
+for all six, one :func:`~patternstats.stats.word_stats` per distinct
+up-down word.  Generation caps arrive as a
+:class:`~patternstats.generate.Caps` value, which is passed whole to
+:func:`~patternstats.generate.gen_class`; the cap of the basis is checked
+by :func:`~patternstats.generate.class_cap` at each n before any pass,
+and a pass counts no length the caps refuse.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
 images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
 :func:`~patternstats.formulas.closed_form_row`.
@@ -63,10 +61,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import bijections, dyck, formulas, generate, series, stats
 from .dyck import factor_count, interior_uud_count, uud_count
@@ -81,15 +78,7 @@ from .perms import (
     normalize_basis,
     parse_basis,
 )
-from .stats import (
-    STATS,
-    all_stats,
-    joint_row,
-    joint_width,
-    step_gains,
-    up_down,
-    word_key,
-)
+from .stats import STATS, all_stats, up_down, word_stats
 
 _SINGLE_BASES = ("123", "132", "213", "231", "312", "321")
 _PAIR_BASES = ("123,321", "213,312", "132,213", "213,231", "123,132", "132,321")
@@ -101,50 +90,20 @@ class UnsupportedMethodError(ValueError):
 
 # -- oracle rows --------------------------------------------------------------
 
-class _Rows(Mapping):
-    """The six rows of one length's joint tally, each projected by
-    :func:`~patternstats.stats.joint_row` when it is first read."""
-
-    def __init__(self, joint: dict[int, int], n: int, width: int):
-        self.joint, self.n, self.width = joint, n, width
-        self._rows: dict[str, dict[int, int]] = {}
-
-    def __getitem__(self, stat: str) -> dict[int, int]:
-        row = self._rows.get(stat)
-        if row is None:
-            if stat not in STATS:
-                raise KeyError(stat)
-            row = self._rows[stat] = joint_row(self.joint, self.n, stat,
-                                               self.width)
-        return row
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(STATS)
-
-    def __len__(self) -> int:
-        return len(STATS)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 def clear_caches() -> None:
     """Do nothing: the engine keeps nothing between calls.  Every row and
     listing lives in the :class:`_Run` of the call that made it."""
 
 
-def _tally(members: Iterable[Perm]) -> _Rows:
+def _tally(members: Iterable[Perm]) -> dict[str, dict[int, int]]:
     # every statistic is a function of the up-down word, so each distinct
-    # word gives one joint key
-    words = Counter(map(up_down, members))
-    n = len(next(iter(words), b"")) + 1
-    width = joint_width(n)
-    gains = step_gains(width)
-    joint: dict[int, int] = {}
-    for w, count in words.items():
-        key = word_key(w, gains)
-        joint[key] = joint.get(key, 0) + count
-    return _Rows(joint, n, width)
+    # word is read once
+    rows: dict[str, dict[int, int]] = {stat: {} for stat in STATS}
+    for w, count in Counter(map(up_down, members)).items():
+        for stat, value in word_stats(w).items():
+            row = rows[stat]
+            row[value] = row.get(value, 0) + count
+    return {stat: dict(sorted(row.items())) for stat, row in rows.items()}
 
 
 class _Run:
@@ -156,29 +115,30 @@ class _Run:
     ``bijections.from_dyck_<tag>`` as it stands then; a map that raises
     stores no image, so a later use raises again.
 
-    :meth:`rows` gives the :class:`_Rows` of a (basis, n), with n checked
-    against the basis's cap on every read.  A basis of length-3 patterns
-    is counted, not listed: its first read makes one
-    :func:`~patternstats.generate.count_lengths` pass to ``top`` (or to n,
-    if larger), capped, which fills the rows of every length up to it.  A
-    basis with a pattern of another length is listed at n and its members
-    tallied."""
+    :meth:`rows` gives the rows {statistic: row} of a (basis, n), with n
+    checked against the basis's cap on every read.  A basis of length-3
+    patterns is counted, not listed: its first read makes one
+    :func:`~patternstats.generate.count_lengths` call for ``stats`` to
+    ``top`` (or to n, if larger), capped, which fills the rows of every
+    length up to it.  A basis with a pattern of another length is listed
+    at n and its members tallied for all six statistics."""
 
-    def __init__(self, caps: Caps, top: int):
-        self.caps, self.top = caps, top
+    def __init__(self, caps: Caps, top: int, stats: Iterable[str] = STATS):
+        self.caps, self.top, self.stats = caps, top, tuple(stats)
         self._dyck: dict[int, list[str]] = {}
         self._images: dict[str, dict[str, Perm]] = {"321": {}, "231": {}}
-        self._rows: dict[tuple, _Rows] = {}
+        self._rows: dict[tuple, dict[str, dict[int, int]]] = {}
 
-    def rows(self, key: tuple, n: int) -> _Rows:
+    def rows(self, key: tuple, n: int) -> dict[str, dict[int, int]]:
         cap = generate.class_cap(n, key, self.caps)
         if (key, n) not in self._rows:
             if all(len(p) == 3 for p in key):
                 top = min(max(n, self.top), cap)
-                width = joint_width(top)
-                for m, joint in enumerate(
-                        generate.count_lengths(top, key, self.caps)):
-                    self._rows[key, m] = _Rows(joint, m, width)
+                counted = generate.count_lengths(top, key, self.stats,
+                                                 self.caps)
+                for m in range(top + 1):
+                    self._rows[key, m] = {stat: rows[m]
+                                          for stat, rows in counted.items()}
             else:
                 self._rows[key, n] = _tally(
                     generate.gen_class(n, key, self.caps))
@@ -214,7 +174,7 @@ def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
     # every n is checked, in order, before the one run counts to the largest
     for n in ns:
         generate.class_cap(n, key, caps)
-    run = _Run(caps, max(ns, default=0))
+    run = _Run(caps, max(ns, default=0), (stat,))
     return {n: run.rows(key, n)[stat] for n in ns}
 
 

@@ -25,18 +25,20 @@ class, and no cache is kept between calls.  A basis with a pattern of any
 other length is scanned with ``avoids_all`` over :func:`gen_all`.
 
 The oracle does not list a basis of length-3 patterns: it counts it with
-:func:`count_lengths`, one pass over active sites that gives the joint
-tally of the six statistics (:func:`~patternstats.stats.step_gains`) for
-every length up to the largest asked.  A member is built left to right,
-each new value placed in one of the slots around the values before it,
-and each pattern forbids one interval of slots fixed by the chosen slot
-(:data:`_FORBID`).  So a state is the slot flags, runs of forbidden slots
-collapsed, with the slot just above the last value and the last step.
-The moves out of a state depend on its flags and the basis alone, so a
-pass finds the moves of each distinct flag string once, in a memo local
-to the call and shared by all its levels; a state's mark and last step
-only say which moves are ascents and what each adds to the tally.  Only
-a basis with a pattern of another length is listed for its rows.
+:func:`count_lengths`, one level walk per statistic asked, each giving
+the row of that statistic for every length up to the largest asked.  A
+member is built left to right, each new value placed in one of the slots
+around the values before it, and each pattern forbids one interval of
+slots fixed by the chosen slot (:data:`_FORBID`).  So a state is the slot
+flags, runs of forbidden slots collapsed, with the slot just above the
+last value and the last step.  The moves out of a state depend on its
+flags, that mark and the basis alone, so a call finds them once for each
+distinct pair, in a memo local to the call and shared by all its levels
+and statistics; the last step only says which moves end the statistic's
+factor (:data:`~patternstats.stats.STEP_GAINS`).  A state's tally is one
+int that packs its count of each value of the statistic, so a step is a
+shift and a merge an add.  Only a basis with a pattern of another length
+is listed for its rows.
 
 The structured classes (:data:`STRUCTURED`) are the two Catalan classes
 Av(231) and Av(321) and the five pair classes of the paper.  They are
@@ -58,11 +60,14 @@ no capped Dyck or binary word generator.
 from __future__ import annotations
 
 import itertools
+import re
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .perms import Perm, avoids_all, normalize_basis, parse_basis
-from .stats import joint_width, step_gains
+from .stats import STEP_GAINS
 
 
 @dataclass(frozen=True)
@@ -294,51 +299,65 @@ _FORBID = {
 }
 
 
-def _collapse(flags: bytearray) -> bytes:
-    # one forbidden slot for each run of them
-    while b"\0\0" in flags:
-        flags = flags.replace(b"\0\0", b"\0")
-    return bytes(flags)
+# flags -> the flags with one forbidden slot for each run of them
+_collapse = partial(re.compile(b"\0\0+").sub, b"\0")
 
 
-def _moves(flags: bytes, rules) -> list[tuple[int, bytes, int]]:
-    # (j, the flags after a value in slot j, the slot just above that value)
-    # for each allowed slot j
-    moves = []
+def _moves(flags: bytes, mark: int, rules) -> tuple[list, list, list]:
+    # the states one more value leads to from a state of these flags and
+    # mark, each with how many allowed slots lead to it
+    slots: dict[tuple[bytes, int, bool], int] = {}
+    top = len(flags)
     j = flags.find(1)
     while j >= 0:
-        new = bytearray(flags[:j] + b"\1" + flags[j:])
+        new = bytearray(flags)
+        new.insert(j, 1)
         for rule in rules:
-            lo, hi = rule(j, len(flags))
-            new[lo:hi + 1] = bytes(max(hi + 1 - lo, 0))
+            lo, hi = rule(j, top)
+            if lo <= hi:
+                new[lo:hi + 1] = bytes(hi + 1 - lo)
         below = _collapse(new[:j + 1])
-        moves.append((j, below + _collapse(new[j + 1:]), len(below)))
+        state = (below + _collapse(new[j + 1:]), len(below), j >= mark)
+        slots[state] = slots.get(state, 0) + 1
         j = flags.find(1, j + 1)
+    # (the states one descent leads to, those one ascent leads to, and
+    # (state, ascent or not, slots) for each that several slots lead to)
+    moves: tuple[list, list, list] = ([], [], [])
+    for state, times in slots.items():
+        if times == 1:
+            moves[state[2]].append(state)
+        else:
+            moves[2].append((state, state[2], times))
     return moves
 
 
-def count_lengths(max_n: int, basis,
-                  caps: Caps = Caps()) -> list[dict[int, int]]:
-    """The joint tallies {joint key: members} of lengths 0..max_n of a basis
-    of length-3 patterns, from one pass.
+def count_lengths(max_n: int, basis, stats,
+                  caps: Caps = Caps()) -> dict[str, list[dict[int, int]]]:
+    """{statistic: its rows {k: members} of lengths 0..max_n} for each of
+    ``stats`` over a basis of length-3 patterns, keys in increasing order.
 
-    Keys pack the statistics as :func:`~patternstats.stats.step_gains`
-    does at width ``joint_width(max_n)`` for every length, and
-    :func:`~patternstats.stats.joint_row` projects them at that width.
     The cap :func:`class_cap` gives the basis is checked for max_n first.
-
     Each new value goes in an allowed slot around the prefix's values
     (West 1996; Albert, Linton & Ruškuc, "The insertion encoding of
     permutations", 2005).  Slot j splits in two around it, and each
     pattern forbids one interval of slots (:data:`_FORBID`); a forbidden
     slot stays forbidden, since a value there would end an occurrence.  A
     state is (slot flags, the slot just above the last value, the last
-    step), each run of forbidden slots collapsed into one, and it carries
-    the tally of its prefixes' joint keys.  The next flags depend on the
-    flags and the basis alone, so the moves of each distinct flag string
-    are found once per call and shared by every level of the pass; a
-    state's slot mark and last step choose only whether a move is an
-    ascent and what it adds to the keys.
+    step), each run of forbidden slots collapsed into one.  The next
+    states depend on the flags, the slot mark (a move to slot j is an
+    ascent when j is at or above it) and the basis alone, so they are
+    found once per call for each (flags, mark) and shared by every level
+    and every statistic, each next state once with the number of slots
+    that lead to it.  The last step chooses only whether a move ends the
+    statistic's factor.
+
+    Each statistic has a level walk of its own, in which a state carries
+    one int: its count of members with statistic k in bits [k*w, (k+1)*w).
+    A count at length n is at most the Catalan number C_n < 4^n, the size
+    of a class with one length-3 pattern, so it fits in 2n bits and
+    w = 2 max_n + 2 leaves every field room.  A step that ends the factor
+    shifts the tally one field up, states that meet add their tallies, and
+    each length's total is unpacked once.
     """
     key = normalize_basis(basis)
     if not all(len(p) == 3 for p in key):
@@ -346,32 +365,48 @@ def count_lengths(max_n: int, basis,
             f"basis {key!r} has a pattern of length other than 3")
     class_cap(max_n, key, caps)
     rules = [_FORBID[p] for p in key]
-    gains = step_gains(joint_width(max_n))
-    moves: dict[bytes, list[tuple[int, bytes, int]]] = {}
+    moves: dict[tuple[bytes, int], tuple[list, list, list]] = {}
+    width = 2 * max_n + 2
+    return {stat: [_unpack(total, width) for total in _walk_levels(
+                max_n, rules, moves, STEP_GAINS[stat], width)]
+            for stat in stats}
+
+
+def _walk_levels(max_n: int, rules, moves: dict, gains,
+                 width: int) -> list[int]:
+    # the packed total of every length 0..max_n for one statistic
+    shifts = [[gain * width for gain in row] for row in gains]
     # the first value forbids nothing and is no step
-    level = {(b"\1\1", 1, 2): {0: 1}}
-    tallies = [{0: 1}, {0: 1}][:max_n + 1]
+    level = {(b"\1\1", 1, 2): 1}
+    totals = [1, 1][:max_n + 1]
     for _ in range(max_n - 1):
-        after: dict[tuple[bytes, int, int], dict[int, int]] = {}
+        after: dict[tuple[bytes, int, bool], list[int]] = defaultdict(list)
         for (flags, mark, prev), tally in level.items():
-            gain = gains[prev]
-            found = moves.get(flags)
+            found = moves.get((flags, mark))
             if found is None:
-                found = moves[flags] = _moves(flags, rules)
-            for j, new, at in found:
-                up = int(j >= mark)
-                state = (new, at, up)
-                step = gain[up]
-                into = after.get(state)
-                if into is None:
-                    after[state] = {k + step: c for k, c in tally.items()}
-                else:
-                    for k, c in tally.items():
-                        into[k + step] = into.get(k + step, 0) + c
-        joint: dict[int, int] = {}
-        for tally in after.values():
-            for k, c in tally.items():
-                joint[k] = joint.get(k, 0) + c
-        tallies.append(joint)
-        level = after
-    return tallies
+                found = moves[flags, mark] = _moves(flags, mark, rules)
+            falls, rises, many = found
+            down, up = shifts[prev]
+            # a shift by 0 would copy the int
+            fall = tally << down if down else tally
+            rise = tally << up if up else tally
+            for state in falls:
+                after[state].append(fall)
+            for state in rises:
+                after[state].append(rise)
+            for state, rising, times in many:
+                after[state].append((rise if rising else fall) * times)
+        level = {state: sum(tallies) for state, tallies in after.items()}
+        totals.append(sum(level.values()))
+    return totals
+
+
+def _unpack(total: int, width: int) -> dict[int, int]:
+    # {k: the count in field k} of a packed total, k increasing
+    row, mask, k = {}, (1 << width) - 1, 0
+    while total:
+        if total & mask:
+            row[k] = total & mask
+        total >>= width
+        k += 1
+    return row

@@ -15,23 +15,19 @@ derived from it:
   permutation reverses and complements its word, complementing it
   complements the word, and rc reverses the word, so s(p) is the
   statistic of t(p) that counts the image of s's factor;
-- :func:`step_gains`, what each step of a word adds to a joint key: one
-  to each field whose factor the step ends;
+- :data:`STEP_GAINS`, what each step of a word adds to each statistic:
+  one when the step ends the statistic's factor, else nothing.  The
+  counting pass of :mod:`~patternstats.generate` adds these as it builds
+  a member;
 - the word statistics of the encoding checks in
   :mod:`~patternstats.distributions`.
 
 :func:`all_stats` reads all six off the word with byte counts
 (:func:`word_stats`), and the one-statistic functions :func:`asc` ...
 :func:`vl` keep the window definitions; both stay independent of the
-table, as references for it.
-
-A tally over a class keeps one joint count per value of (asc, pk, vl,
-dasc, ddes), packed in one int, a field of :func:`joint_width` bits each;
-des is n - 1 - asc.  A listed class packs each distinct word with
-:func:`word_key` and a counted class adds the step gains as it goes, and
-:func:`joint_row` projects either tally onto the row of one statistic,
-so a caller that reads one statistic pays for one row, not six.  A
-counting pass packs every length at the width of its longest.
+table, as references for it.  A listed class is tallied one distinct
+word at a time with :func:`word_stats`: at most 2^(n-1) words, however
+many members share them.
 """
 
 from __future__ import annotations
@@ -56,6 +52,13 @@ _COUNTING = {factor: stat for stat, factor in FACTORS.items()}
 STAT_IMAGE = {t: {stat: _COUNTING[move(factor)]
                   for stat, factor in FACTORS.items()}
               for t, move in _WORD_MAPS.items()}
+# statistic -> gains[prev][up]: 1 when an ascent (``up`` 1) or a descent
+# (0) after a descent (``prev`` 0), after an ascent (1) or as the first
+# step (2) ends the statistic's factor, else 0
+STEP_GAINS = {stat: tuple(tuple(int((before + up).endswith(factor))
+                                for up in "01")
+                          for before in ("0", "1", ""))
+              for stat, factor in FACTORS.items()}
 
 
 def asc(p: Perm) -> int:
@@ -118,65 +121,6 @@ def word_stats(w: bytes) -> dict[str, int]:
             "dasc": a - valleys - w.startswith(b"\x01"),
             "ddes": d - peaks - w.startswith(b"\x00"),
             "pk": peaks, "vl": valleys}
-
-
-# the statistics of a joint key, lowest field first; des = n - 1 - asc
-JOINT = ("asc", "pk", "vl", "dasc", "ddes")
-
-
-def joint_width(n: int) -> int:
-    """Bits per field of a joint key over length n: no field passes n - 1."""
-    return max(n, 1).bit_length()
-
-
-# _ENDS[prev][up]: the indices in JOINT of the fields whose factor the step
-# ends, indexed as the gains of step_gains
-_ENDS = tuple(tuple(tuple(i for i, stat in enumerate(JOINT)
-                          if (before + up).endswith(FACTORS[stat]))
-                    for up in "01")
-              for before in ("0", "1", ""))
-
-
-def step_gains(width: int) -> tuple[tuple[int, int], ...]:
-    """What one step of an up-down word adds to a joint key.
-
-    ``gains[prev][up]`` is the gain of an ascent (``up`` 1) or a descent
-    (``up`` 0) after a descent (``prev`` 0), after an ascent (1), or as the
-    first step (2): one in each field, of ``width`` bits, whose factor the
-    step ends.  This is the one definition both the listing tally and the
-    counting walk of a class use.
-    """
-    return tuple(tuple(sum(1 << i * width for i in fields) for fields in row)
-                 for row in _ENDS)
-
-
-def word_key(w: bytes, gains: tuple[tuple[int, int], ...]) -> int:
-    """The joint key of the up-down word ``w`` under :func:`step_gains`."""
-    key, prev = 0, 2
-    for up in w:
-        key += gains[prev][up]
-        prev = up
-    return key
-
-
-def joint_row(joint: dict[int, int], n: int, stat: str,
-              width: int | None = None) -> dict[int, int]:
-    """The row {k: count} of one statistic of a joint tally {joint key:
-    count} over length n, keys in increasing order.  Fields are ``width`` bits wide, :func:`joint_width`
-    of n unless the keys were packed for a longer length."""
-    if stat not in STATS:
-        raise ValueError(f"unknown statistic {stat!r}; expected one of {STATS}")
-    width = joint_width(n) if width is None else width
-    shift = JOINT.index("asc" if stat == "des" else stat) * width
-    mask = (1 << width) - 1
-    row: dict[int, int] = {}
-    for key, count in joint.items():
-        value = key >> shift & mask
-        row[value] = row.get(value, 0) + count
-    if stat == "des":
-        steps = max(n - 1, 0)
-        row = {steps - value: count for value, count in row.items()}
-    return dict(sorted(row.items()))
 
 
 def all_stats(p: Perm) -> dict[str, int]:

@@ -60,11 +60,16 @@ def test_each_map_refuses_exactly_what_its_reference_refuses(name):
     assert accepted > 0
 
 
-def test_phi_inverse_refuses_exactly_the_words_check_dyck_refuses():
-    for m in range(11):
-        for letters in itertools.product("UDx", repeat=m):
-            d = "".join(letters)
-            assert _outcome(b.from_dyck_231, d) == _outcome(check_dyck, d), d
+@pytest.mark.parametrize("inverse", [b.from_dyck_231, b.from_dyck_321],
+                         ids=["231", "321"])
+def test_phi_inverse_refuses_exactly_the_words_check_dyck_refuses(inverse):
+    # and so does the inverse of psi, on blanks too, which its block split
+    # would take as block ends
+    words = ["".join(letters) for m in range(11)
+             for letters in itertools.product("UDx", repeat=m)]
+    words += [" ", "U D", "UD UD", "UU\tDD", "UDU\nD", "U DUD"]
+    for d in words:
+        assert _outcome(inverse, d) == _outcome(check_dyck, d), d
 
 
 def test_check_bits_accepts_exactly_the_words_over_0_and_1():

@@ -314,7 +314,8 @@ def test_refused_sizes_follow_the_one_cap_rule():
                      lambda: generate.gen_class(n, key, caps),
                      lambda: distribution("pk", key, n, caps=caps)]
             if all(len(p) == 3 for p in key):
-                calls.append(lambda: generate.count_lengths(n, key, caps))
+                calls.append(
+                    lambda: generate.count_lengths(n, key, ["pk"], caps))
             for n in range(8):
                 for call in calls:
                     if n <= cap:
@@ -414,12 +415,14 @@ def test_oracle_lists_only_the_classes_it_does_not_count(monkeypatch):
 def test_verify_counts_each_class_once_to_max_n(monkeypatch):
     # one pass per (basis, max_n): the rows of n = 0..7 do not come from
     # one cache miss and one pass per n
+    # with all six statistics asked at once
     passes = []
     real = generate.count_lengths
 
-    def spy(max_n, basis, caps=generate.Caps()):
+    def spy(max_n, basis, stats_asked, caps=generate.Caps()):
         passes.append((perms.normalize_basis(basis), max_n))
-        return real(max_n, basis, caps)
+        assert tuple(stats_asked) == stats.STATS
+        return real(max_n, basis, stats_asked, caps)
 
     monkeypatch.setattr(generate, "count_lengths", spy)
     assert all(r.passed for r in verify_all(7))
@@ -506,49 +509,36 @@ def test_a_tuple_label_keeps_its_text(monkeypatch):
 
 
 def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):
-    # one pass serves a range, and each call makes its own; a range that
-    # crosses a cap fails at its first refused n, before any pass
+    # one pass serves a range, and each call makes its own, for the one
+    # statistic asked; a range that crosses a cap fails at its first
+    # refused n, before any pass
     passes = []
     real = generate.count_lengths
     monkeypatch.setattr(generate, "count_lengths",
-                        lambda max_n, basis, caps: passes.append(max_n)
-                        or real(max_n, basis, caps))
+                        lambda max_n, basis, stats_asked, caps:
+                        passes.append((max_n, tuple(stats_asked)))
+                        or real(max_n, basis, stats_asked, caps))
     key = [(2, 1, 3), (3, 1, 2)]
     table = dist_table("pk", key, range(3, 13))
-    assert passes == [12]
+    assert passes == [(12, ("pk",))]
     assert [sum(row.values()) for row in table.rows.values()] == [
         2 ** (n - 1) for n in range(3, 13)]
-    assert dist_table("pk", key, range(7)).rows == {
-        n: naive_dist("pk", n, key) for n in range(7)}
-    assert passes == [12, 6]
+    assert dist_table("vl", key, range(7)).rows == {
+        n: naive_dist("vl", n, key) for n in range(7)}
+    assert passes == [(12, ("pk",)), (6, ("vl",))]
     with pytest.raises(generate.CapExceededError,
                        match="^class size 15 exceeds cap 14$"):
         dist_table("pk", key, range(10, 16))
     with pytest.raises(generate.CapExceededError,
                        match="^permutation size 11 exceeds cap 10$"):
         dist_table("asc", [(1, 3, 2)], range(12))
-    assert passes == [12, 6]
-
-
-def _expand(joint, n, width):
-    # the six rows of a joint tally, every field of each key decoded at
-    # once, keys in the order the joint keys first give them
-    mask = (1 << width) - 1
-    rows = {s: {} for s in stats.STATS}
-    for key, count in joint.items():
-        values = {s: key >> i * width & mask
-                  for i, s in enumerate(stats.JOINT)}
-        values["des"] = max(n - 1, 0) - values["asc"]
-        for s, row in rows.items():
-            row[values[s]] = row.get(values[s], 0) + count
-    return rows
+    assert passes == [(12, ("pk",)), (6, ("vl",))]
 
 
 def test_rows_do_not_depend_on_which_statistic_is_read_first():
-    # each row is projected from the run's joint tally when first read;
-    # read in either order, the rows and their key order are the same, and
-    # equal a six-row expansion of that tally, keys in increasing order on
-    # a counted and on a listed basis alike
+    # read in either order, or counted alone as a dist row is, each row and
+    # its key order are the same, keys in increasing order on a counted and
+    # on a listed basis alike
     cases = [(key, 8) for key in _length3_bases()] + [(((2, 1, 4, 3),), 7)]
     for key, top in cases:
         seen = []
@@ -559,24 +549,27 @@ def test_rows_do_not_depend_on_which_statistic_is_read_first():
             seen.append({s: {n: list(row.items()) for n, row in rows[s].items()}
                          for s in stats.STATS})
         assert seen[0] == seen[1], key
-        for n in range(top + 1):
-            entry = run.rows(key, n)
-            want = _expand(entry.joint, n, entry.width)
-            assert {s: sorted(row.items()) for s, row in want.items()} == {
-                s: seen[0][s][n] for s in stats.STATS}, (key, n)
+        for s in stats.STATS:
+            alone = distributions._Run(generate.Caps(), top, (s,))
+            for n in range(top + 1):
+                assert list(alone.rows(key, n)[s].items()) == seen[0][s][n], (
+                    key, s, n)
+                assert [k for k, _ in seen[0][s][n]] == sorted(
+                    k for k, _ in seen[0][s][n]), (key, s, n)
 
 
-def _bump_count(monkeypatch, text, n):
-    # count_lengths with one more member under one joint key of basis
-    # ``text`` at length n
+def _bump_count(monkeypatch, text, n, stat):
+    # count_lengths with one more member in one count of the row of
+    # ``stat`` over basis ``text`` at length n
     key, real = perms.parse_basis(text), generate.count_lengths
 
-    def bumped(max_n, basis, caps=generate.Caps()):
-        tallies = real(max_n, basis, caps)
-        if perms.normalize_basis(basis) == key and n <= max_n:
-            first = min(tallies[n])
-            tallies[n][first] += 1
-        return tallies
+    def bumped(max_n, basis, stats_asked, caps=generate.Caps()):
+        counted = real(max_n, basis, stats_asked, caps)
+        if (perms.normalize_basis(basis) == key and n <= max_n
+                and stat in counted):
+            row = counted[stat][n]
+            row[min(row)] += 1
+        return counted
 
     monkeypatch.setattr(generate, "count_lengths", bumped)
 
@@ -586,7 +579,7 @@ def test_a_dist_table_reads_no_rows_an_earlier_call_counted(monkeypatch):
     # nothing cleared in between
     key = perms.parse_basis("231")
     before = dist_table("pk", key, range(8)).rows
-    _bump_count(monkeypatch, "231", 5)
+    _bump_count(monkeypatch, "231", 5, "pk")
     after = dist_table("pk", key, range(8)).rows
     assert sum(after[5].values()) == sum(before[5].values()) + 1
     assert {n: row for n, row in after.items() if n != 5} == {
@@ -596,7 +589,7 @@ def test_a_dist_table_reads_no_rows_an_earlier_call_counted(monkeypatch):
 def test_a_verify_run_reads_no_rows_an_earlier_run_counted(monkeypatch):
     report, = verify_all(6, selection="PK_312_EQ_321")
     assert report.passed
-    _bump_count(monkeypatch, "312", 4)
+    _bump_count(monkeypatch, "312", 4, "pk")
     report, = verify_all(6, selection="PK_312_EQ_321")
     assert not report.passed
     assert report.failure.startswith("peak rows at n=4: ")

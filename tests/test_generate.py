@@ -28,7 +28,7 @@ from patternstats.perms import (
     normalize_basis,
     parse_basis,
 )
-from patternstats.stats import STATS, joint_row, joint_width
+from patternstats.stats import STATS
 
 from helpers import naive_class, split_at_max_231, subsets_213_312
 
@@ -285,10 +285,10 @@ def test_filter_independent_of_request_order():
 # -- counting over active sites ----------------------------------------------
 
 def _counted_rows(max_n, key, caps=Caps()):
-    # the rows of every length to max_n, from one pass
-    width = joint_width(max_n)
-    return [{s: joint_row(joint, n, s, width) for s in STATS}
-            for n, joint in enumerate(generate.count_lengths(max_n, key, caps))]
+    # the six rows of every length to max_n, from one call
+    counted = generate.count_lengths(max_n, key, STATS, caps)
+    return [{s: rows[n] for s, rows in counted.items()}
+            for n in range(max_n + 1)]
 
 
 BASES3 = [key for r in range(1, 7)
@@ -335,8 +335,8 @@ def test_counted_pair_rows_match_the_structured_listing(key):
 
 
 def test_joint_fields_hold_every_value():
-    # 2^69 members of Av(132,312) at n = 70: asc reaches 69, which a
-    # 6-bit field would wrap
+    # 2^69 members of Av(132,312) at n = 70: asc reaches 69, and each
+    # packed field holds a count as large as C(69, 34), above 2^65
     key, caps = parse_basis("132,312"), Caps(perm=70)
     rows = {s: distributions.distribution(s, key, 70, caps=caps)
             for s in STATS}
@@ -352,19 +352,20 @@ def test_joint_fields_hold_every_value():
 
 
 def test_count_lengths_checks_the_route_cap_and_the_pattern_lengths():
-    assert generate.count_lengths(0, [(1, 2, 3)]) == [{0: 1}]
-    assert generate.count_lengths(1, [(1, 2, 3)]) == [{0: 1}, {0: 1}]
+    assert generate.count_lengths(0, [(1, 2, 3)], ["pk"]) == {"pk": [{0: 1}]}
+    assert generate.count_lengths(1, [(1, 2, 3)], STATS) == {
+        s: [{0: 1}, {0: 1}] for s in STATS}
     with pytest.raises(CapExceededError,
                        match="^permutation size 11 exceeds cap 10$"):
-        generate.count_lengths(11, [(1, 2, 3)])
+        generate.count_lengths(11, [(1, 2, 3)], ["pk"])
     with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
-        generate.count_lengths(15, [(2, 3, 1)])
+        generate.count_lengths(15, [(2, 3, 1)], ["pk"])
     with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
-        generate.count_lengths(15, [(2, 1, 3), (3, 1, 2)])
+        generate.count_lengths(15, [(2, 1, 3), (3, 1, 2)], ["pk"])
     with pytest.raises(ValueError, match="^class size must be nonnegative: -1$"):
-        generate.count_lengths(-1, [(3, 2, 1)])
+        generate.count_lengths(-1, [(3, 2, 1)], ["pk"])
     with pytest.raises(UnsupportedBasisError):
-        generate.count_lengths(4, [(1, 2), (2, 3, 1)])
+        generate.count_lengths(4, [(1, 2), (2, 3, 1)], ["pk"])
 
 
 def test_count_moves_are_found_per_call_and_per_basis():
@@ -372,11 +373,13 @@ def test_count_moves_are_found_per_call_and_per_basis():
     # after another in one process, each basis gives the tallies it gives
     # counted alone in a fresh interpreter
     texts = ["312", "213", "123,132"]
-    in_turn = [generate.count_lengths(10, parse_basis(text)) for text in texts]
+    in_turn = [generate.count_lengths(10, parse_basis(text), STATS)
+               for text in texts]
     code = ("import sys\n"
             "from patternstats.generate import count_lengths\n"
             "from patternstats.perms import parse_basis\n"
-            "print(count_lengths(10, parse_basis(sys.argv[1])))\n")
+            "from patternstats.stats import STATS\n"
+            "print(count_lengths(10, parse_basis(sys.argv[1]), STATS))\n")
     for text, got in zip(texts, in_turn):
         alone = subprocess.run([sys.executable, "-c", code, text],
                                capture_output=True, text=True,
@@ -413,36 +416,41 @@ def test_a_one_slot_error_in_any_interval_rule_fails(pattern, monkeypatch):
            normalize_basis),
        stat=st.sampled_from(STATS), n=st.integers(0, 8))
 def test_counted_rows_match_the_filter_listing(key, stat, n):
-    width = joint_width(8)
-    joint = generate.count_lengths(8, key)[n]
-    assert joint_row(joint, n, stat, width) == distributions._tally(
-        gen_class(n, key))[stat]
+    row = generate.count_lengths(8, key, [stat])[stat][n]
+    assert row == distributions._tally(gen_class(n, key))[stat]
 
 
 # (basis text, largest n) of the cross-checks of closed forms and series:
 # Av(132) and Av(312) have the most states
-_CROSS_N = {**{text: 60 for text in distributions._PAIR_BASES},
-            **{text: 30 for text in ("123", "213", "231", "321")},
+_CROSS_N = {**{text: 100 for text in distributions._PAIR_BASES},
+            **{text: 60 for text in ("123", "213", "231", "321")},
             "132": 16, "312": 16}
 
 
 def test_counted_rows_match_every_closed_form_and_series_to_large_n():
-    caps = Caps(perm=60, structured=60)
-    counted = {parse_basis(text): _counted_rows(top, parse_basis(text), caps)
-               for text, top in _CROSS_N.items()}
+    # only the (statistic, basis) cells a closed form or a series states
+    # are counted.  A single class has C_n members, about 2^113 at n = 60,
+    # so its counts overflow a packed field of max_n + 1 bits well before
+    caps = Caps(perm=100, structured=100)
+    cells = [(spec.stat, spec.basis, lambda n, fid=fid:
+              formulas.closed_form_row(fid, n), spec.min_n)
+             for fid in formulas.formula_ids()
+             for spec in [formulas.formula(fid)]]
+    for name, (_, stated) in series.SERIES.items():
+        for stat, text in stated:
+            top = _CROSS_N[text]
+            cells.append((stat, parse_basis(text),
+                          series.expand(name, top).row_counts, 0))
+    asked = {}
+    for stat, key, _, _ in cells:
+        asked.setdefault(key, set()).add(stat)
+    counted = {key: generate.count_lengths(_CROSS_N[format_basis(key)], key,
+                                           sorted(stats), caps)
+               for key, stats in asked.items()}
     checked = 0
-    for fid in formulas.formula_ids():
-        spec = formulas.formula(fid)
-        rows = counted[spec.basis]
-        for n in range(spec.min_n, len(rows)):
-            assert rows[n][spec.stat] == formulas.closed_form_row(fid, n), (
-                fid, n)
+    for stat, key, want, first in cells:
+        rows = counted[key][stat]
+        for n in range(first, len(rows)):
+            assert rows[n] == want(n), (stat, format_basis(key), n)
             checked += 1
-    for name, (_, cells) in series.SERIES.items():
-        for stat, text in cells:
-            rows = counted[parse_basis(text)]
-            expansion = series.expand(name, len(rows) - 1)
-            for n, row in enumerate(rows):
-                assert row[stat] == expansion.row_counts(n), (name, stat, n)
-                checked += 1
     assert checked > 1000

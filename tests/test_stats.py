@@ -9,14 +9,11 @@ from patternstats.stats import (
     FACTORS,
     STAT_IMAGE,
     STATS,
+    STEP_GAINS,
     all_stats,
     consec3_count,
-    joint_row,
-    joint_width,
     stat,
-    step_gains,
     up_down,
-    word_key,
     word_stats,
 )
 
@@ -103,24 +100,22 @@ def test_factors_are_the_window_definitions():
 
 
 def test_step_gains_keep_the_hand_table():
-    # what the gains read off FACTORS, at every width: ddes after a
-    # descent, a peak after an ascent, asc and vl or dasc for an ascent
-    for width in range(1, 13):
-        asc, pk, vl, dasc, ddes = (1 << i * width for i in range(5))
-        assert step_gains(width) == (
-            (ddes, asc + vl), (pk, asc + dasc), (0, asc))
-
-
-def test_word_key_matches_word_stats():
-    # the step gains, folded over every up-down word of length <= 10 and
-    # expanded, give the byte-count statistics of the word
+    # what the gains read off FACTORS: des and asc at every step, ddes after
+    # a descent, a peak after an ascent, vl or dasc for an ascent.  Folded
+    # over every up-down word of length <= 10, they give the byte-count
+    # statistics of the word
+    assert STEP_GAINS == {
+        "asc": ((0, 1), (0, 1), (0, 1)), "des": ((1, 0), (1, 0), (1, 0)),
+        "dasc": ((0, 0), (0, 1), (0, 0)), "ddes": ((1, 0), (0, 0), (0, 0)),
+        "pk": ((0, 0), (1, 0), (0, 0)), "vl": ((0, 1), (0, 0), (0, 0))}
     for m in range(11):
-        gains = step_gains(joint_width(m + 1))
         for w in itertools.product((0, 1), repeat=m):
-            w = bytes(w)
-            rows = {s: joint_row({word_key(w, gains): 1}, m + 1, s)
-                    for s in STATS}
-            assert rows == {s: {v: 1} for s, v in word_stats(w).items()}
-    with pytest.raises(ValueError, match="^unknown statistic 'peaks'"):
-        joint_row({0: 1}, 1, "peaks")
+            folded = {}
+            for s, gains in STEP_GAINS.items():
+                count, prev = 0, 2
+                for up in w:
+                    count += gains[prev][up]
+                    prev = up
+                folded[s] = count
+            assert folded == word_stats(bytes(w)), w
 

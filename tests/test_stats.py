@@ -101,13 +101,16 @@ def test_factors_are_the_window_definitions():
 
 def test_step_gains_keep_the_hand_table():
     # what the gains read off FACTORS: des and asc at every step, ddes after
-    # a descent, a peak after an ascent, vl or dasc for an ascent.  Folded
-    # over every up-down word of length <= 10, they give the byte-count
-    # statistics of the word
+    # a descent, a peak after an ascent, vl or dasc for an ascent
     assert STEP_GAINS == {
         "asc": ((0, 1), (0, 1), (0, 1)), "des": ((1, 0), (1, 0), (1, 0)),
         "dasc": ((0, 0), (0, 1), (0, 0)), "ddes": ((1, 0), (0, 0), (0, 0)),
         "pk": ((0, 0), (1, 0), (0, 0)), "vl": ((0, 1), (0, 0), (0, 0))}
+
+
+def test_word_key_matches_word_stats():
+    # the step gains, folded over every up-down word of length <= 10 into
+    # one key per statistic, give the byte-count statistics of the word
     for m in range(11):
         for w in itertools.product((0, 1), repeat=m):
             folded = {}

@@ -108,11 +108,9 @@ def _render_rows(rows: list[tuple[int, int, int]], fmt: str) -> str:
         lines = ["n,k,count"]
         lines += [f"{n},{k},{c}" for n, k, c in rows]
         return "\n".join(lines)
-    if fmt == "markdown":
-        lines = ["| n | k | count |", "| - | - | - |"]
-        lines += [f"| {n} | {k} | {c} |" for n, k, c in rows]
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}")
+    lines = ["| n | k | count |", "| - | - | - |"]
+    lines += [f"| {n} | {k} | {c} |" for n, k, c in rows]
+    return "\n".join(lines)
 
 
 def _cmd_dist(args) -> int:

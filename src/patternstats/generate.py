@@ -33,9 +33,11 @@ slots fixed by the chosen slot (:data:`_FORBID`).  So a state is the slot
 flags, runs of forbidden slots collapsed, with the slot just above the
 last value and the last step.  The moves out of a state depend on its
 flags, that mark and the basis alone, so a call finds them once for each
-distinct pair, in a memo local to the call and shared by all its levels
-and statistics; the last step only says which moves end the statistic's
-factor (:data:`~patternstats.stats.STEP_GAINS`).  A state's tally is one
+distinct pair as its transfer map {next state: slots}, the number of
+allowed slots that lead to each next state, in a memo local to the call
+and shared by all its levels and statistics; the last step only says
+which moves end the statistic's factor
+(:data:`~patternstats.stats.STEP_GAINS`).  A state's tally is one
 int that packs its count of each value of the statistic, so a step is a
 shift and a merge an add.  Only a basis with a pattern of another length
 is listed for its rows.
@@ -303,9 +305,9 @@ _FORBID = {
 _collapse = partial(re.compile(b"\0\0+").sub, b"\0")
 
 
-def _moves(flags: bytes, mark: int, rules) -> tuple[list, list, list]:
-    # the states one more value leads to from a state of these flags and
-    # mark, each with how many allowed slots lead to it
+def _moves(flags: bytes, mark: int, rules) -> dict[tuple, int]:
+    # the transfer map of a state of these flags and mark: {next state:
+    # the number of allowed slots that lead to it}
     slots: dict[tuple[bytes, int, bool], int] = {}
     top = len(flags)
     j = flags.find(1)
@@ -320,15 +322,7 @@ def _moves(flags: bytes, mark: int, rules) -> tuple[list, list, list]:
         state = (below + _collapse(new[j + 1:]), len(below), j >= mark)
         slots[state] = slots.get(state, 0) + 1
         j = flags.find(1, j + 1)
-    # (the states one descent leads to, those one ascent leads to, and
-    # (state, ascent or not, slots) for each that several slots lead to)
-    moves: tuple[list, list, list] = ([], [], [])
-    for state, times in slots.items():
-        if times == 1:
-            moves[state[2]].append(state)
-        else:
-            moves[2].append((state, state[2], times))
-    return moves
+    return slots
 
 
 def count_lengths(max_n: int, basis, stats,
@@ -345,19 +339,21 @@ def count_lengths(max_n: int, basis, stats,
     state is (slot flags, the slot just above the last value, the last
     step), each run of forbidden slots collapsed into one.  The next
     states depend on the flags, the slot mark (a move to slot j is an
-    ascent when j is at or above it) and the basis alone, so they are
-    found once per call for each (flags, mark) and shared by every level
-    and every statistic, each next state once with the number of slots
-    that lead to it.  The last step chooses only whether a move ends the
-    statistic's factor.
+    ascent when j is at or above it) and the basis alone, so each
+    (flags, mark) has its transfer map {next state: slots}, the number of
+    allowed slots that lead to each next state, found once per call and
+    shared by every level and every statistic.  A next state's last step
+    says whether the move there is an ascent; with the state's own last
+    step, it chooses only whether the move ends the statistic's factor.
 
     Each statistic has a level walk of its own, in which a state carries
     one int: its count of members with statistic k in bits [k*w, (k+1)*w).
     A count at length n is at most the Catalan number C_n < 4^n, the size
     of a class with one length-3 pattern, so it fits in 2n bits and
     w = 2 max_n + 2 leaves every field room.  A step that ends the factor
-    shifts the tally one field up, states that meet add their tallies, and
-    each length's total is unpacked once.
+    shifts the tally one field up, a next state reached by several slots
+    takes the tally times their number, states that meet add their
+    tallies, and each length's total is unpacked once.
     """
     key = normalize_basis(basis)
     if not all(len(p) == 3 for p in key):
@@ -365,7 +361,7 @@ def count_lengths(max_n: int, basis, stats,
             f"basis {key!r} has a pattern of length other than 3")
     class_cap(max_n, key, caps)
     rules = [_FORBID[p] for p in key]
-    moves: dict[tuple[bytes, int], tuple[list, list, list]] = {}
+    moves: dict[tuple[bytes, int], dict[tuple, int]] = {}
     width = 2 * max_n + 2
     return {stat: [_unpack(total, width) for total in _walk_levels(
                 max_n, rules, moves, STEP_GAINS[stat], width)]
@@ -385,17 +381,13 @@ def _walk_levels(max_n: int, rules, moves: dict, gains,
             found = moves.get((flags, mark))
             if found is None:
                 found = moves[flags, mark] = _moves(flags, mark, rules)
-            falls, rises, many = found
             down, up = shifts[prev]
-            # a shift by 0 would copy the int
+            # a shift by 0 or a product by 1 would copy the int
             fall = tally << down if down else tally
             rise = tally << up if up else tally
-            for state in falls:
-                after[state].append(fall)
-            for state in rises:
-                after[state].append(rise)
-            for state, rising, times in many:
-                after[state].append((rise if rising else fall) * times)
+            for state, times in found.items():
+                moved = rise if state[2] else fall
+                after[state].append(moved * times if times > 1 else moved)
         level = {state: sum(tallies) for state, tallies in after.items()}
         totals.append(sum(level.values()))
     return totals

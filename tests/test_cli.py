@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from patternstats import bijections, cli, formulas, series
+from patternstats import bijections, cli, formulas, oeis, series
 from patternstats.cli import main
 from patternstats.formulas import binom, catalan
 from patternstats.stats import STATS
@@ -297,6 +297,16 @@ def test_oeis_bfile_output(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "1 1" and lines[1] == "2 2"
+
+
+@pytest.mark.parametrize("flag, name, sequence", [
+    ("--formula", "PK231", "A091894"), ("--sequence", "A000108", "A000108")])
+def test_oeis_json_output(capsys, flag, name, sequence):
+    code, out, _ = run(capsys, "oeis", flag, name, "--format", "json",
+                       "--max-n", "6")
+    assert code == 0
+    assert json.loads(out) == {"sequence": sequence,
+                               "terms": oeis.local_terms(name, 6)}
 
 
 def test_oeis_unknown_formula(capsys):

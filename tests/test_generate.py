@@ -387,6 +387,44 @@ def test_count_moves_are_found_per_call_and_per_basis():
         assert got == ast.literal_eval(alone), text
 
 
+def _states_reached(key, max_n):
+    # [the distinct states of the slot automaton over lengths 1..n, for
+    # each n <= max_n], walked over the transfer maps of _moves
+    rules = [generate._FORBID[p] for p in key]
+    level = {(b"\1\1", 1, 2)}
+    seen, counts = set(level), [0, 1]
+    for _ in range(max_n - 1):
+        level = {state for flags, mark, _ in level
+                 for state in generate._moves(flags, mark, rules)}
+        seen |= level
+        counts.append(len(seen))
+    return counts
+
+
+# the distinct (flags, mark, last step) states each basis of two patterns
+# reaches by length 30, in combinations order
+_STATES_BY_30 = (59, 4, 32, 7, 7, 4, 59, 3, 7, 5, 59, 32, 4, 4, 59)
+
+# the bases with finitely many slot states: each reaches its count at
+# length 30 by length 20 already
+_FINITE_STATE = ("123,213", "123,312", "123,321", "132,213", "132,312",
+                 "132,321", "213,231", "231,312", "231,321")
+
+
+def test_slot_automaton_reaches_the_pinned_states():
+    # the states pin the collapse of forbidden runs: uncollapsed flags grow
+    # with every forbidden slot, so no count would stay put.  123,231 and
+    # 213,321 have 3 states at every length but 22 distinct ones by length
+    # 20 and 32 by length 30
+    pairs = list(itertools.combinations(PATTERNS3, 2))
+    assert len(pairs) == len(_STATES_BY_30) == 15
+    for key, want in zip(pairs, _STATES_BY_30):
+        counts = _states_reached(key, 30)
+        assert counts[30] == want, format_basis(key)
+        finite = format_basis(key) in _FINITE_STATE
+        assert (counts[20] == want) == finite, format_basis(key)
+
+
 def _shifted(rule, end, by):
     def shifted(j, top):
         ends = list(rule(j, top))

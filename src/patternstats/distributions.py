@@ -224,10 +224,38 @@ class DistTable:
         }
 
     def to_json(self) -> str:
-        rows = [self.row_json(n) for n in sorted(self.rows)]
-        if len(rows) == 1:
-            return json.dumps(rows[0], indent=2)
-        return json.dumps(rows, indent=2)
+        """Exactly ``json.dumps(..., indent=2)`` of the :meth:`row_json` dicts.
+
+        One length gives that row's object (so does a range of one length,
+        such as ``4-4``), several give the list of their rows in increasing
+        n, and none gives ``[]``.
+
+        The text is written here, not by ``json``, whose indenting encoder
+        is pure Python: the strings of a table are encoded once and each
+        row adds only its n and counts.
+        """
+        ns = sorted(self.rows)
+        pad = "  " if len(ns) > 1 else ""
+        field, item = pad + "  ", pad + "    "
+        basis = _json_block([item + json.dumps(format_perm(p))
+                             for p in self.basis], field, "[]")
+        head = (f'{pad}{{\n{field}"basis": {basis},\n'
+                f'{field}"stat": {json.dumps(self.stat)},\n{field}"n": ')
+        tail = f',\n{field}"method": {json.dumps(self.method)}\n{pad}}}'
+        rows = [f'{head}{n},\n{field}"counts": '
+                + _json_block([f'{item}"{k}": {c}'
+                               for k, c in sorted(self.rows[n].items())],
+                              field, "{}") + tail
+                for n in ns]
+        return rows[0] if len(rows) == 1 else _json_block(rows, "", "[]")
+
+
+def _json_block(items: list[str], pad: str, brackets: str) -> str:
+    # what json.dumps(indent=2) writes for a list or dict whose items are
+    # these already indented lines, its closing bracket at pad
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
 
 
 def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",

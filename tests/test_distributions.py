@@ -75,6 +75,40 @@ def test_dist_table_json_schema():
     assert [r["n"] for r in json.loads(multi.to_json())] == [3, 4]
 
 
+def _dumped(table) -> str:
+    # the json module's text of the row dicts, which to_json writes itself
+    rows = [table.row_json(n) for n in sorted(table.rows)]
+    return json.dumps(rows[0] if len(rows) == 1 else rows, indent=2)
+
+
+def test_to_json_is_json_dumps_of_the_row_dicts():
+    for basis in _length3_bases():
+        for stat in stats.STATS:
+            one = dist_table(stat, basis, [5])
+            assert one.to_json() == _dumped(one), (basis, stat)
+            assert isinstance(json.loads(one.to_json()), dict)
+            for ns in (range(2), range(9)):
+                table = dist_table(stat, basis, ns)
+                assert table.to_json() == _dumped(table), (basis, stat, ns)
+    # Av(123,321) has no member from n = 5 on: empty counts
+    empty = dist_table("pk", [(1, 2, 3), (3, 2, 1)], range(4, 7))
+    assert [n for n, row in empty.rows.items() if not row] == [5, 6]
+    assert empty.to_json() == _dumped(empty)
+    assert '"counts": {},' in empty.to_json()
+    assert dist_table("pk", [(2, 3, 1)], []).to_json() == "[]"
+    answered = dict.fromkeys(("closed_form", "series"), 0)
+    for text in distributions._SINGLE_BASES + distributions._PAIR_BASES:
+        for stat, method, ns in itertools.product(
+                stats.STATS, answered, ([7], range(3, 10))):
+            try:
+                table = dist_table(stat, perms.parse_basis(text), ns, method)
+            except UnsupportedMethodError:
+                continue
+            answered[method] += 1
+            assert table.to_json() == _dumped(table), (text, stat, method)
+    assert answered == {"closed_form": 70, "series": 12}
+
+
 def test_class_size():
     assert class_size(4, [(3, 2, 1)]) == 14
     assert class_size(0, [(3, 2, 1)]) == 1

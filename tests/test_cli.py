@@ -558,3 +558,38 @@ def test_dist_stdout_is_pinned(capsys, basis):
 def test_filter_dist_stdout_is_pinned(capsys, basis):
     assert (_dist_digest(capsys, basis, "0-10")
             == _PINNED_FILTER_DIST_STDOUT[basis])
+
+
+# sha256 of `series --name NAME --max-n 24 --format FORMAT` stdout, recorded
+# before the solver packed its rows; pins every coefficient the CLI prints
+_PINNED_SERIES_STDOUT = {
+    ("des321", "json"):
+        "8b80559dbb331a292fd9b81ab99ff02f74adcb2de5458d15b0970d3499273b6d",
+    ("des321", "csv"):
+        "51ec1e3b6c49a676290575ebecee5f4250502e7fc451bcd863d23592feb7551f",
+    ("pk321", "json"):
+        "c49d8695247c59258f9a15efbb950a446050e6bb84e6532d2be42ae5a809a11d",
+    ("pk321", "csv"):
+        "01d3944b100e6367c4f5cc1c27b618abf9d60707b2c08777b438d8f019a319fc",
+    ("B", "json"):
+        "f9b9aa167251ad49b553f302658da83dcdeecff8af19ce3627287432c413453c",
+    ("B", "csv"):
+        "0248ce885703c1442f30372f8435e1994d0363dfc125a7026525d23c555e1217",
+    ("D", "json"):
+        "a4779c4e2e16df61228ef33791f7b0c6bcadfcb86633abff9d217b1da9e46a05",
+    ("D", "csv"):
+        "daa050b34d98f755dc3771174005f21b29bfd9bd73e08e3f077535e95ed68235",
+    ("ddes132213", "json"):
+        "e03b89f2a2f41834fee7e89253810b24892ea315eb42ea82ff82ffeb3e829a2a",
+    ("ddes132213", "csv"):
+        "9733e36306fdbd57d7b5a6fb3c0758ca47decc8bc4c641046fac7ccfcb3b3dbf",
+}
+
+
+@pytest.mark.parametrize("name,fmt", list(_PINNED_SERIES_STDOUT))
+def test_series_stdout_is_pinned(capsys, name, fmt):
+    code, out, _ = run(capsys, "series", "--name", name, "--max-n", "24",
+                       "--format", fmt)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _PINNED_SERIES_STDOUT[name, fmt])

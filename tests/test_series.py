@@ -234,6 +234,17 @@ _NO_Z0 = st.one_of(st.just(()), _ROWS.map(lambda rows: ((),) + rows))
 # G = 1 + z(1 - z + qz) G^2, and F = 1 - qz + (z + qz + z^2 - qz^2) F
 @example(p0=((1,),), p1=(), p2=((), (1,), (-1, 1)), n_max=8)
 @example(p0=((1,), (0, -1)), p1=((), (1, 1), (1, -1)), p2=(), n_max=8)
+# factors 2 and -3 on q^1, a power that the z^1 and z^2 rows of P1 share
+@example(p0=((1,), (0, 1)), p1=((), (0, 2), (1, -3)), p2=(), n_max=8)
+# G = 1 + z(q - 1) G^2: G and G^2 have coefficients of both signs
+@example(p0=((1,),), p1=(), p2=((), (-1, 1)), n_max=8)
+# coefficients near 10^6: the largest of G^2 and the bound on them both
+# have 496 bits, a multiple of 8
+@example(p0=((-990_000,), (0, 10**6)), p1=((), (999_999,)),
+         p2=((), (-10**6,)), n_max=12)
+# every kind of term at once, far past the drawn degrees
+@example(p0=((1,), (0, -2)), p1=((), (0, 2), (-1, 0, 3)),
+         p2=((), (1, -1), (-2, 0, 1)), n_max=20)
 def test_solve_satisfies_its_equation(p0, p1, p2, n_max):
     # G = P0 + P1 G + P2 G^2 mod z^(n_max + 1), and S = G^2 to n_max - 1
     g, s = _solve((p0, p1, p2), n_max)

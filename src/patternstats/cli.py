@@ -90,8 +90,11 @@ def _caps(cfg: dict[str, str]) -> generate.Caps:
     return generate.Caps(**caps)
 
 
-def _parse_ns(text: str) -> list[int]:
-    """The lengths of ``--n``: one length N, or a range LO-HI with LO <= HI."""
+def _parse_ns(text: str) -> range:
+    """The lengths of ``--n``: one length N, or a range LO-HI with LO <= HI.
+
+    The range is not listed, so a refused range costs no more than a short
+    one."""
     match = re.fullmatch(r"\s*(\d+)\s*(?:-\s*(\d+)\s*)?", text)
     if match is None:
         raise ValueError(f"--n expects a length N or a range LO-HI of "
@@ -100,7 +103,7 @@ def _parse_ns(text: str) -> list[int]:
     hi = lo if match[2] is None else int(match[2])
     if lo > hi:
         raise ValueError(f"--n range {text!r} is reversed: {lo} > {hi}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _render_rows(rows: list[tuple[int, int, int]], fmt: str) -> str:

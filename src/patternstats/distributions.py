@@ -16,9 +16,13 @@ crosses a limit fails at its first refused size.  Where several
 methods support a pair they must agree; ``verify_all`` checks that,
 every bijection property, every series identity, and the
 reverse/complement symmetry identities, and reports the first
-counterexample of each failing check.  A symmetry family names one
-statistic, and :data:`~patternstats.stats.STAT_IMAGE` gives the statistic
-it is compared with over each image class.
+counterexample of each failing check.  The closed-form and series
+checks are one check, ``_check_method``, that reads the oracle rows of
+its cells first, so a class cap refuses before any route runs, and then
+the route's rows through ``dist_table``, the function ``dist`` calls.  A
+symmetry family names one statistic, and
+:data:`~patternstats.stats.STAT_IMAGE` gives the statistic it is compared
+with over each image class.
 
 Each check is registered once, in the order ``verify --list`` prints, as a
 function that records its comparisons on a :class:`VerifyReport`; the
@@ -63,7 +67,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import bijections, dyck, formulas, generate, series, stats
 from .dyck import factor_count, interior_uud_count, uud_count
@@ -170,7 +174,7 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
                for stat, text in cells}
 
 
-def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
+def _oracle(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
     # every n is checked, in order, before the one run counts to the largest
     for n in ns:
         generate.class_cap(n, key, caps)
@@ -178,7 +182,8 @@ def _oracle(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
     return {n: run.rows(key, n)[stat] for n in ns}
 
 
-def _closed_form(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
+def _closed_form(stat: str, key: tuple, ns: Sequence[int],
+                 caps: Caps) -> dict:
     spec = formulas.formula_for(stat, key)
     if spec is None:
         raise UnsupportedMethodError(
@@ -186,7 +191,7 @@ def _closed_form(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
     return {n: formulas.closed_form_row(spec.id, n) for n in ns}
 
 
-def _series(stat: str, key: tuple, ns: list[int], caps: Caps) -> dict:
+def _series(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
     # every n is checked, in order, before the one solve to the largest
     name = _SERIES_FOR.get((stat, key))
     if name is None:
@@ -260,13 +265,16 @@ def _json_block(items: list[str], pad: str, brackets: str) -> str:
 
 def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
                caps: Caps = Caps()) -> DistTable:
-    """The rows of every length in ``ns``, by one call of the method."""
+    """The rows of every length in ``ns``, by one call of the method.
+
+    A ``range`` is passed on as it is; any other iterable is listed once."""
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}")
     key = normalize_basis(basis)
     if method not in METHODS:
         raise UnsupportedMethodError(f"unknown method {method!r}")
-    rows = METHODS[method](stat, key, list(ns), caps)
+    ns = ns if isinstance(ns, range) else list(ns)
+    rows = METHODS[method](stat, key, ns, caps)
     return DistTable(key, stat, method, rows)
 
 
@@ -418,37 +426,33 @@ def _check_structured_filter(report: VerifyReport, max_n: int,
                       "structured vs {} for {} at n={}", route, text, n)
 
 
-def _check_formula(fid: str, report: VerifyReport, max_n: int,
-                   run: _Run) -> None:
-    spec = formulas.formula(fid)
-    for n in range(spec.min_n, max_n + 1):
-        want = formulas.closed_form_row(fid, n)
-        got = run.rows(spec.basis, n)[spec.stat]
-        report.eq(got, want, "{} over {} at n={}", spec.stat,
-                  format_basis(spec.basis), n)
+def _check_method(method: str, first: int,
+                  cells: list[tuple[str, tuple, str]], report: VerifyReport,
+                  max_n: int, run: _Run) -> None:
+    """The rows ``dist_table`` gives by ``method`` against the oracle's rows
+    of each (statistic, basis, label) cell, first <= n <= max_n.  Every
+    oracle row is read first, so a class cap refuses before a route runs."""
+    ns = range(first, max_n + 1)
+    oracle = {n: [run.rows(key, n)[stat] for stat, key, _ in cells]
+              for n in ns}
+    routes = [dist_table(stat, key, ns, method, run.caps).rows
+              for stat, key, _ in cells]
+    for n in ns:
+        for (*_, label), rows, want in zip(cells, routes, oracle[n]):
+            report.eq(rows[n], want, "{} at n={}", label, n)
 
 
-for _fid in formulas.formula_ids():
-    _check(f"FORMULA_{_fid}")(partial(_check_formula, _fid))
-
-
-def _check_series(name: str, basis: str, rows: list[tuple[str, str]],
-                  report: VerifyReport, max_n: int, run: _Run) -> None:
-    """Rows of the series ``series.SERIES[name]`` against the oracle's rows
-    of each (statistic, label) pair over the basis."""
-    expansion = series.expand(name, max_n)
-    key = parse_basis(basis)
-    for n in range(max_n + 1):
-        oracle = run.rows(key, n)
-        for stat, label in rows:
-            report.eq(expansion.row_counts(n), oracle[stat],
-                      "{} at n={}", label, n)
+for _spec in formulas.FORMULAS.values():
+    _check(f"FORMULA_{_spec.id}")(partial(
+        _check_method, "closed_form", _spec.min_n,
+        [(_spec.stat, _spec.basis,
+          f"{_spec.stat} over {format_basis(_spec.basis)}")]))
 
 
 _check("SERIES_DES321_ORACLE")(partial(
-    _check_series, "des321", "321", [("des", "descent row")]))
+    _check_method, "series", 0, [("des", parse_basis("321"), "descent row")]))
 _check("SERIES_PK321_ORACLE")(partial(
-    _check_series, "pk321", "321", [("pk", "peak row")]))
+    _check_method, "series", 0, [("pk", parse_basis("321"), "peak row")]))
 
 
 @_check("SERIES_B_PK231")
@@ -471,8 +475,9 @@ def _check_series_b(report: VerifyReport, max_n: int, run: _Run) -> None:
 
 
 _check("SERIES_DDES_132_213_ORACLE")(partial(
-    _check_series, "ddes132213", "132,213",
-    [("ddes", "double-descent row"), ("dasc", "double-ascent row")]))
+    _check_method, "series", 0,
+    [("ddes", parse_basis("132,213"), "double-descent row"),
+     ("dasc", parse_basis("132,213"), "double-ascent row")]))
 
 
 @_check("UUD_DES_EQUIDISTRIBUTION")
@@ -488,9 +493,14 @@ def _check_uud_des_equidist(report: VerifyReport, max_n: int,
 @_check("INTERIOR_UUD_INDEC_DES")
 def _check_interior_uud_indec(report: VerifyReport, max_n: int,
                               run: _Run) -> None:
+    # every size the loop reads is checked first, in the order it reads
+    # them, so that a cap refuses before the two solves
+    key = parse_basis("321")
+    for n in range(max_n + 1):
+        generate._check_cap(n + 1, run.caps.dyck, "Dyck word")
+        generate.class_cap(n, key, run.caps)
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
-    key = parse_basis("321")
     for n in range(max_n + 1):
         report.eq(_tally_words(run.indec(n + 1), interior_uud_count),
                   run.rows(key, n)["des"],

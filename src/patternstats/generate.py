@@ -84,7 +84,9 @@ class Caps:
 
     def check_series(self, degree: int) -> None:
         """Refuse a series degree above ``series``: the one check for the
-        ``series`` command and ``distribution(..., method="series")``."""
+        ``series`` command, ``distribution(..., method="series")`` and
+        verify's ``SERIES_*_ORACLE`` checks, which read their rows through
+        that method."""
         if degree > self.series:
             raise CapExceededError(
                 f"series degree {degree} exceeds series cap {self.series}")

@@ -247,6 +247,20 @@ def test_dist_range_across_a_limit_names_the_first_refused_size(
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pk", "231"], "class size 15 exceeds cap 14"),
+    (["des", "321", "--method", "series"],
+     "series degree 25 exceeds series cap 24"),
+])
+def test_a_refused_range_is_not_listed(capsys, argv, message):
+    assert isinstance(cli._parse_ns("0-3000000"), range)
+    stat, basis, *method = argv
+    code, out, err = run(capsys, "dist", "--stat", stat, "--avoid", basis,
+                         "--n", "0-1000000000000", *method)
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
 def test_series_unknown_name_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["series", "--name", "nope", "--max-n", "4"])

@@ -193,9 +193,67 @@ def test_injected_off_by_one_formula_fails(monkeypatch):
     broken = dataclasses.replace(
         spec, fn=lambda n, k: spec.fn(n, k) + (1 if k == 0 else 0))
     monkeypatch.setitem(formulas.FORMULAS, "PK231", broken)
-    reports = verify_all(5, selection="FORMULA_PK231")
-    assert not reports[0].passed
-    assert "n=1" in reports[0].failure
+    report, = verify_all(5, selection="FORMULA_PK231")
+    # the formula's row is the one got, the oracle's the one expected
+    assert (report.passed, report.checked) == (False, 5)
+    assert report.failure == "pk over 231 at n=1: got {0: 2}, expected {0: 1}"
+
+
+@pytest.mark.parametrize("method, checks", [
+    ("closed_form", r"FORMULA_\w+"),
+    ("series", r"SERIES_\w+_ORACLE"),
+])
+def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, method,
+                                                     checks):
+    # the route checks read their rows through the method table, so a
+    # fault planted there fails every one of them and no other check
+    route = distributions.METHODS[method]
+
+    def bumped(stat, key, ns, caps):
+        rows = route(stat, key, ns, caps)
+        if rows:
+            top = max(rows)
+            rows[top] = {**rows[top], 0: rows[top].get(0, 0) + 1}
+        return rows
+
+    monkeypatch.setitem(distributions.METHODS, method, bumped)
+    failed = [r.name for r in verify_all(7) if not r.passed]
+    assert failed == [name for name in distributions.checks()
+                      if re.fullmatch(checks, name)]
+    assert len(failed) == {"closed_form": 35, "series": 3}[method]
+
+
+@pytest.mark.parametrize("name, max_n, caps, message", [
+    ("SERIES_DES321_ORACLE", 15, generate.Caps(),
+     "class size 15 exceeds cap 14"),
+    ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(),
+     "Dyck word size 15 exceeds cap 14"),
+    ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(structured=5),
+     "class size 6 exceeds cap 5"),
+    # at each n the indecomposables of n + 1 are read before the class at n
+    ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(dyck=6, structured=5),
+     "Dyck word size 7 exceeds cap 6"),
+])
+def test_a_check_refuses_a_capped_size_before_it_solves(monkeypatch, name,
+                                                        max_n, caps, message):
+    def solve(equation, degree):
+        raise AssertionError(f"solved to degree {degree} before a cap check")
+
+    monkeypatch.setattr(series, "_solve", solve)
+    with pytest.raises(generate.CapExceededError, match=f"^{message}$"):
+        verify_all(max_n, selection=name, caps=caps)
+
+
+def test_each_closed_form_and_series_cell_has_one_entry():
+    # a FORMULA_ check finds its formula by its (statistic, basis) cell
+    specs = list(formulas.FORMULAS.values())
+    assert len({(spec.stat, spec.basis) for spec in specs}) == len(specs) == 35
+    assert all(formulas.formula_for(spec.stat, spec.basis) is spec
+               for spec in specs)
+    cells = [(stat, perms.parse_basis(text))
+             for _, entry_cells in series.SERIES.values()
+             for stat, text in entry_cells]
+    assert len(set(cells)) == len(cells)
 
 
 def test_wrapped_series_is_the_one_checked(monkeypatch):
@@ -370,6 +428,16 @@ def _per_n_rows(stat, key, ns, method):
         except ValueError as exc:
             return exc
     return rows
+
+
+def test_dist_table_passes_a_range_on_unlisted(monkeypatch):
+    seen = []
+    monkeypatch.setitem(distributions.METHODS, "oracle",
+                        lambda stat, key, ns, caps: seen.append(ns) or {})
+    ns = range(10 ** 6)
+    dist_table("pk", [(2, 3, 1)], ns)
+    dist_table("pk", [(2, 3, 1)], iter([3, 4]))
+    assert seen[0] is ns and seen[1] == [3, 4]
 
 
 def test_dist_table_equals_per_n_rows():

@@ -11,9 +11,13 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 The CLI keeps no table of its own for methods, series or formulas:
 ``dist --method`` reads its choices from
 :data:`~patternstats.distributions.METHODS`, ``series`` reads its names
-from :data:`~patternstats.series.SERIES`, and both ``series`` and
-``dist --method series`` refuse a degree above the series cap through
-:meth:`~patternstats.generate.Caps.check_series`.
+from :data:`~patternstats.series.SERIES`, and ``series``,
+``dist --method series`` and ``dist --method closed_form`` refuse a
+degree above the series cap through
+:meth:`~patternstats.generate.Caps.check_series`.  Each route of
+``METHODS`` states the cells it answers; ``dist_table`` derives the rest
+of a cell's reverse/complement orbit, so the CLI never asks which cells a
+route answers.
 """
 
 from __future__ import annotations
@@ -246,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated patterns, e.g. 231 or 213,312")
     p.add_argument("--n", required=True, help="length or range, e.g. 6 or 2-8")
     p.add_argument("--method", default="oracle",
-                   choices=tuple(distributions.METHODS))
+                   choices=tuple(distributions.METHODS),
+                   help="closed_form and series answer their own cells "
+                        "and those cells' r/c/rc images")
     p.add_argument("--format", default="json",
                    choices=("json", "csv", "markdown"))
     p.set_defaults(func=_cmd_dist)

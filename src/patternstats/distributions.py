@@ -2,17 +2,26 @@
 
 ``dist_table`` produces the rows a(n, k) of a (statistic, basis) pair for
 a range of n by one of three methods, and ``distribution`` is its
-one-row case.  :data:`METHODS` is the one table of the methods (the
-``dist --method`` choices are its keys); each entry answers a whole range
-in one call: ``oracle`` counts or lists the class, ``closed_form``
-looks up the formula :func:`~patternstats.formulas.formula_for` finds
-once, and ``series`` checks every n against
-:meth:`~patternstats.generate.Caps.check_series` and then solves the
-generating function that :data:`~patternstats.series.SERIES` lists for
-the cell once, to the largest n.  The oracle and the series check every
-n of a range, in order, before their first enumeration or solve, and a
-closed form refuses the first n below its stated range, so a range that
-crosses a limit fails at its first refused size.  Where several
+one-row case.  :data:`METHODS` is the one table of the routes (the
+``dist --method`` choices are its keys).  Each route states the
+(statistic, basis) cells it answers, ``supports(stat, key)``, and
+answers a whole range of a supported cell in one call: ``oracle``
+supports every cell and counts or lists the class, ``closed_form`` the
+cells :func:`~patternstats.formulas.formula_for` finds and reads the
+formula's rows, and ``series`` the cells
+:data:`~patternstats.series.SERIES` lists and solves the generating
+function once, to the largest n.  A route states only its own cells;
+``dist_table`` derives the rest.  It takes the first cell of
+:func:`_sources` that the route supports: the cell itself, then its
+r/c/rc images (the statistic through
+:data:`~patternstats.stats.STAT_IMAGE`), each also with asc and des
+swapped, and pk over 321 for pk over 312.  Only ``dist_table`` refuses a
+cell no route answers.  The oracle's own cell is always its first, so
+oracle rows never pass through ``STAT_IMAGE``, and the symmetry checks
+test on them the identities the closure uses.  Every route checks every
+n of a range, in order, before its first enumeration, row or solve (a
+closed form against its stated range and the series cap), so a range
+that crosses a limit fails at its first refused size.  Where several
 methods support a pair they must agree; ``verify_all`` checks that,
 every bijection property, every series identity, and the
 reverse/complement symmetry identities, and reports the first
@@ -20,9 +29,9 @@ counterexample of each failing check.  The closed-form and series
 checks are one check, ``_check_method``, that reads the oracle rows of
 its cells first, so a class cap refuses before any route runs, and then
 the route's rows through ``dist_table``, the function ``dist`` calls.  A
-symmetry family names one statistic, and
-:data:`~patternstats.stats.STAT_IMAGE` gives the statistic it is compared
-with over each image class.
+symmetry family names two statistics, and
+:data:`~patternstats.stats.STAT_IMAGE` gives the statistic each is
+compared with over each image class.
 
 Each check is registered once, in the order ``verify --list`` prints, as a
 function that records its comparisons on a :class:`VerifyReport`; the
@@ -67,7 +76,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import bijections, dyck, formulas, generate, series, stats
 from .dyck import factor_count, interior_uud_count, uud_count
@@ -184,29 +193,55 @@ def _oracle(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
 
 def _closed_form(stat: str, key: tuple, ns: Sequence[int],
                  caps: Caps) -> dict:
-    spec = formulas.formula_for(stat, key)
-    if spec is None:
-        raise UnsupportedMethodError(
-            f"no closed form for {stat} over {format_basis(key)}")
-    return {n: formulas.closed_form_row(spec.id, n) for n in ns}
+    # every n is checked, in order, against the formula's smallest n and the
+    # series cap before the first row
+    fid = formulas.formula_for(stat, key).id
+    for n in ns:
+        formulas._stated_at(fid, n)
+        caps.check_series(n)
+    return {n: formulas.closed_form_row(fid, n) for n in ns}
 
 
 def _series(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
     # every n is checked, in order, before the one solve to the largest
-    name = _SERIES_FOR.get((stat, key))
-    if name is None:
-        raise UnsupportedMethodError(
-            f"no series for {stat} over {format_basis(key)}")
     for n in ns:
         series._check_max_n(n)
         caps.check_series(n)
-    expansion = series.expand(name, max(ns, default=0))
+    expansion = series.expand(_SERIES_FOR[stat, key], max(ns, default=0))
     return {n: expansion.row_counts(n) for n in ns}
 
 
-# ``dist --method`` name -> fn(stat, key, ns, caps) -> {n: row}, which
-# answers every length of ns in one call
-METHODS = {"oracle": _oracle, "closed_form": _closed_form, "series": _series}
+class Route(NamedTuple):
+    """One ``dist --method``: fn(stat, key, ns, caps) -> {n: row}, which
+    answers every length of ns in one call, for each cell that
+    ``supports(stat, key)`` accepts."""
+
+    rows: Callable[[str, tuple, Sequence[int], Caps], dict]
+    supports: Callable[[str, tuple], bool]
+
+
+# ``dist --method`` name -> its route
+METHODS = {
+    "oracle": Route(_oracle, lambda *cell: True),
+    "closed_form": Route(
+        _closed_form, lambda *cell: formulas.formula_for(*cell) is not None),
+    "series": Route(_series, lambda *cell: cell in _SERIES_FOR),
+}
+
+
+def _sources(stat: str, key: tuple) -> Iterator[tuple[str, tuple, bool]]:
+    """The cells whose rows are the rows of (stat, key), as (statistic,
+    basis, flip), the cell itself first.  Each r/c/rc image comes with its
+    asc/des swap, whose rows are read k -> n - 1 - k (flip), and pk over
+    312 with pk over 321."""
+    for t in (None, "r", "c", "rc"):
+        s, image = ((stat, key) if t is None else
+                    (stats.STAT_IMAGE[t][stat], transform_basis(key, t)))
+        yield s, image, False
+        if s in ("asc", "des"):
+            yield "des" if s == "asc" else "asc", image, True
+        if (s, image) == ("pk", ((3, 1, 2),)):
+            yield "pk", ((3, 2, 1),), False
 
 
 @dataclass
@@ -265,7 +300,8 @@ def _json_block(items: list[str], pad: str, brackets: str) -> str:
 
 def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
                caps: Caps = Caps()) -> DistTable:
-    """The rows of every length in ``ns``, by one call of the method.
+    """The rows of every length in ``ns``, by one call of the method on the
+    first cell of :func:`_sources` that the method supports.
 
     A ``range`` is passed on as it is; any other iterable is listed once."""
     if stat not in STATS:
@@ -273,8 +309,19 @@ def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
     key = normalize_basis(basis)
     if method not in METHODS:
         raise UnsupportedMethodError(f"unknown method {method!r}")
+    route = METHODS[method]
+    for source_stat, source_key, flip in _sources(stat, key):
+        if route.supports(source_stat, source_key):
+            break
+    else:
+        raise UnsupportedMethodError(f"no {method.replace('_', ' ')} for "
+                                     f"{stat} over {format_basis(key)}")
     ns = ns if isinstance(ns, range) else list(ns)
-    rows = METHODS[method](stat, key, ns, caps)
+    rows = route.rows(source_stat, source_key, ns, caps)
+    if flip:
+        # asc + des = n - 1 for n >= 1; the empty permutation has neither
+        rows = {n: {n - 1 - k: c for k, c in reversed(row.items())} if n
+                else row for n, row in rows.items()}
     return DistTable(key, stat, method, rows)
 
 
@@ -460,6 +507,7 @@ def _check_series_b(report: VerifyReport, max_n: int, run: _Run) -> None:
     # identity: B = z(1 - q) + sum a(n,k) q^(k+1) z^(n+1) over the
     # peak counts for 231-avoiders, whose n = 0 row is the single empty
     # permutation; the corrections collapse the z^1 row to exactly 1.
+    run.caps.check_series(max_n)
     b = series.series_indec_uud(max_n)
     report.eq(b.row_counts(0), {}, "empty-word row")
     if max_n >= 1:
@@ -629,9 +677,10 @@ for _tag in _ENCODINGS:
     _check(f"ENC_{_tag}_TRANSPORT")(partial(_check_encoding, _tag))
 
 
-# family -> its statistic s: s over a class equals stats.STAT_IMAGE[t][s]
-# over the image of the class under each transform t
-_FAMILIES = {"asc_des": "asc", "dasc_ddes": "dasc", "pk_vl": "pk"}
+# family -> its two statistics; each statistic s over a class equals
+# stats.STAT_IMAGE[t][s] over the image of the class under each transform t
+_FAMILIES = {"asc_des": ("asc", "des"), "dasc_ddes": ("dasc", "ddes"),
+             "pk_vl": ("pk", "vl")}
 
 
 def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
@@ -645,11 +694,11 @@ def transform_basis(basis, transform: str) -> tuple[Perm, ...]:
 def _symmetry_rows(report: VerifyReport, family: str, key: tuple,
                    transform: str, max_n: int, run: _Run) -> None:
     image = transform_basis(key, transform)
-    left_stat = _FAMILIES[family]
-    right_stat = stats.STAT_IMAGE[transform][left_stat]
-    _same_rows(report, (left_stat, key), (right_stat, image),
-               f"{left_stat}({format_basis(key)}) vs "
-               f"{right_stat}({format_basis(image)})", max_n, run)
+    for left_stat in _FAMILIES[family]:
+        right_stat = stats.STAT_IMAGE[transform][left_stat]
+        _same_rows(report, (left_stat, key), (right_stat, image),
+                   f"{left_stat}({format_basis(key)}) vs "
+                   f"{right_stat}({format_basis(image)})", max_n, run)
 
 
 def symmetry_check(family: str, basis, transform: str, max_n: int,

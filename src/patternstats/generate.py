@@ -80,13 +80,14 @@ class Caps:
     dyck: int = 14        # gen_dyck and gen_indec
     bits: int = 30        # gen_bits
     structured: int = 14  # every class of STRUCTURED
-    series: int = 24      # the degree of a named series, by either route
+    series: int = 24      # the degree of a series, or n of a closed form
 
     def check_series(self, degree: int) -> None:
         """Refuse a series degree above ``series``: the one check for the
-        ``series`` command, ``distribution(..., method="series")`` and
-        verify's ``SERIES_*_ORACLE`` checks, which read their rows through
-        that method."""
+        ``series`` command, the series and closed-form routes of
+        ``distribution`` (a closed form's n is its row's degree), verify's
+        checks that read their rows through those routes, and
+        ``SERIES_B_PK231``."""
         if degree > self.series:
             raise CapExceededError(
                 f"series degree {degree} exceeds series cap {self.series}")

@@ -237,6 +237,8 @@ def test_dist_series_range_costs_one_solve(capsys, monkeypatch):
      "series degree 25 exceeds series cap 24"),
     (["pk", "231", "0-2", "--method", "closed_form"],
      "PK231 is stated for n >= 1; got n = 0"),
+    (["pk", "231", "1-2000", "--method", "closed_form"],
+     "series degree 25 exceeds series cap 24"),
 ])
 def test_dist_range_across_a_limit_names_the_first_refused_size(
         capsys, argv, message):
@@ -503,7 +505,7 @@ _PINNED_STDOUT = {
     ("verify", "--list"):
         "c4f49126dd5dd3e98e5d75a928eb2396d99e5a83b5be5914bc985e5b48e365d2",
     ("verify", "--all", "--max-n", "7", "--format", "json"):
-        "63582228b508ce42df8f063da5c29574eb8ff219100d8e36ee092ba03359d1f1",
+        "27bb7e014937eb72478bd9f2d1b851a77ae45bab845e610861822d1cd1bf5089",
 }
 
 

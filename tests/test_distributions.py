@@ -49,10 +49,12 @@ def test_methods_agree():
 
 
 def test_unsupported_methods():
-    with pytest.raises(UnsupportedMethodError):
+    with pytest.raises(UnsupportedMethodError,
+                       match="^no closed form for pk over 123$"):
         distribution("pk", [(1, 2, 3)], 4, method="closed_form")
-    with pytest.raises(UnsupportedMethodError):
-        distribution("asc", [(3, 2, 1)], 4, method="series")
+    with pytest.raises(UnsupportedMethodError,
+                       match="^no series for dasc over 231$"):
+        distribution("dasc", [(2, 3, 1)], 4, method="series")
     with pytest.raises(UnsupportedMethodError):
         distribution("pk", [(3, 2, 1)], 4, method="bogus")
     with pytest.raises(ValueError):
@@ -106,7 +108,7 @@ def test_to_json_is_json_dumps_of_the_row_dicts():
                 continue
             answered[method] += 1
             assert table.to_json() == _dumped(table), (text, stat, method)
-    assert answered == {"closed_form": 70, "series": 12}
+    assert answered == {"closed_form": 76, "series": 32}
 
 
 def test_class_size():
@@ -124,7 +126,7 @@ def test_transform_basis():
 
 def test_symmetry_check_reports():
     rep = symmetry_check("asc_des", [(2, 3, 1)], "r", 6)
-    assert rep.passed and rep.checked == 7
+    assert rep.passed and rep.checked == 2 * 7
     rep = symmetry_check("pk_vl", [(3, 2, 1)], "r", 6)
     assert rep.passed
     with pytest.raises(ValueError):
@@ -210,13 +212,14 @@ def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, method,
     route = distributions.METHODS[method]
 
     def bumped(stat, key, ns, caps):
-        rows = route(stat, key, ns, caps)
+        rows = route.rows(stat, key, ns, caps)
         if rows:
             top = max(rows)
             rows[top] = {**rows[top], 0: rows[top].get(0, 0) + 1}
         return rows
 
-    monkeypatch.setitem(distributions.METHODS, method, bumped)
+    monkeypatch.setitem(distributions.METHODS, method,
+                        route._replace(rows=bumped))
     failed = [r.name for r in verify_all(7) if not r.passed]
     assert failed == [name for name in distributions.checks()
                       if re.fullmatch(checks, name)]
@@ -233,6 +236,8 @@ def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, method,
     # at each n the indecomposables of n + 1 are read before the class at n
     ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(dyck=6, structured=5),
      "Dyck word size 7 exceeds cap 6"),
+    ("SERIES_B_PK231", 400, generate.Caps(),
+     "series degree 400 exceeds series cap 24"),
 ])
 def test_a_check_refuses_a_capped_size_before_it_solves(monkeypatch, name,
                                                         max_n, caps, message):
@@ -433,7 +438,9 @@ def _per_n_rows(stat, key, ns, method):
 def test_dist_table_passes_a_range_on_unlisted(monkeypatch):
     seen = []
     monkeypatch.setitem(distributions.METHODS, "oracle",
-                        lambda stat, key, ns, caps: seen.append(ns) or {})
+                        distributions.METHODS["oracle"]._replace(
+                            rows=lambda stat, key, ns, caps:
+                            seen.append(ns) or {}))
     ns = range(10 ** 6)
     dist_table("pk", [(2, 3, 1)], ns)
     dist_table("pk", [(2, 3, 1)], iter([3, 4]))
@@ -461,8 +468,89 @@ def test_dist_table_equals_per_n_rows():
             assert table.rows == want
             assert list(table.rows) == list(ns)
     assert answered == {
-        range(10): {"oracle": 72, "closed_form": 0, "series": 6},
-        range(3, 10): {"oracle": 72, "closed_form": 35, "series": 6}}
+        range(10): {"oracle": 72, "closed_form": 0, "series": 16},
+        range(3, 10): {"oracle": 72, "closed_form": 38, "series": 16}}
+
+
+def _routed_rows(stat, key, method, caps):
+    # {n: row} for each n <= 12 the method answers, or None for a cell it
+    # does not support
+    rows = {}
+    for n in range(13):
+        try:
+            rows[n] = distribution(stat, key, n, method, caps)
+        except formulas.FormulaDomainError:
+            continue
+        except UnsupportedMethodError:
+            return None
+    return rows
+
+
+def test_every_routed_cell_equals_the_oracle():
+    # each cell of a one- or two-pattern basis that a route answers, itself
+    # or through an r/c/rc image, the asc/des swap or pk(312) = pk(321),
+    # gives the oracle's rows; every closed form is stated from n = 3 on
+    caps = generate.Caps(perm=12)
+    answered = dict.fromkeys(("closed_form", "series"), 0)
+    for key in _length3_bases():
+        if len(key) > 2:
+            continue
+        for stat in stats.STATS:
+            oracle = dist_table(stat, key, range(13), caps=caps).rows
+            for method in answered:
+                rows = _routed_rows(stat, key, method, caps)
+                if rows is None:
+                    continue
+                answered[method] += 1
+                assert set(range(3, 13)) <= set(rows), (stat, key, method)
+                assert rows == {n: oracle[n] for n in rows}, (stat, key,
+                                                              method)
+    assert answered == {"closed_form": 88, "series": 20}
+
+
+def test_oracle_rows_do_not_read_stat_image(monkeypatch):
+    # the symmetry checks test STAT_IMAGE on oracle rows, so those rows
+    # must not come through it
+    keys = [key for key in _length3_bases() if len(key) <= 2]
+    want = [dist_table(stat, key, range(8)).rows
+            for key in keys for stat in stats.STATS]
+    rotated = dict(zip(stats.STATS, stats.STATS[1:] + stats.STATS[:1]))
+    monkeypatch.setattr(stats, "STAT_IMAGE",
+                        {t: rotated for t in stats.STAT_IMAGE})
+    assert [dist_table(stat, key, range(8)).rows
+            for key in keys for stat in stats.STATS] == want
+
+
+def test_each_wrong_stat_image_entry_fails_a_symmetry_check(monkeypatch):
+    # all 90 wrong entries: 3 transforms, 6 statistics, 5 wrong images each
+    names = [f"SYMMETRY_{family.upper()}"
+             for family in distributions._FAMILIES]
+    planted = 0
+    for t, images in stats.STAT_IMAGE.items():
+        for stat, image in images.items():
+            for wrong in stats.STATS:
+                if wrong == image:
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setitem(stats.STAT_IMAGE[t], stat, wrong)
+                    reports = verify_all(5, selection=names)
+                assert not all(r.passed for r in reports), (t, stat, wrong)
+                planted += 1
+    assert planted == 90
+
+
+def test_closed_form_refuses_above_the_series_cap_before_a_row(monkeypatch):
+    def row(fid, n):
+        raise AssertionError(f"row {n} of {fid} before a cap check")
+
+    monkeypatch.setattr(formulas, "closed_form_row", row)
+    with pytest.raises(generate.CapExceededError,
+                       match="^series degree 25 exceeds series cap 24$"):
+        dist_table("pk", [(2, 3, 1)], range(1, 2001), "closed_form")
+    with pytest.raises(generate.CapExceededError,
+                       match="^series degree 6 exceeds series cap 5$"):
+        dist_table("pk", [(2, 3, 1)], [6], "closed_form",
+                   generate.Caps(series=5))
 
 
 def test_series_method_follows_the_series_cap():

@@ -12,9 +12,13 @@ The CLI keeps no table of its own for methods, series or formulas:
 ``dist --method`` reads its choices from
 :data:`~patternstats.distributions.METHODS`, ``series`` reads its names
 from :data:`~patternstats.series.SERIES`, and ``series``,
-``dist --method series`` and ``dist --method closed_form`` refuse a
-degree above the series cap through
-:meth:`~patternstats.generate.Caps.check_series`.  Each route of
+``dist --method series``, ``dist --method closed_form`` and the local
+terms of ``oeis`` refuse a degree above the series cap through
+:meth:`~patternstats.generate.Caps.check_series`.  The config file sets
+three caps, one per kind of work: ``gen_cap`` for the n! scans of a basis
+with a pattern of length other than 3, ``structured_cap`` for every
+basis of length-3 patterns and the Dyck and bit words that encode them,
+and ``series_cap``.  Each route of
 ``METHODS`` states the cells it answers; ``dist_table`` derives the rest
 of a cell's reverse/complement orbit, so the CLI never asks which cells a
 route answers.
@@ -78,8 +82,8 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 # config key -> Caps field
-_CAP_KEYS = {"gen_cap": "perm", "dyck_cap": "dyck", "bits_cap": "bits",
-             "structured_cap": "structured", "series_cap": "series"}
+_CAP_KEYS = {"gen_cap": "perm", "structured_cap": "structured",
+             "series_cap": "series"}
 _CONFIG_KEYS = sorted([*_CAP_KEYS, "cache_dir"])
 
 
@@ -223,6 +227,7 @@ def _cmd_oeis(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    args.caps.check_series(args.max_n)
     if args.check:
         report = oeis.check_sequence(name, args.max_n, cache=cache,
                                      offline=args.offline)

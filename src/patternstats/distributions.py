@@ -64,7 +64,13 @@ up-down word.  Generation caps arrive as a
 :class:`~patternstats.generate.Caps` value, which is passed whole to
 :func:`~patternstats.generate.gen_class`; the cap of the basis is checked
 by :func:`~patternstats.generate.class_cap` at each n before any pass,
-and a pass counts no length the caps refuse.
+and a pass counts no length the caps refuse.  Caps go by the kind of
+work: a basis of length-3 patterns takes ``caps.structured``, and so do
+the words that encode such classes, a Dyck word of semilength n and a
+bit word of length n - 1 at n; ``caps.perm`` caps only the n! scans of
+any other basis.  ``INTERIOR_UUD_INDEC_DES`` and the
+``ENC_*_TRANSPORT`` checks check the cap of every n they read, in order,
+before their first word.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
 images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
 :func:`~patternstats.formulas.closed_form_row`.
@@ -123,7 +129,8 @@ class _Run:
     """What one engine call lists and counts; the call drops it when it
     returns.
 
-    Each semilength's Dyck words are listed once, under ``caps.dyck``.
+    Each semilength's Dyck words are listed once, under
+    ``caps.structured``, the cap of the classes they encode.
     Each word's 321- or 231-image is computed on its first use, by
     ``bijections.from_dyck_<tag>`` as it stands then; a map that raises
     stores no image, so a later use raises again.
@@ -161,12 +168,12 @@ class _Run:
         words = self._dyck.get(n)
         if words is None:
             words = self._dyck[n] = list(
-                generate.gen_dyck(n, cap=self.caps.dyck))
+                generate.gen_dyck(n, cap=self.caps.structured))
         return words
 
     def indec(self, n: int) -> list[str]:
         # the words gen_indec lists, under its cap check of n itself
-        generate._check_cap(n, self.caps.dyck, "Dyck word")
+        generate._check_cap(n, self.caps.structured, "Dyck word")
         return ["U" + d + "D" for d in self.dyck(n - 1)] if n else []
 
     def from_dyck(self, tag: str, d: str) -> Perm:
@@ -452,7 +459,7 @@ def _reference(key: tuple[Perm, ...], n: int,
     if tag in _ENCODINGS:
         if n == 0:
             return "bit words", [()]
-        words = generate.gen_bits(n - 1, cap=run.caps.bits)
+        words = generate.gen_bits(n - 1, cap=run.caps.structured)
         return "bit words", map(getattr(bijections, f"decode_{tag}"), words)
     image = transform_basis(key, "c")
     return (f"complements of {format_basis(image)}",
@@ -542,11 +549,11 @@ def _check_uud_des_equidist(report: VerifyReport, max_n: int,
 def _check_interior_uud_indec(report: VerifyReport, max_n: int,
                               run: _Run) -> None:
     # every size the loop reads is checked first, in the order it reads
-    # them, so that a cap refuses before the two solves
+    # them, so that a cap refuses before the two solves; the class at n
+    # shares the cap of the indecomposables of n + 1
     key = parse_basis("321")
     for n in range(max_n + 1):
-        generate._check_cap(n + 1, run.caps.dyck, "Dyck word")
-        generate.class_cap(n, key, run.caps)
+        generate._check_cap(n + 1, run.caps.structured, "Dyck word")
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
     for n in range(max_n + 1):
@@ -658,11 +665,15 @@ _STAT_LABELS = {"asc": "ascents", "des": "descents", "dasc": "dasc",
 
 def _check_encoding(tag: str, report: VerifyReport, max_n: int,
                     run: _Run) -> None:
+    # the words of length n - 1 encode the class at n, so its cap is checked
+    # for every n, in order, before the first word is listed
     basis, word_stats = _ENCODINGS[tag]
     decode = getattr(bijections, f"decode_{tag}")
     encode = getattr(bijections, f"encode_{tag}")
     for n in range(1, max_n + 1):
-        for bits in generate.gen_bits(n - 1, cap=run.caps.bits):
+        generate.class_cap(n, basis, run.caps)
+    for n in range(1, max_n + 1):
+        for bits in generate.gen_bits(n - 1, cap=run.caps.structured):
             p = decode(bits)
             report.ok(avoids_all(p, basis),
                       "decoded member avoids basis for {}", bits)

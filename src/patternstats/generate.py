@@ -42,28 +42,32 @@ int that packs its count of each value of the statistic, so a step is a
 shift and a merge an add.  Only a basis with a pattern of another length
 is listed for its rows.
 
-The structured classes (:data:`STRUCTURED`) are the two Catalan classes
-Av(231) and Av(321) and the five pair classes of the paper.  They are
-listed by the same walk as every other basis of length-3 patterns, so
-they come out in lexicographic order; they differ only in their cap,
-``structured`` rather than ``perm``.
+Every class the paper studies is a class of length-3 patterns, and its
+Dyck and binary words only encode such classes: Dyck words of semilength
+n encode Av_n(231) and Av_n(321), and binary words of length n - 1 the
+encoded pairs at n.  So caps go by the kind of work, not by the basis: a
+basis of length-3 patterns, walked or counted, takes ``structured``, and
+so does a Dyck word of semilength n; any other basis takes ``perm``,
+the cap of the n! scan over :func:`gen_all`.  :data:`STRUCTURED` (the
+two Catalan classes Av(231) and Av(321) and the five pair classes of the
+paper) picks no cap; it is the reference list that verify's
+``STRUCTURED_MATCHES_FILTER`` checks against independent listings.
 
 Generation caps are configuration, not hard constants.  A run's caps
 arrive as one :class:`Caps` value: :func:`gen_class` takes it whole, and
 each word generator (:func:`gen_all`, :func:`gen_bits`, :func:`gen_dyck`,
-:func:`gen_indec`) takes an optional ``cap`` that defaults to its field of
-``Caps()``.  This module alone decides which cap applies to a basis:
+:func:`gen_indec`) takes an optional ``cap`` that defaults to its kind's
+field of ``Caps()``: ``perm`` for :func:`gen_all`, ``structured`` for the
+others.  This module alone decides which cap applies to a basis:
 :func:`class_cap` checks a size against it, for :func:`gen_class` and
-for callers that must refuse a size before reading a cache.  A
-structured class is checked against the class cap alone; its walk reads
-no capped Dyck or binary word generator.
+for callers that must refuse a size before reading a cache or listing a
+word.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
@@ -76,24 +80,19 @@ from .stats import STEP_GAINS
 class Caps:
     """Size caps for one run: generation by kind, and the series degree."""
 
-    perm: int = 10        # gen_all and every class outside STRUCTURED
-    dyck: int = 14        # gen_dyck and gen_indec
-    bits: int = 30        # gen_bits
-    structured: int = 14  # every class of STRUCTURED
+    perm: int = 10        # gen_all: every basis with a pattern of length != 3
+    structured: int = 14  # every basis of length-3 patterns, Dyck and bit words
     series: int = 24      # the degree of a series, or n of a closed form
 
     def check_series(self, degree: int) -> None:
         """Refuse a series degree above ``series``: the one check for the
         ``series`` command, the series and closed-form routes of
         ``distribution`` (a closed form's n is its row's degree), verify's
-        checks that read their rows through those routes, and
-        ``SERIES_B_PK231``."""
+        checks that read their rows through those routes,
+        ``SERIES_B_PK231`` and the local terms of ``oeis``."""
         if degree > self.series:
             raise CapExceededError(
                 f"series degree {degree} exceeds series cap {self.series}")
-
-
-_DEFAULT = Caps()
 
 
 class CapExceededError(ValueError):
@@ -112,9 +111,9 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what} size {n} exceeds cap {cap}")
 
 
-def gen_all(n: int, cap: int | None = None) -> Iterator[Perm]:
+def gen_all(n: int, cap: int = Caps.perm) -> Iterator[Perm]:
     """All n! permutations of 1..n in lexicographic order."""
-    _check_cap(n, _DEFAULT.perm if cap is None else cap, "permutation")
+    _check_cap(n, cap, "permutation")
     return iter(itertools.permutations(range(1, n + 1)))
 
 
@@ -208,15 +207,15 @@ def _completions(used: int, left: int, rules, memo: dict) -> list[Perm]:
     return got
 
 
-def gen_bits(length: int, cap: int | None = None) -> Iterator[str]:
+def gen_bits(length: int, cap: int = Caps.structured) -> Iterator[str]:
     """All binary words of the given length in lexicographic order."""
-    _check_cap(length, _DEFAULT.bits if cap is None else cap, "binary word")
+    _check_cap(length, cap, "binary word")
     return ("".join(bits) for bits in itertools.product("01", repeat=length))
 
 
-def gen_dyck(n: int, cap: int | None = None) -> Iterator[str]:
+def gen_dyck(n: int, cap: int = Caps.structured) -> Iterator[str]:
     """All Dyck words of semilength n, lexicographically with D < U."""
-    _check_cap(n, _DEFAULT.dyck if cap is None else cap, "Dyck word")
+    _check_cap(n, cap, "Dyck word")
     steps: list[str] = []
 
     def rec(ups: int, downs: int) -> Iterator[str]:
@@ -235,9 +234,9 @@ def gen_dyck(n: int, cap: int | None = None) -> Iterator[str]:
     return rec(n, n)
 
 
-def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
+def gen_indec(n: int, cap: int = Caps.structured) -> Iterator[str]:
     """All indecomposable Dyck words of semilength n (none for n = 0)."""
-    _check_cap(n, _DEFAULT.dyck if cap is None else cap, "Dyck word")
+    _check_cap(n, cap, "Dyck word")
     if n == 0:
         return iter(())
     return ("U" + d + "D" for d in gen_dyck(n - 1, cap=cap))
@@ -245,8 +244,8 @@ def gen_indec(n: int, cap: int | None = None) -> Iterator[str]:
 
 # -- the structured classes --------------------------------------------------
 
-# the bases whose classes take the structured cap; each is listed by the
-# walk, as every other basis of length-3 patterns is
+# the classes verify's STRUCTURED_MATCHES_FILTER lists against a reference
+# route; their cap is that of every other basis of length-3 patterns
 STRUCTURED = tuple(map(parse_basis, (
     "231", "321", "213,312", "132,213", "213,231", "123,132", "132,321")))
 
@@ -254,14 +253,13 @@ STRUCTURED = tuple(map(parse_basis, (
 def class_cap(n: int, key: tuple[Perm, ...], caps: Caps) -> int:
     """The cap of the class of ``key``, with n checked against it.
 
-    ``key`` is a normalized basis.  A class of :data:`STRUCTURED` is capped
-    by ``caps.structured`` and names the size a "class" size in its error;
-    any other is capped by ``caps.perm`` and says "permutation".
+    ``key`` is a normalized basis.  A basis of length-3 patterns, walked
+    or counted, is capped by ``caps.structured`` and names the size a
+    "class" size in its error; any other basis is scanned over the n!
+    permutations, capped by ``caps.perm``, and says "permutation".
     """
-    if key in STRUCTURED:
-        cap, what = caps.structured, "class"
-    else:
-        cap, what = caps.perm, "permutation"
+    cap, what = ((caps.structured, "class") if all(len(p) == 3 for p in key)
+                 else (caps.perm, "permutation"))
     _check_cap(n, cap, what)
     return cap
 
@@ -379,7 +377,7 @@ def _walk_levels(max_n: int, rules, moves: dict, gains,
     level = {(b"\1\1", 1, 2): 1}
     totals = [1, 1][:max_n + 1]
     for _ in range(max_n - 1):
-        after: dict[tuple[bytes, int, bool], list[int]] = defaultdict(list)
+        after: dict[tuple[bytes, int, bool], int] = {}
         for (flags, mark, prev), tally in level.items():
             found = moves.get((flags, mark))
             if found is None:
@@ -390,8 +388,12 @@ def _walk_levels(max_n: int, rules, moves: dict, gains,
             rise = tally << up if up else tally
             for state, times in found.items():
                 moved = rise if state[2] else fall
-                after[state].append(moved * times if times > 1 else moved)
-        level = {state: sum(tallies) for state, tallies in after.items()}
+                if times > 1:
+                    moved *= times
+                # a state's first tally is kept as it is, not added to 0
+                got = after.get(state)
+                after[state] = moved if got is None else got + moved
+        level = after
         totals.append(sum(level.values()))
     return totals
 

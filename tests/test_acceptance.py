@@ -156,11 +156,11 @@ def test_c13_performance_and_determinism(capsys, tmp_path):
     # reports what the first did
     argv = ["verify", "--all", "--max-n", "6", "--format", "json"]
     capped = tmp_path / "caps.cfg"
-    capped.write_text("gen_cap = 5\n")
+    capped.write_text("structured_cap = 5\n")
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(["--config", str(capped), *argv]) == 2
-    assert "permutation size 6 exceeds cap 5" in capsys.readouterr().err
+    assert "class size 6 exceeds cap 5" in capsys.readouterr().err
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second, "reports differ between runs"

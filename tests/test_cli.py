@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,7 +234,7 @@ def test_dist_series_range_costs_one_solve(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["pk", "123", "8-11"], "permutation size 11 exceeds cap 10"),
+    (["pk", "2143", "8-11"], "permutation size 11 exceeds cap 10"),
     (["pk", "231", "13-15"], "class size 15 exceeds cap 14"),
     (["des", "321", "20-26", "--method", "series"],
      "series degree 25 exceeds series cap 24"),
@@ -338,7 +341,7 @@ def test_oeis_offline_check_exits_3(capsys, tmp_path):
 
 def test_config_file_sets_caps(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text("# caps\ngen_cap = 5\n")
+    cfg.write_text("# caps\nstructured_cap = 5\n")
     code, _, err = run(capsys, "--config", str(cfg), "dist", "--stat", "asc",
                        "--avoid", "132", "--n", "6")
     assert code == 2 and "cap" in err
@@ -349,7 +352,7 @@ def test_config_file_sets_caps(capsys, tmp_path):
 
 def test_config_caps_last_one_invocation(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text("gen_cap = 5\nseries_cap = 3\n")
+    cfg.write_text("structured_cap = 5\nseries_cap = 3\n")
     code, _, _ = run(capsys, "--config", str(cfg), "dist", "--stat", "asc",
                      "--avoid", "123", "--n", "5")
     assert code == 0
@@ -415,6 +418,52 @@ def test_bfile_that_is_not_utf8_exits_3(capsys, tmp_path):
     assert err == "bad b-file: byte 0xff is not UTF-8 (line 2)\n"
 
 
+@pytest.mark.parametrize("status, code, message", [
+    (404, 2, "no such sequence A000108"),
+    (503, 3, "network unavailable: HTTP 503 fetching A000108"),
+    (None, 3, "network unavailable: cannot reach OEIS for A000108: "
+              "<urlopen error no route>"),
+])
+def test_oeis_fetch_errors_exit_2_or_3(capsys, tmp_path, monkeypatch, status,
+                                       code, message):
+    # a sequence that does not exist is a usage error; a network that
+    # fails is an environment error
+    import urllib.error
+    import urllib.request
+
+    def urlopen(url, timeout):
+        if status is None:
+            raise urllib.error.URLError("no route")
+        raise urllib.error.HTTPError(url, status, "status", {}, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    got = run(capsys, "oeis", "--sequence", "A000108", "--check",
+              "--cache-dir", str(tmp_path))
+    assert got == (code, "", message + "\n")
+
+
+@pytest.mark.parametrize("check", [[], ["--check", "--offline"]])
+def test_oeis_refuses_above_the_series_cap_before_a_term(capsys, tmp_path,
+                                                         monkeypatch, check):
+    # local terms are closed-form or series rows, so oeis --max-n takes the
+    # series cap, checked before the first row
+    def refuse(*args):
+        raise AssertionError("computed a row before the cap check")
+
+    monkeypatch.setattr(formulas, "closed_form_row", refuse)
+    for max_n in ("25", "1500"):
+        got = run(capsys, "oeis", "--formula", "PK231", "--max-n", max_n,
+                  *check)
+        assert got == (2, "", f"series degree {max_n} exceeds series cap "
+                              "24\n")
+    monkeypatch.undo()
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("series_cap = 25\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "oeis", "--formula",
+                       "PK231", "--max-n", "25")
+    assert code == 0 and out == oeis.local_bfile("PK231", 25)
+
+
 def test_bad_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "caps.cfg"
     cfg.write_text("gen_cap\n")
@@ -444,14 +493,25 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "--config", str(cfg), "verify", "--list")
     assert (code, out) == (2, "")
     assert f"{cfg}:2: unknown key 'gen-cap'" in err
-    assert ("known keys: bits_cap, cache_dir, dyck_cap, gen_cap, series_cap, "
-            "structured_cap") in err
+    assert ("known keys: cache_dir, gen_cap, series_cap, structured_cap"
+            in err)
+
+
+@pytest.mark.parametrize("key", ["dyck_cap", "bits_cap"])
+def test_removed_word_cap_keys_are_unknown(capsys, tmp_path, key):
+    # Dyck and bit words take the class cap, structured_cap
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text(f"{key} = 4\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--list")
+    assert (code, out) == (2, "")
+    assert err == (f"{cfg}:1: unknown key {key!r}; known keys: cache_dir, "
+                   "gen_cap, series_cap, structured_cap\n")
 
 
 @pytest.mark.parametrize("value", ["five", "-3", "2.5", ""])
 def test_non_integer_cap_exits_2(capsys, tmp_path, value):
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text(f"dyck_cap = 4\ngen_cap = {value}\n")
+    cfg.write_text(f"series_cap = 4\ngen_cap = {value}\n")
     code, out, err = run(capsys, "--config", str(cfg), "verify", "--list")
     assert (code, out) == (2, "")
     assert f"config key gen_cap must be a nonnegative integer, got {value!r}" in err
@@ -609,3 +669,43 @@ def test_series_stdout_is_pinned(capsys, name, fmt):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == _PINNED_SERIES_STDOUT[name, fmt])
+
+
+_WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def _expect_lines() -> list[tuple[int, str, str | None]]:
+    # (exit code, argv text, the python code that builds "$P" there) of
+    # each "expect <code> <argv>" line of the workflow, in order
+    lines, build = [], None
+    for line in _WORKFLOW.read_text().splitlines():
+        line = line.strip()
+        made = re.fullmatch(r'P=\$\(PYTHONPATH=src python -c "(.*)"\)', line)
+        if made:
+            build = made[1]
+        expect = re.fullmatch(r"expect (\d+) (.*)", line)
+        if expect:
+            lines.append((int(expect[1]), expect[2], build))
+    return lines
+
+
+def test_ci_exit_code_table_holds_in_process(capsys, tmp_path):
+    # every exit code the workflow expects, through main in one process;
+    # "$P" is built by the workflow's own command before it
+    table = _expect_lines()
+    assert len(table) == 76
+    assert sum('"$P"' in text for _, text, _ in table) == 3
+    wrong = []
+    for want, text, build in table:
+        if '"$P"' in text:
+            exec(build, {})
+            text = text.replace('"$P"', capsys.readouterr().out.strip())
+        argv = shlex.split(text.replace("$RUNNER_TEMP", str(tmp_path)))
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        capsys.readouterr()
+        if got != want:
+            wrong.append((text[:80], got, want))
+    assert wrong == []

@@ -231,11 +231,9 @@ def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, method,
      "class size 15 exceeds cap 14"),
     ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(),
      "Dyck word size 15 exceeds cap 14"),
+    # the indecomposables of n + 1 share the cap of the class at n
     ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(structured=5),
-     "class size 6 exceeds cap 5"),
-    # at each n the indecomposables of n + 1 are read before the class at n
-    ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(dyck=6, structured=5),
-     "Dyck word size 7 exceeds cap 6"),
+     "Dyck word size 6 exceeds cap 5"),
     ("SERIES_B_PK231", 400, generate.Caps(),
      "series degree 400 exceeds series cap 24"),
 ])
@@ -340,7 +338,7 @@ def test_structured_check_catches_a_fault_in_the_catalan_walk(
 def test_cap_and_size_errors_still_raise():
     with pytest.raises(generate.CapExceededError):
         verify_all(6, selection="CARD_SINGLE_CATALAN",
-                   caps=generate.Caps(perm=5))
+                   caps=generate.Caps(structured=5))
     with pytest.raises(ValueError, match="max_n must be nonnegative: -1"):
         verify_all(-1, selection="CARD_PAIRS")
 
@@ -350,9 +348,9 @@ def test_listed_indecomposables_keep_their_cap_on_n():
     with pytest.raises(generate.CapExceededError,
                        match="Dyck word size 6 exceeds cap 5"):
         verify_all(5, selection="INTERIOR_UUD_INDEC_DES",
-                   caps=generate.Caps(dyck=5))
+                   caps=generate.Caps(structured=5))
     report, = verify_all(5, selection="INTERIOR_UUD_INDEC_DES",
-                         caps=generate.Caps(dyck=6))
+                         caps=generate.Caps(structured=6))
     assert report.passed
 
 
@@ -366,11 +364,16 @@ def test_reports_json_shape():
                                        "failure"}
 
 
-def test_structured_route_checks_only_the_class_cap():
-    words_capped = generate.Caps(dyck=2, bits=2)
+def test_structured_route_checks_only_the_class_cap(monkeypatch):
+    # the oracle counts a structured class and lists none of the words
+    # that encode it
+    def refuse(n, cap=None):
+        raise AssertionError("the oracle listed a word")
+
+    for name in ("gen_dyck", "gen_indec", "gen_bits"):
+        monkeypatch.setattr(generate, name, refuse)
     for basis in ([(3, 2, 1)], [(1, 3, 2), (2, 1, 3)], [(1, 2, 3), (1, 3, 2)]):
-        assert (distribution("pk", basis, 6, caps=words_capped)
-                == naive_dist("pk", 6, basis))
+        assert distribution("pk", basis, 6) == naive_dist("pk", 6, basis)
     with pytest.raises(generate.CapExceededError, match="class size 6"):
         distribution("pk", [(3, 2, 1)], 6, caps=generate.Caps(structured=5))
 
@@ -378,7 +381,7 @@ def test_structured_route_checks_only_the_class_cap():
 def test_cache_hit_does_not_skip_generation_cap():
     distribution("des", [(1, 3, 2)], 6)
     with pytest.raises(generate.CapExceededError):
-        distribution("des", [(1, 3, 2)], 6, caps=generate.Caps(perm=5))
+        distribution("des", [(1, 3, 2)], 6, caps=generate.Caps(structured=5))
 
 
 def _length3_bases():
@@ -389,21 +392,23 @@ def _length3_bases():
 
 def test_refused_sizes_follow_the_one_cap_rule():
     # class_size, gen_class, distribution and, for a basis of length-3
-    # patterns, count_lengths refuse exactly the sizes above the basis's
-    # cap, caps.structured for a key in STRUCTURED and caps.perm for any
-    # other, with its message, alone and after every class was read to
-    # n = 7 in the same process
+    # patterns, count_lengths refuse exactly the sizes above the cap of the
+    # basis's kind, with its message, alone and after every class was read
+    # to n = 7 in the same process: caps.structured for each of the 63
+    # bases of length-3 patterns, whether in STRUCTURED or not, and
+    # caps.perm for the n! scan of any other basis
     caps = generate.Caps(perm=5, structured=6)
     bases = _length3_bases() + [((2, 1, 4, 3),), ((1, 2), (2, 3, 1))]
     assert len(bases) == 65
+    assert sum(key not in generate.STRUCTURED for key in bases[:63]) == 56
     for after_reads in (False, True):
         if after_reads:
             for key in bases:
                 for n in range(8):
                     distribution("pk", key, n)
                     class_size(n, key)
-        for key in bases:
-            if key in generate.STRUCTURED:
+        for i, key in enumerate(bases):
+            if i < 63:
                 cap, what = caps.structured, "class"
             else:
                 cap, what = caps.perm, "permutation"
@@ -422,6 +427,46 @@ def test_refused_sizes_follow_the_one_cap_rule():
                             generate.CapExceededError,
                             match=f"^{what} size {n} exceeds cap {cap}$"):
                         call()
+
+
+@pytest.mark.parametrize("name, top, message", [
+    ("STRUCTURED_MATCHES_FILTER", 6, "class size 7 exceeds cap 6"),
+    ("SERIES_B_PK231", 6, "Dyck word size 7 exceeds cap 6"),
+    ("UUD_DES_EQUIDISTRIBUTION", 6, "Dyck word size 7 exceeds cap 6"),
+    # it reads the indecomposables of n + 1 at n
+    ("INTERIOR_UUD_INDEC_DES", 5, "Dyck word size 7 exceeds cap 6"),
+    ("IOTA_INVOLUTION", 6, "Dyck word size 7 exceeds cap 6"),
+    ("PSI321_TRANSPORT", 6, "Dyck word size 7 exceeds cap 6"),
+    ("PSI_HAT_DES_TRANSPORT", 6, "Dyck word size 7 exceeds cap 6"),
+    ("ENC_132_213_TRANSPORT", 6, "class size 7 exceeds cap 6"),
+    ("ENC_213_231_TRANSPORT", 6, "class size 7 exceeds cap 6"),
+    ("ENC_123_132_TRANSPORT", 6, "class size 7 exceeds cap 6"),
+])
+def test_listed_words_take_the_cap_of_the_class_they_encode(name, top,
+                                                            message):
+    # a Dyck word of semilength n and a bit word of length n - 1 encode a
+    # class at n, so every check that lists them reads to caps.structured,
+    # whatever caps.perm is
+    caps = generate.Caps(perm=2, structured=6)
+    report, = verify_all(top, selection=name, caps=caps)
+    assert report.passed and report.max_n == top
+    with pytest.raises(generate.CapExceededError, match=f"^{message}$"):
+        verify_all(top + 1, selection=name, caps=caps)
+
+
+@pytest.mark.parametrize("tag", list(distributions._ENCODINGS))
+def test_encoding_checks_refuse_before_their_first_word(monkeypatch, tag):
+    # the class cap is checked for every n, in order, before a bit word is
+    # listed, so a size far above it costs no listing
+    def refuse(length, cap=None):
+        raise AssertionError(f"listed bit words of length {length}")
+
+    monkeypatch.setattr(generate, "gen_bits", refuse)
+    for caps, message in ((generate.Caps(), "class size 15 exceeds cap 14"),
+                          (generate.Caps(structured=5),
+                           "class size 6 exceeds cap 5")):
+        with pytest.raises(generate.CapExceededError, match=f"^{message}$"):
+            verify_all(400, selection=f"ENC_{tag}_TRANSPORT", caps=caps)
 
 
 def _per_n_rows(stat, key, ns, method):
@@ -490,7 +535,7 @@ def test_every_routed_cell_equals_the_oracle():
     # each cell of a one- or two-pattern basis that a route answers, itself
     # or through an r/c/rc image, the asc/des swap or pk(312) = pk(321),
     # gives the oracle's rows; every closed form is stated from n = 3 on
-    caps = generate.Caps(perm=12)
+    caps = generate.Caps()
     answered = dict.fromkeys(("closed_form", "series"), 0)
     for key in _length3_bases():
         if len(key) > 2:
@@ -720,8 +765,11 @@ def test_a_range_counts_once_and_refuses_its_first_capped_n(monkeypatch):
                        match="^class size 15 exceeds cap 14$"):
         dist_table("pk", key, range(10, 16))
     with pytest.raises(generate.CapExceededError,
+                       match="^class size 15 exceeds cap 14$"):
+        dist_table("asc", [(1, 3, 2)], range(16))
+    with pytest.raises(generate.CapExceededError,
                        match="^permutation size 11 exceeds cap 10$"):
-        dist_table("asc", [(1, 3, 2)], range(12))
+        dist_table("asc", [(2, 1, 4, 3)], range(12))
     assert passes == [(12, ("pk",)), (6, ("vl",))]
 
 

@@ -76,8 +76,11 @@ def test_gen_bits():
     assert list(gen_bits(0)) == [""]
     assert list(gen_bits(1)) == ["0", "1"]
     assert len(list(gen_bits(4))) == 16
-    with pytest.raises(CapExceededError):
-        next(gen_bits(31))
+    # a bit word encodes a class, so it takes the class cap by default
+    assert sum(1 for _ in gen_bits(Caps().structured)) == 2 ** 14
+    with pytest.raises(CapExceededError,
+                       match="^binary word size 15 exceeds cap 14$"):
+        next(gen_bits(15))
 
 
 def test_gen_class_known_sizes():
@@ -223,7 +226,7 @@ def test_walk_lists_no_value_set_above_the_listed_size(monkeypatch):
         return real(used, left, rules, memo)
 
     monkeypatch.setattr(generate, "_completions", spy)
-    members = list(gen_class(12, [(3, 1, 2)], Caps(perm=12)))
+    members = list(gen_class(12, [(3, 1, 2)]))
     assert listed and max(listed) <= generate._LISTED
     assert len(members) == catalan(12)
     assert members == sorted(set(members))
@@ -243,19 +246,21 @@ def test_walk_lists_no_empty_value_set_for_one_pattern(monkeypatch):
         return got
 
     monkeypatch.setattr(generate, "_completions", spy)
-    caps = Caps(perm=12)
     for p in PATTERNS3:
         for n in range(13):
-            assert sum(1 for _ in gen_class(n, [p], caps)) == catalan(n)
+            assert sum(1 for _ in gen_class(n, [p])) == catalan(n)
             assert not empty, (p, n)
-    members = sum(1 for _ in gen_class(12, [(1, 2, 3), (1, 3, 2)], caps))
+    members = sum(1 for _ in gen_class(12, [(1, 2, 3), (1, 3, 2)]))
     assert members == 2 ** 11 and empty
 
 
 def test_filter_cap_checked_after_a_walk():
     assert sum(1 for _ in gen_class(6, [(1, 2, 3)])) == 132
+    with pytest.raises(CapExceededError, match="class size 6 exceeds cap 5"):
+        distributions.class_size(6, [(1, 2, 3)], Caps(structured=5))
+    assert sum(1 for _ in gen_class(6, [(2, 1, 4, 3)])) == 513
     with pytest.raises(CapExceededError, match="permutation size 6 exceeds cap 5"):
-        distributions.class_size(6, [(1, 2, 3)], Caps(perm=5))
+        distributions.class_size(6, [(2, 1, 4, 3)], Caps(perm=5))
 
 
 def test_walks_read_in_turns_across_a_later_walk():
@@ -337,7 +342,7 @@ def test_counted_pair_rows_match_the_structured_listing(key):
 def test_joint_fields_hold_every_value():
     # 2^69 members of Av(132,312) at n = 70: asc reaches 69, and each
     # packed field holds a count as large as C(69, 34), above 2^65
-    key, caps = parse_basis("132,312"), Caps(perm=70)
+    key, caps = parse_basis("132,312"), Caps(structured=70)
     rows = {s: distributions.distribution(s, key, 70, caps=caps)
             for s in STATS}
     for s, row in rows.items():
@@ -355,9 +360,8 @@ def test_count_lengths_checks_the_route_cap_and_the_pattern_lengths():
     assert generate.count_lengths(0, [(1, 2, 3)], ["pk"]) == {"pk": [{0: 1}]}
     assert generate.count_lengths(1, [(1, 2, 3)], STATS) == {
         s: [{0: 1}, {0: 1}] for s in STATS}
-    with pytest.raises(CapExceededError,
-                       match="^permutation size 11 exceeds cap 10$"):
-        generate.count_lengths(11, [(1, 2, 3)], ["pk"])
+    with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
+        generate.count_lengths(15, [(1, 2, 3)], ["pk"])
     with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
         generate.count_lengths(15, [(2, 3, 1)], ["pk"])
     with pytest.raises(CapExceededError, match="^class size 15 exceeds cap 14$"):
@@ -469,7 +473,7 @@ def test_counted_rows_match_every_closed_form_and_series_to_large_n():
     # only the (statistic, basis) cells a closed form or a series states
     # are counted.  A single class has C_n members, about 2^113 at n = 60,
     # so its counts overflow a packed field of max_n + 1 bits well before
-    caps = Caps(perm=100, structured=100)
+    caps = Caps(structured=100)
     cells = [(spec.stat, spec.basis, lambda n, fid=fid:
               formulas.closed_form_row(fid, n), spec.min_n)
              for fid in formulas.formula_ids()

@@ -1,5 +1,6 @@
 import os
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -73,6 +74,31 @@ def _serve(monkeypatch, body):
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     return calls
+
+
+def _http_error(code):
+    return urllib.error.HTTPError("https://oeis.org/", code, "status", {},
+                                  None)
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (_http_error(404), oeis.OeisNotFoundError, "no such sequence A000108"),
+    (_http_error(503), oeis.OeisOfflineError, "HTTP 503 fetching A000108"),
+    (urllib.error.URLError("no route"), oeis.OeisOfflineError,
+     "cannot reach OEIS for A000108: <urlopen error no route>"),
+])
+def test_fetch_errors_name_what_failed(tmp_path, monkeypatch, error, raised,
+                                       message):
+    # a 404 means the sequence does not exist; any other HTTP code or an
+    # unreachable host is an environment error, and nothing is cached
+    def urlopen(url, timeout):
+        raise error
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(raised, match=f"^{message}$") as info:
+        oeis.fetch("A000108", cache=tmp_path)
+    assert info.value.__cause__ is error
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_served_body_is_cached_and_reread(tmp_path, monkeypatch):

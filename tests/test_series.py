@@ -7,6 +7,7 @@ from patternstats.dyck import interior_uud_count, uud_count
 from patternstats.formulas import catalan, closed_form_row
 from patternstats.generate import gen_bits, gen_dyck, gen_indec
 from patternstats.series import (
+    BivariateSeries,
     _solve,
     series_ddes_132_213,
     series_des_321,
@@ -85,6 +86,18 @@ def test_coeff_contracts():
         a.coeff(5, 0)
     with pytest.raises(IndexError):
         a.row_counts(5)
+
+
+def test_series_equality_hash_and_repr():
+    # rows are compared after their trailing zeros are trimmed
+    a = series_des_321(4)
+    same = BivariateSeries([list(row) + [0, 0] for row in a.rows])
+    assert same == a and hash(same) == hash(a)
+    assert len({a, same}) == 1
+    assert a != series_des_321(5)
+    assert a != series_pk_321(4)
+    assert a != a.rows and a != None  # noqa: E711
+    assert repr(a) == "BivariateSeries(degree=4)"
 
 
 ALL_SERIES = (series_des_321, series_pk_321, series_indec_uud,

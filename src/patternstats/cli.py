@@ -198,13 +198,11 @@ def _cmd_verify(args) -> int:
         for name in registry:
             print(name)
         return 0
-    selection = args.only if args.only else None
-    if selection:
-        unknown = [name for name in selection if name not in registry]
-        if unknown:
-            print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-    reports = distributions.verify_all(args.max_n, selection=selection,
+    unknown = [name for name in args.only or () if name not in registry]
+    if unknown:
+        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    reports = distributions.verify_all(args.max_n, selection=args.only,
                                        caps=args.caps)
     if args.format == "json":
         print(distributions.reports_json(reports))
@@ -278,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="run verification checks")
-    p.add_argument("--all", action="store_true")
+    p.add_argument("--all", action="store_true",
+                   help="run every check: the default when no --only is given")
     p.add_argument("--only", action="append", help="check name (repeatable)")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--format", default="text", choices=("text", "json"))

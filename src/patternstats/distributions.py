@@ -26,10 +26,9 @@ methods support a pair they must agree; ``verify_all`` checks that,
 every bijection property, every series identity, and the
 reverse/complement symmetry identities, and reports the first
 counterexample of each failing check.  The closed-form and series
-checks are one check, ``_check_method``, that reads the oracle rows of
-its cells first, so a class cap refuses before any route runs, and then
-the route's rows through ``dist_table``, the function ``dist`` calls.  A
-symmetry family names two statistics, and
+checks are one check, ``_check_method``, that compares the oracle rows
+of its cells with the route's rows through ``dist_table``, the function
+``dist`` calls.  A symmetry family names two statistics, and
 :data:`~patternstats.stats.STAT_IMAGE` gives the statistic each is
 compared with over each image class.
 
@@ -68,9 +67,12 @@ and a pass counts no length the caps refuse.  Caps go by the kind of
 work: a basis of length-3 patterns takes ``caps.structured``, and so do
 the words that encode such classes, a Dyck word of semilength n and a
 bit word of length n - 1 at n; ``caps.perm`` caps only the n! scans of
-any other basis.  ``INTERIOR_UUD_INDEC_DES`` and the
-``ENC_*_TRANSPORT`` checks check the cap of every n they read, in order,
-before their first word.
+any other basis.  One rule refuses a size before any work:
+every loop over n that lists, counts or maps capped objects, in a check,
+``symmetry_check`` or the oracle route, iterates :meth:`_Run.sizes`,
+which checks every n, in order, against the cap of what the loop reads
+and only then hands the sizes back, so a call fails at its first capped
+size before it lists, counts or solves anything.
 Basis text is read by :func:`~patternstats.perms.parse_basis`, a basis's
 images by :data:`~patternstats.perms.SYMMETRIES`, and a formula's row by
 :func:`~patternstats.formulas.closed_form_row`.
@@ -136,11 +138,12 @@ class _Run:
     stores no image, so a later use raises again.
 
     :meth:`rows` gives the rows {statistic: row} of a (basis, n), with n
-    checked against the basis's cap on every read.  A basis of length-3
-    patterns is counted, not listed: its first read makes one
-    :func:`~patternstats.generate.count_lengths` call for ``stats`` to
-    ``top`` (or to n, if larger), capped, which fills the rows of every
-    length up to it.  A basis with a pattern of another length is listed
+    checked against the basis's cap before it is counted or listed; a row
+    the run holds is within the cap, which does not change in a run.  A
+    basis of length-3 patterns is counted, not listed: its first read
+    makes one :func:`~patternstats.generate.count_lengths` call for
+    ``stats`` to ``top`` (or to n, if larger), capped, which fills the
+    rows of every length up to it.  A basis with a pattern of another length is listed
     at n and its members tallied for all six statistics."""
 
     def __init__(self, caps: Caps, top: int, stats: Iterable[str] = STATS):
@@ -149,9 +152,25 @@ class _Run:
         self._images: dict[str, dict[str, Perm]] = {"321": {}, "231": {}}
         self._rows: dict[tuple, dict[str, dict[int, int]]] = {}
 
+    def sizes(self, ns: Sequence[int], *keys: tuple) -> Sequence[int]:
+        """``ns`` as it is, once each n has been checked, in order, against
+        the cap of what a loop reads at n: the class of each basis in
+        ``keys`` (:func:`~patternstats.generate.class_cap`), or with no
+        basis a Dyck word of semilength n, whose cap, ``caps.structured``,
+        is also that of the class and of the bit words of length n - 1 it
+        encodes.  Every loop over n that lists, counts or maps capped
+        objects iterates this, so a call refuses its first capped size
+        before any work."""
+        for n in ns:
+            for key in keys:
+                generate.class_cap(n, key, self.caps)
+            if not keys:
+                generate._check_cap(n, self.caps.structured, "Dyck word")
+        return ns
+
     def rows(self, key: tuple, n: int) -> dict[str, dict[int, int]]:
-        cap = generate.class_cap(n, key, self.caps)
         if (key, n) not in self._rows:
+            cap = generate.class_cap(n, key, self.caps)
             if all(len(p) == 3 for p in key):
                 top = min(max(n, self.top), cap)
                 counted = generate.count_lengths(top, key, self.stats,
@@ -165,15 +184,12 @@ class _Run:
         return self._rows[key, n]
 
     def dyck(self, n: int) -> list[str]:
-        words = self._dyck.get(n)
-        if words is None:
-            words = self._dyck[n] = list(
-                generate.gen_dyck(n, cap=self.caps.structured))
-        return words
+        if n not in self._dyck:
+            self._dyck[n] = list(generate.gen_dyck(n, self.caps.structured))
+        return self._dyck[n]
 
     def indec(self, n: int) -> list[str]:
-        # the words gen_indec lists, under its cap check of n itself
-        generate._check_cap(n, self.caps.structured, "Dyck word")
+        # the words gen_indec lists; its callers' sizes check n itself
         return ["U" + d + "D" for d in self.dyck(n - 1)] if n else []
 
     def from_dyck(self, tag: str, d: str) -> Perm:
@@ -191,10 +207,9 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
 
 
 def _oracle(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
-    # every n is checked, in order, before the one run counts to the largest
-    for n in ns:
-        generate.class_cap(n, key, caps)
-    run = _Run(caps, max(ns, default=0), (stat,))
+    # the one run counts to the largest n, once every n is checked
+    run = _Run(caps, 0, (stat,))
+    run.top = max(run.sizes(ns, key), default=0)
     return {n: run.rows(key, n)[stat] for n in ns}
 
 
@@ -417,7 +432,7 @@ def _same_rows(report: VerifyReport, left: tuple, right: tuple, where: str,
                max_n: int, run: _Run) -> None:
     """Compare the oracle rows of two (statistic, basis) pairs, n <= max_n."""
     (left_stat, left_key), (right_stat, right_key) = left, right
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1), left_key, right_key):
         report.eq(run.rows(left_key, n)[left_stat],
                   run.rows(right_key, n)[right_stat],
                   "{} at n={}", where, n)
@@ -429,7 +444,7 @@ def _check_sizes(rows: list[tuple[str, int, Callable[[int], int]]],
     size), first n <= n <= max_n."""
     for text, first, size in rows:
         key = parse_basis(text)
-        for n in range(first, max_n + 1):
+        for n in run.sizes(range(first, max_n + 1), key):
             report.eq(class_size(n, key, run.caps), size(n),
                       "|S_{}({})|", n, text)
 
@@ -471,7 +486,7 @@ def _check_structured_filter(report: VerifyReport, max_n: int,
                              run: _Run) -> None:
     for key in generate.STRUCTURED:
         text = format_basis(key)
-        for n in range(max_n + 1):
+        for n in run.sizes(range(max_n + 1), key):
             structured = sorted(generate.gen_class(n, key, run.caps))
             report.ok(len(set(structured)) == len(structured),
                       "duplicates from structured {} at n={}", text, n)
@@ -484,16 +499,13 @@ def _check_method(method: str, first: int,
                   cells: list[tuple[str, tuple, str]], report: VerifyReport,
                   max_n: int, run: _Run) -> None:
     """The rows ``dist_table`` gives by ``method`` against the oracle's rows
-    of each (statistic, basis, label) cell, first <= n <= max_n.  Every
-    oracle row is read first, so a class cap refuses before a route runs."""
-    ns = range(first, max_n + 1)
-    oracle = {n: [run.rows(key, n)[stat] for stat, key, _ in cells]
-              for n in ns}
+    of each (statistic, basis, label) cell, first <= n <= max_n."""
+    ns = run.sizes(range(first, max_n + 1), *(key for _, key, _ in cells))
     routes = [dist_table(stat, key, ns, method, run.caps).rows
               for stat, key, _ in cells]
     for n in ns:
-        for (*_, label), rows, want in zip(cells, routes, oracle[n]):
-            report.eq(rows[n], want, "{} at n={}", label, n)
+        for (stat, key, label), rows in zip(cells, routes):
+            report.eq(rows[n], run.rows(key, n)[stat], "{} at n={}", label, n)
 
 
 for _spec in formulas.FORMULAS.values():
@@ -515,6 +527,7 @@ def _check_series_b(report: VerifyReport, max_n: int, run: _Run) -> None:
     # peak counts for 231-avoiders, whose n = 0 row is the single empty
     # permutation; the corrections collapse the z^1 row to exactly 1.
     run.caps.check_series(max_n)
+    indec_ns = run.sizes(range(min(max_n, 10) + 1))
     b = series.series_indec_uud(max_n)
     report.eq(b.row_counts(0), {}, "empty-word row")
     if max_n >= 1:
@@ -524,7 +537,7 @@ def _check_series_b(report: VerifyReport, max_n: int, run: _Run) -> None:
                 for k, v in formulas.closed_form_row("PK231", n).items()}
         report.eq(b.row_counts(n + 1), want, "row n={} vs shifted counts",
                   n + 1)
-    for n in range(min(max_n, 10) + 1):
+    for n in indec_ns:
         report.eq(_tally_words(run.indec(n), uud_count),
                   b.row_counts(n), "indecomposable UUD tally at n={}", n)
 
@@ -539,7 +552,7 @@ _check("SERIES_DDES_132_213_ORACLE")(partial(
 def _check_uud_des_equidist(report: VerifyReport, max_n: int,
                             run: _Run) -> None:
     key = parse_basis("321")
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1)):
         report.eq(_tally_words(run.dyck(n), uud_count),
                   run.rows(key, n)["des"],
                   "UUD tally vs descents at n={}", n)
@@ -548,26 +561,24 @@ def _check_uud_des_equidist(report: VerifyReport, max_n: int,
 @_check("INTERIOR_UUD_INDEC_DES")
 def _check_interior_uud_indec(report: VerifyReport, max_n: int,
                               run: _Run) -> None:
-    # every size the loop reads is checked first, in the order it reads
-    # them, so that a cap refuses before the two solves; the class at n
-    # shares the cap of the indecomposables of n + 1
+    # the indecomposables of semilength n encode the class at n - 1
     key = parse_basis("321")
-    for n in range(max_n + 1):
-        generate._check_cap(n + 1, run.caps.structured, "Dyck word")
+    ns = run.sizes(range(1, max_n + 2))
     d = series.series_indec_interior_uud(max_n + 1)
     a = series.series_des_321(max_n)
-    for n in range(max_n + 1):
-        report.eq(_tally_words(run.indec(n + 1), interior_uud_count),
-                  run.rows(key, n)["des"],
-                  "interior UUD over indecomposables at n={}", n + 1)
-        report.eq(d.row_counts(n + 1), a.row_counts(n), "z-shift at n={}", n)
+    for n in ns:
+        report.eq(_tally_words(run.indec(n), interior_uud_count),
+                  run.rows(key, n - 1)["des"],
+                  "interior UUD over indecomposables at n={}", n)
+        report.eq(d.row_counts(n), a.row_counts(n - 1), "z-shift at n={}",
+                  n - 1)
 
 
 @_check("IOTA_INVOLUTION", bound=8)
 def _check_iota(report: VerifyReport, max_n: int, run: _Run) -> None:
     # t is read off the 321-image, not through the map's own shortcut
     psi_inv = partial(run.from_dyck, "321")
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1)):
         for d in run.dyck(n):
             s = uud_count(d)
             t = stats.des(psi_inv(d))
@@ -590,7 +601,7 @@ def _check_pk_312_321(report: VerifyReport, max_n: int, run: _Run) -> None:
 @_check("ZETA_PROPERTIES")
 def _check_zeta(report: VerifyReport, max_n: int, run: _Run) -> None:
     key = parse_basis("312")
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1), key):
         for p in generate.gen_class(n, key, run.caps):
             q = bijections.rewrite_312_to_321(p)
             report.ok(avoids_all(q, [(3, 2, 1)]), "image avoids 321 for {}", p)
@@ -604,7 +615,7 @@ def _check_zeta(report: VerifyReport, max_n: int, run: _Run) -> None:
 @_check("PHI231_TRANSPORT")
 def _check_phi231(report: VerifyReport, max_n: int, run: _Run) -> None:
     key = parse_basis("231")
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1), key):
         for p in generate.gen_class(n, key, run.caps):
             d = bijections.to_dyck_231(p)
             report.eq(run.from_dyck("231", d), p, "round trip for {}", p)
@@ -615,7 +626,7 @@ def _check_phi231(report: VerifyReport, max_n: int, run: _Run) -> None:
 @_check("PSI321_TRANSPORT")
 def _check_psi321(report: VerifyReport, max_n: int, run: _Run) -> None:
     rt_bound = min(max_n, 8)
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1)):
         for d in run.dyck(n):
             p = run.from_dyck("321", d)
             report.ok(avoids_all(p, [(3, 2, 1)]), "image avoids 321 for {}", d)
@@ -627,7 +638,7 @@ def _check_psi321(report: VerifyReport, max_n: int, run: _Run) -> None:
 
 @_check("PSI_HAT_DES_TRANSPORT")
 def _check_psi_hat(report: VerifyReport, max_n: int, run: _Run) -> None:
-    for n in range(max_n + 1):
+    for n in run.sizes(range(max_n + 1)):
         for d in run.dyck(n):
             p = run.from_dyck("321", d)
             report.eq(stats.des(p), interior_uud_count("U" + d + "D"),
@@ -665,14 +676,11 @@ _STAT_LABELS = {"asc": "ascents", "des": "descents", "dasc": "dasc",
 
 def _check_encoding(tag: str, report: VerifyReport, max_n: int,
                     run: _Run) -> None:
-    # the words of length n - 1 encode the class at n, so its cap is checked
-    # for every n, in order, before the first word is listed
+    # the words of length n - 1 encode the class at n
     basis, word_stats = _ENCODINGS[tag]
     decode = getattr(bijections, f"decode_{tag}")
     encode = getattr(bijections, f"encode_{tag}")
-    for n in range(1, max_n + 1):
-        generate.class_cap(n, basis, run.caps)
-    for n in range(1, max_n + 1):
+    for n in run.sizes(range(1, max_n + 1), basis):
         for bits in generate.gen_bits(n - 1, cap=run.caps.structured):
             p = decode(bits)
             report.ok(avoids_all(p, basis),

@@ -693,7 +693,7 @@ def test_ci_exit_code_table_holds_in_process(capsys, tmp_path):
     # every exit code the workflow expects, through main in one process;
     # "$P" is built by the workflow's own command before it
     table = _expect_lines()
-    assert len(table) == 76
+    assert len(table) == 83
     assert sum('"$P"' in text for _, text, _ in table) == 3
     wrong = []
     for want, text, build in table:

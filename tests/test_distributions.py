@@ -454,19 +454,50 @@ def test_listed_words_take_the_cap_of_the_class_they_encode(name, top,
         verify_all(top + 1, selection=name, caps=caps)
 
 
-@pytest.mark.parametrize("tag", list(distributions._ENCODINGS))
-def test_encoding_checks_refuse_before_their_first_word(monkeypatch, tag):
-    # the class cap is checked for every n, in order, before a bit word is
-    # listed, so a size far above it costs no listing
-    def refuse(length, cap=None):
-        raise AssertionError(f"listed bit words of length {length}")
+# what each call raises at max_n = 400 under structured cap C, with C + 1
+# and C in the braces, when it is not the class at C + 1: SERIES_B_PK231
+# solves to max_n, these checks read Dyck words first, and symmetry_check
+# is called over 2143, which the n! scan lists
+_REFUSALS = {
+    "SERIES_B_PK231": "series degree 400 exceeds series cap 24",
+    **dict.fromkeys(("UUD_DES_EQUIDISTRIBUTION", "INTERIOR_UUD_INDEC_DES",
+                     "IOTA_INVOLUTION", "PSI321_TRANSPORT",
+                     "PSI_HAT_DES_TRANSPORT"),
+                    "Dyck word size {} exceeds cap {}"),
+    "symmetry_check": "permutation size 11 exceeds cap 10",
+}
 
-    monkeypatch.setattr(generate, "gen_bits", refuse)
-    for caps, message in ((generate.Caps(), "class size 15 exceeds cap 14"),
-                          (generate.Caps(structured=5),
-                           "class size 6 exceeds cap 5")):
-        with pytest.raises(generate.CapExceededError, match=f"^{message}$"):
-            verify_all(400, selection=f"ENC_{tag}_TRANSPORT", caps=caps)
+
+@pytest.mark.parametrize("name", [*distributions.checks(), "symmetry_check"])
+def test_checks_refuse_their_first_capped_size_before_any_work(monkeypatch,
+                                                                name):
+    # every check, and symmetry_check over a basis the n! scan lists, checks
+    # every size it reads before it lists, counts or solves anything, so a
+    # size far above the cap costs nothing
+    calls = []
+
+    def record(module, fn):
+        original = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *args, **kwargs: (
+            calls.append((fn, args[0])) or original(*args, **kwargs)))
+
+    for fn in ("gen_class", "gen_dyck", "gen_bits", "gen_all",
+               "count_lengths"):
+        record(generate, fn)
+    record(series, "_solve")
+    bound = distributions._CHECKS.get(name, (None, None))[1]
+    for cap in (5, 14):
+        if bound is not None and bound <= cap:
+            continue  # the check's bound keeps it within the cap
+        caps = generate.Caps(structured=cap)
+        message = _REFUSALS.get(name, "class size {} exceeds cap {}")
+        with pytest.raises(generate.CapExceededError,
+                           match=f"^{message.format(cap + 1, cap)}$"):
+            if name == "symmetry_check":
+                symmetry_check("pk_vl", [(2, 1, 4, 3)], "r", 400, caps=caps)
+            else:
+                verify_all(400, selection=name, caps=caps)
+    assert calls == []
 
 
 def _per_n_rows(stat, key, ns, method):

@@ -18,10 +18,9 @@ terms of ``oeis`` refuse a degree above the series cap through
 three caps, one per kind of work: ``gen_cap`` for the n! scans of a basis
 with a pattern of length other than 3, ``structured_cap`` for every
 basis of length-3 patterns and the Dyck and bit words that encode them,
-and ``series_cap``.  Each route of
-``METHODS`` states the cells it answers; ``dist_table`` derives the rest
-of a cell's reverse/complement orbit, so the CLI never asks which cells a
-route answers.
+and ``series_cap``.  Each route of ``METHODS`` names the cells it
+answers; ``dist_table`` derives the rest of a cell's reverse/complement
+orbit, so the CLI never asks which cells a route answers.
 """
 
 from __future__ import annotations

@@ -3,16 +3,17 @@
 ``dist_table`` produces the rows a(n, k) of a (statistic, basis) pair for
 a range of n by one of three methods, and ``distribution`` is its
 one-row case.  :data:`METHODS` is the one table of the routes (the
-``dist --method`` choices are its keys).  Each route states the
-(statistic, basis) cells it answers, ``supports(stat, key)``, and
-answers a whole range of a supported cell in one call: ``oracle``
-supports every cell and counts or lists the class, ``closed_form`` the
-cells :func:`~patternstats.formulas.formula_for` finds and reads the
-formula's rows, and ``series`` the cells
-:data:`~patternstats.series.SERIES` lists and solves the generating
-function once, to the largest n.  A route states only its own cells;
+``dist --method`` choices are its keys).  A route answers names: its
+``rows(name, ns, caps)`` gives a whole range of one name in one call,
+and its ``name(stat, key)`` gives the name under which it answers a
+(statistic, basis) cell, or None.  The ``oracle``'s names are the cells
+themselves, and it counts or lists the class; ``closed_form``'s are the
+formula ids :func:`~patternstats.formulas.formula_for` finds, and it
+reads the formula's rows; ``series``'s are the names of
+:data:`~patternstats.series.SERIES`, and it solves the generating
+function once, to the largest n.  A route names only its own cells;
 ``dist_table`` derives the rest.  It takes the first cell of
-:func:`_sources` that the route supports: the cell itself, then its
+:func:`_sources` that the route names: the cell itself, then its
 r/c/rc images (the statistic through
 :data:`~patternstats.stats.STAT_IMAGE`), each also with asc and des
 swapped, and pk over 321 for pk over 312.  Only ``dist_table`` refuses a
@@ -22,15 +23,18 @@ test on them the identities the closure uses.  Every route checks every
 n of a range, in order, before its first enumeration, row or solve (a
 closed form against its stated range and the series cap), so a range
 that crosses a limit fails at its first refused size.  Where several
-methods support a pair they must agree; ``verify_all`` checks that,
+methods answer a pair they must agree; ``verify_all`` checks that,
 every bijection property, every series identity, and the
 reverse/complement symmetry identities, and reports the first
 counterexample of each failing check.  The closed-form and series
 checks are one check, ``_check_method``, that compares the oracle rows
 of its cells with the route's rows through ``dist_table``, the function
-``dist`` calls.  A symmetry family names two statistics, and
-:data:`~patternstats.stats.STAT_IMAGE` gives the statistic each is
-compared with over each image class.
+``dist`` calls.  ``SERIES_B_PK231`` and ``INTERIOR_UUD_INDEC_DES`` read
+the series B and D and the formula PK231 by name through the same
+routes, so every series or closed-form row a check reads passes its
+route's size checks, and a fault in a route fails a check.  A symmetry
+family names two statistics, and :data:`~patternstats.stats.STAT_IMAGE`
+gives the statistic each is compared with over each image class.
 
 Each check is registered once, in the order ``verify --list`` prints, as a
 function that records its comparisons on a :class:`VerifyReport`; the
@@ -206,48 +210,48 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
                for stat, text in cells}
 
 
-def _oracle(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
+def _oracle(cell: tuple[str, tuple], ns: Sequence[int], caps: Caps) -> dict:
     # the one run counts to the largest n, once every n is checked
+    stat, key = cell
     run = _Run(caps, 0, (stat,))
     run.top = max(run.sizes(ns, key), default=0)
     return {n: run.rows(key, n)[stat] for n in ns}
 
 
-def _closed_form(stat: str, key: tuple, ns: Sequence[int],
-                 caps: Caps) -> dict:
+def _closed_form(fid: str, ns: Sequence[int], caps: Caps) -> dict:
     # every n is checked, in order, against the formula's smallest n and the
     # series cap before the first row
-    fid = formulas.formula_for(stat, key).id
     for n in ns:
         formulas._stated_at(fid, n)
         caps.check_series(n)
     return {n: formulas.closed_form_row(fid, n) for n in ns}
 
 
-def _series(stat: str, key: tuple, ns: Sequence[int], caps: Caps) -> dict:
+def _series(name: str, ns: Sequence[int], caps: Caps) -> dict:
     # every n is checked, in order, before the one solve to the largest
     for n in ns:
         series._check_max_n(n)
         caps.check_series(n)
-    expansion = series.expand(_SERIES_FOR[stat, key], max(ns, default=0))
+    expansion = series.expand(name, max(ns, default=0))
     return {n: expansion.row_counts(n) for n in ns}
 
 
 class Route(NamedTuple):
-    """One ``dist --method``: fn(stat, key, ns, caps) -> {n: row}, which
-    answers every length of ns in one call, for each cell that
-    ``supports(stat, key)`` accepts."""
+    """One ``dist --method``: ``rows(name, ns, caps) -> {n: row}`` answers
+    every length of ns in one call for a name the route knows, and
+    ``name(stat, key)`` gives the name under which the route answers the
+    (statistic, basis) cell, or None."""
 
-    rows: Callable[[str, tuple, Sequence[int], Caps], dict]
-    supports: Callable[[str, tuple], bool]
+    rows: Callable[..., dict]
+    name: Callable[[str, tuple], object]
 
 
 # ``dist --method`` name -> its route
 METHODS = {
-    "oracle": Route(_oracle, lambda *cell: True),
-    "closed_form": Route(
-        _closed_form, lambda *cell: formulas.formula_for(*cell) is not None),
-    "series": Route(_series, lambda *cell: cell in _SERIES_FOR),
+    "oracle": Route(_oracle, lambda *cell: cell),
+    "closed_form": Route(_closed_form, lambda *cell: getattr(
+        formulas.formula_for(*cell), "id", None)),
+    "series": Route(_series, lambda *cell: _SERIES_FOR.get(cell)),
 }
 
 
@@ -323,7 +327,7 @@ def _json_block(items: list[str], pad: str, brackets: str) -> str:
 def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
                caps: Caps = Caps()) -> DistTable:
     """The rows of every length in ``ns``, by one call of the method on the
-    first cell of :func:`_sources` that the method supports.
+    name it gives the first cell of :func:`_sources` it answers.
 
     A ``range`` is passed on as it is; any other iterable is listed once."""
     if stat not in STATS:
@@ -333,13 +337,14 @@ def dist_table(stat: str, basis, ns: Iterable[int], method: str = "oracle",
         raise UnsupportedMethodError(f"unknown method {method!r}")
     route = METHODS[method]
     for source_stat, source_key, flip in _sources(stat, key):
-        if route.supports(source_stat, source_key):
+        name = route.name(source_stat, source_key)
+        if name is not None:
             break
     else:
         raise UnsupportedMethodError(f"no {method.replace('_', ' ')} for "
                                      f"{stat} over {format_basis(key)}")
     ns = ns if isinstance(ns, range) else list(ns)
-    rows = route.rows(source_stat, source_key, ns, caps)
+    rows = route.rows(name, ns, caps)
     if flip:
         # asc + des = n - 1 for n >= 1; the empty permutation has neither
         rows = {n: {n - 1 - k: c for k, c in reversed(row.items())} if n
@@ -526,20 +531,18 @@ def _check_series_b(report: VerifyReport, max_n: int, run: _Run) -> None:
     # identity: B = z(1 - q) + sum a(n,k) q^(k+1) z^(n+1) over the
     # peak counts for 231-avoiders, whose n = 0 row is the single empty
     # permutation; the corrections collapse the z^1 row to exactly 1.
-    run.caps.check_series(max_n)
     indec_ns = run.sizes(range(min(max_n, 10) + 1))
-    b = series.series_indec_uud(max_n)
-    report.eq(b.row_counts(0), {}, "empty-word row")
+    b = METHODS["series"].rows("B", range(max_n + 1), run.caps)
+    pk = METHODS["closed_form"].rows("PK231", range(1, max_n), run.caps)
+    report.eq(b[0], {}, "empty-word row")
     if max_n >= 1:
-        report.eq(b.row_counts(1), {0: 1}, "row n=1")
-    for n in range(1, max_n):
-        want = {k + 1: v
-                for k, v in formulas.closed_form_row("PK231", n).items()}
-        report.eq(b.row_counts(n + 1), want, "row n={} vs shifted counts",
-                  n + 1)
+        report.eq(b[1], {0: 1}, "row n=1")
+    for n in pk:
+        report.eq(b[n + 1], {k + 1: v for k, v in pk[n].items()},
+                  "row n={} vs shifted counts", n + 1)
     for n in indec_ns:
-        report.eq(_tally_words(run.indec(n), uud_count),
-                  b.row_counts(n), "indecomposable UUD tally at n={}", n)
+        report.eq(_tally_words(run.indec(n), uud_count), b[n],
+                  "indecomposable UUD tally at n={}", n)
 
 
 _check("SERIES_DDES_132_213_ORACLE")(partial(
@@ -561,17 +564,17 @@ def _check_uud_des_equidist(report: VerifyReport, max_n: int,
 @_check("INTERIOR_UUD_INDEC_DES")
 def _check_interior_uud_indec(report: VerifyReport, max_n: int,
                               run: _Run) -> None:
-    # the indecomposables of semilength n encode the class at n - 1
+    # the indecomposables of semilength n encode the class at n - 1, and
+    # their tally is row n of D = zG; SERIES_DES321_ORACLE checks G against
+    # the same oracle rows
     key = parse_basis("321")
     ns = run.sizes(range(1, max_n + 2))
-    d = series.series_indec_interior_uud(max_n + 1)
-    a = series.series_des_321(max_n)
+    d = METHODS["series"].rows("D", ns, run.caps)
     for n in ns:
-        report.eq(_tally_words(run.indec(n), interior_uud_count),
-                  run.rows(key, n - 1)["des"],
+        tally = _tally_words(run.indec(n), interior_uud_count)
+        report.eq(tally, run.rows(key, n - 1)["des"],
                   "interior UUD over indecomposables at n={}", n)
-        report.eq(d.row_counts(n), a.row_counts(n - 1), "z-shift at n={}",
-                  n - 1)
+        report.eq(d[n], tally, "series D vs interior UUD tally at n={}", n)
 
 
 @_check("IOTA_INVOLUTION", bound=8)

@@ -87,9 +87,9 @@ class Caps:
     def check_series(self, degree: int) -> None:
         """Refuse a series degree above ``series``: the one check for the
         ``series`` command, the series and closed-form routes of
-        ``distribution`` (a closed form's n is its row's degree), verify's
-        checks that read their rows through those routes,
-        ``SERIES_B_PK231`` and the local terms of ``oeis``."""
+        ``distribution`` (a closed form's n is its row's degree), every
+        verify check, each of which reads its series and closed-form rows
+        through those routes, and the local terms of ``oeis``."""
         if degree > self.series:
             raise CapExceededError(
                 f"series degree {degree} exceeds series cap {self.series}")

@@ -39,8 +39,11 @@ Every ``series_*`` function raises ``ValueError`` for a negative degree.
 
 :data:`SERIES` is the one table of the named series: it gives each CLI
 name its function and the (statistic, basis) cells the function counts.
-The ``series`` command and ``distribution(..., method="series")`` both
-read it, and look the function up by name when called.
+The ``series`` command and the ``series`` route of
+``distributions.METHODS`` read it, and look the function up by name when
+called.  The route serves ``distribution(..., method="series")`` and
+every verify check that reads a series; ``SERIES_B_PK231`` and
+``INTERIOR_UUD_INDEC_DES`` ask it for B and D by name.
 """
 
 from __future__ import annotations

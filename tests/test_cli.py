@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -689,12 +690,14 @@ def _expect_lines() -> list[tuple[int, str, str | None]]:
     return lines
 
 
-def test_ci_exit_code_table_holds_in_process(capsys, tmp_path):
+def test_ci_exit_code_table_holds_in_process(capsys, tmp_path, monkeypatch):
     # every exit code the workflow expects, through main in one process;
-    # "$P" is built by the workflow's own command before it
+    # "$P" is built by the workflow's own command before it, and a file it
+    # writes to a fresh temporary directory lands in tmp_path
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     table = _expect_lines()
-    assert len(table) == 83
-    assert sum('"$P"' in text for _, text, _ in table) == 3
+    assert len(table) == 84
+    assert sum('"$P"' in text for _, text, _ in table) == 4
     wrong = []
     for want, text, build in table:
         if '"$P"' in text:

@@ -201,29 +201,75 @@ def test_injected_off_by_one_formula_fails(monkeypatch):
     assert report.failure == "pk over 231 at n=1: got {0: 2}, expected {0: 1}"
 
 
-@pytest.mark.parametrize("method, checks", [
-    ("closed_form", r"FORMULA_\w+"),
-    ("series", r"SERIES_\w+_ORACLE"),
+def _bump_top(rows):
+    # a +1 at k = 0 in the top row of {n: row}
+    if rows:
+        top = max(rows)
+        rows[top] = {**rows[top], 0: rows[top].get(0, 0) + 1}
+    return rows
+
+
+@pytest.mark.parametrize("fault, checks, count", [
+    ("closed_form", r"FORMULA_\w+|SERIES_B_PK231", 36),
+    ("series", r"SERIES_\w+|INTERIOR_UUD_INDEC_DES", 5),
+    # a wrong G makes D = zG wrong too, and the tally of D's words shows it
+    ("_DES_321", r"SERIES_DES321_ORACLE|SERIES_B_PK231|INTERIOR_UUD_INDEC_DES",
+     3),
 ])
-def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, method,
-                                                     checks):
-    # the route checks read their rows through the method table, so a
-    # fault planted there fails every one of them and no other check
-    route = distributions.METHODS[method]
+def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, fault,
+                                                     checks, count):
+    # every check that reads a series or closed-form row reads it through
+    # the method table, so a fault planted in a route fails each of them and
+    # no other check; so does a fault in the rows of G that one solve gives
+    if fault in distributions.METHODS:
+        route = distributions.METHODS[fault]
+        monkeypatch.setitem(distributions.METHODS, fault, route._replace(
+            rows=lambda name, ns, caps: _bump_top(route.rows(name, ns, caps))))
+    else:
+        solve = series._solve
 
-    def bumped(stat, key, ns, caps):
-        rows = route.rows(stat, key, ns, caps)
-        if rows:
-            top = max(rows)
-            rows[top] = {**rows[top], 0: rows[top].get(0, 0) + 1}
-        return rows
+        def bumped(equation, max_n):
+            g, s = solve(equation, max_n)
+            if equation is series._DES_321 and max_n >= 4:
+                g[4] = (g[4][0] + 1, *g[4][1:])
+            return g, s
 
-    monkeypatch.setitem(distributions.METHODS, method,
-                        route._replace(rows=bumped))
+        monkeypatch.setattr(series, "_solve", bumped)
     failed = [r.name for r in verify_all(7) if not r.passed]
     assert failed == [name for name in distributions.checks()
                       if re.fullmatch(checks, name)]
-    assert len(failed) == {"closed_form": 35, "series": 3}[method]
+    assert len(failed) == count
+
+
+def test_every_series_and_closed_form_row_a_check_reads_takes_the_cap(
+        monkeypatch):
+    # under series cap 5 at max_n = 9, each check that reads a series or
+    # closed-form row refuses degree 6 before it solves or evaluates one,
+    # and every other check passes without a solve
+    calls = []
+
+    def record(module, fn):
+        original = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *args: (
+            calls.append((fn, args[0])) or original(*args)))
+
+    record(series, "_solve")
+    record(formulas, "closed_form_row")
+    caps = generate.Caps(series=5)
+    refused = "series degree 6 exceeds series cap 5"
+    outcomes = {}
+    for name in distributions.checks():
+        try:
+            report, = verify_all(9, selection=name, caps=caps)
+            outcomes[name] = "passed" if report.passed else report.failure
+        except generate.CapExceededError as exc:
+            outcomes[name] = str(exc)
+    assert outcomes == {
+        name: refused if re.fullmatch(
+            r"FORMULA_\w+|SERIES_\w+|INTERIOR_UUD_INDEC_DES", name)
+        else "passed" for name in distributions.checks()}
+    assert list(outcomes.values()).count(refused) == 40
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, max_n, caps, message", [
@@ -235,7 +281,7 @@ def test_verify_checks_the_rows_of_each_dist_method(monkeypatch, method,
     ("INTERIOR_UUD_INDEC_DES", 400, generate.Caps(structured=5),
      "Dyck word size 6 exceeds cap 5"),
     ("SERIES_B_PK231", 400, generate.Caps(),
-     "series degree 400 exceeds series cap 24"),
+     "series degree 25 exceeds series cap 24"),
 ])
 def test_a_check_refuses_a_capped_size_before_it_solves(monkeypatch, name,
                                                         max_n, caps, message):
@@ -456,10 +502,12 @@ def test_listed_words_take_the_cap_of_the_class_they_encode(name, top,
 
 # what each call raises at max_n = 400 under structured cap C, with C + 1
 # and C in the braces, when it is not the class at C + 1: SERIES_B_PK231
-# solves to max_n, these checks read Dyck words first, and symmetry_check
-# is called over 2143, which the n! scan lists
+# reads Dyck words to n = 10 and then series rows to max_n, so the message
+# is given for each C, these checks read Dyck words first, and
+# symmetry_check is called over 2143, which the n! scan lists
 _REFUSALS = {
-    "SERIES_B_PK231": "series degree 400 exceeds series cap 24",
+    "SERIES_B_PK231": {5: "Dyck word size 6 exceeds cap 5",
+                       14: "series degree 25 exceeds series cap 24"},
     **dict.fromkeys(("UUD_DES_EQUIDISTRIBUTION", "INTERIOR_UUD_INDEC_DES",
                      "IOTA_INVOLUTION", "PSI321_TRANSPORT",
                      "PSI_HAT_DES_TRANSPORT"),
@@ -491,6 +539,8 @@ def test_checks_refuse_their_first_capped_size_before_any_work(monkeypatch,
             continue  # the check's bound keeps it within the cap
         caps = generate.Caps(structured=cap)
         message = _REFUSALS.get(name, "class size {} exceeds cap {}")
+        if isinstance(message, dict):
+            message = message[cap]
         with pytest.raises(generate.CapExceededError,
                            match=f"^{message.format(cap + 1, cap)}$"):
             if name == "symmetry_check":
@@ -515,7 +565,7 @@ def test_dist_table_passes_a_range_on_unlisted(monkeypatch):
     seen = []
     monkeypatch.setitem(distributions.METHODS, "oracle",
                         distributions.METHODS["oracle"]._replace(
-                            rows=lambda stat, key, ns, caps:
+                            rows=lambda name, ns, caps:
                             seen.append(ns) or {}))
     ns = range(10 ** 6)
     dist_table("pk", [(2, 3, 1)], ns)

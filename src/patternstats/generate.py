@@ -28,8 +28,11 @@ The oracle does not list a basis of length-3 patterns: it counts it with
 :func:`count_lengths`, one level walk per statistic asked, each giving
 the row of that statistic for every length up to the largest asked.  A
 member is built left to right, each new value placed in one of the slots
-around the values before it, and each pattern forbids one interval of
-slots fixed by the chosen slot (:data:`_FORBID`).  So a state is the slot
+around the values before it.  The value splits its slot in two, and each
+pattern forbids slots on one side of it only, the whole side or all of it
+but one slot, unless the slot is at the end that spares the pattern
+(:data:`_SIDES`).  So each side of a next state is a slice of the flags,
+one forbidden slot, or a kept slot beside one, and a state is the slot
 flags, runs of forbidden slots collapsed, with the slot just above the
 last value and the last step.  The moves out of a state depend on its
 flags, that mark and the basis alone, so a call finds them once for each
@@ -67,9 +70,7 @@ word.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 from .perms import Perm, avoids_all, normalize_basis, parse_basis
@@ -283,44 +284,66 @@ def gen_class(n: int, basis, caps: Caps = Caps()) -> Iterator[Perm]:
 
 # -- counting over active sites -----------------------------------------------
 
-# pattern -> the slots lo..hi that a value placed in slot j forbids, among
-# the slots 0..top around the prefix's values once it is placed, with the
-# new value between slots j and j + 1; none when lo > hi
-_FORBID = {
+# pattern -> (the side of the new value whose slots it forbids, the one
+# slot of that side it keeps, the end where it forbids none).  A value placed
+# in slot j splits it in two around it, and among the slots 0..top once it
+# is placed, slots 0..j are below it and j + 1..top above; a side's outer
+# slot is 0 or top, its inner one j or j + 1, and the first and last ends are
+# j = 0 and j = top - 1
+_SIDES = {
     # above it, unless it is the minimum
-    (1, 2, 3): lambda j, top: (j + 1, top if j else j),
+    (1, 2, 3): ("above", None, "first"),
     # below it, unless it is the maximum
-    (3, 2, 1): lambda j, top: (0 if j < top - 1 else j + 1, j),
+    (3, 2, 1): ("below", None, "last"),
     # between the minimum and it
-    (1, 3, 2): lambda j, top: (1, j),
+    (1, 3, 2): ("below", "outer", "first"),
     # between it and the maximum
-    (3, 1, 2): lambda j, top: (j + 1, top - 1),
+    (3, 1, 2): ("above", "outer", "last"),
     # above its upper neighbour
-    (2, 1, 3): lambda j, top: (j + 2, top),
+    (2, 1, 3): ("above", "inner", "last"),
     # below its lower neighbour
-    (2, 3, 1): lambda j, top: (0, j - 1),
+    (2, 3, 1): ("below", "inner", "first"),
 }
 
 
-# flags -> the flags with one forbidden slot for each run of them
-_collapse = partial(re.compile(b"\0\0+").sub, b"\0")
+def _sides(key: tuple[Perm, ...]) -> dict[tuple[int, int], list]:
+    # {(flag of slot 0, flag of the last slot): [(below, above) for j at the
+    # first end, the last and neither]}: each side's new flags, forbidden
+    # runs collapsed, or None where no pattern forbids a slot of it
+    sides = {}
+    for low, high in itertools.product((0, 1), repeat=2):
+        # a kept slot's flag and one forbidden slot, in the side's order
+        kept = {("below", "outer"): b"\1\0" if low else b"\0",
+                ("below", "inner"): b"\0\1", ("above", "inner"): b"\1\0",
+                ("above", "outer"): b"\0\1" if high else b"\0"}
+        sides[low, high] = ends = []
+        for end in ("first", "last", None):
+            made = {}
+            for side, keep, spared in (_SIDES[p] for p in key):
+                if spared != end:
+                    # two patterns on one side leave none of it allowed
+                    made[side] = (b"\0" if side in made
+                                  else kept.get((side, keep), b"\0"))
+            ends.append((made.get("below"), made.get("above")))
+    return sides
 
 
-def _moves(flags: bytes, mark: int, rules) -> dict[tuple, int]:
+def _moves(flags: bytes, mark: int, sides: dict) -> dict[tuple, int]:
     # the transfer map of a state of these flags and mark: {next state:
     # the number of allowed slots that lead to it}
+    first, last, other = sides[flags[0], flags[-1]]
+    # two forbidden slots side by side, where the sides of the last move
+    # met: cut drops one, and slot j of the flags is slot i of cut
+    pair = flags.find(b"\0\0")
+    cut = flags[:pair] + flags[pair + 1:] if pair >= 0 else flags
     slots: dict[tuple[bytes, int, bool], int] = {}
-    top = len(flags)
+    end = len(flags) - 1
     j = flags.find(1)
     while j >= 0:
-        new = bytearray(flags)
-        new.insert(j, 1)
-        for rule in rules:
-            lo, hi = rule(j, top)
-            if lo <= hi:
-                new[lo:hi + 1] = bytes(hi + 1 - lo)
-        below = _collapse(new[:j + 1])
-        state = (below + _collapse(new[j + 1:]), len(below), j >= mark)
+        below, above = first if j == 0 else last if j == end else other
+        i = j - (0 <= pair < j)
+        below = below or cut[:i + 1]
+        state = (below + (above or cut[i:]), len(below), j >= mark)
         slots[state] = slots.get(state, 0) + 1
         j = flags.find(1, j + 1)
     return slots
@@ -334,16 +357,25 @@ def count_lengths(max_n: int, basis, stats,
     The cap :func:`class_cap` gives the basis is checked for max_n first.
     Each new value goes in an allowed slot around the prefix's values
     (West 1996; Albert, Linton & Ruškuc, "The insertion encoding of
-    permutations", 2005).  Slot j splits in two around it, and each
-    pattern forbids one interval of slots (:data:`_FORBID`); a forbidden
-    slot stays forbidden, since a value there would end an occurrence.  A
-    state is (slot flags, the slot just above the last value, the last
-    step), each run of forbidden slots collapsed into one.  The next
-    states depend on the flags, the slot mark (a move to slot j is an
-    ascent when j is at or above it) and the basis alone, so each
-    (flags, mark) has its transfer map {next state: slots}, the number of
-    allowed slots that lead to each next state, found once per call and
-    shared by every level and every statistic.  A next state's last step
+    permutations", 2005).  Slot j splits in two around it, slots 0..j
+    below the new value and j + 1..top above it.  Each pattern forbids
+    slots on one side only, all of them or all but the outer or inner one,
+    unless j is the end that spares it (:data:`_SIDES`); two patterns on
+    one side forbid all of it, and a forbidden slot stays forbidden, since
+    a value there would end an occurrence.  The basis is turned once per
+    call into each side's new flags at j = 0, at j = top - 1 and at any
+    other j: a slice of the flags where no pattern forbids a slot of the
+    side, else one forbidden slot with the kept slot's flag beside it, if
+    a slot is kept.  A state is (slot flags, the slot just above the last
+    value, the last step), each side's runs of forbidden slots collapsed
+    into one.  Where the two sides met, two forbidden slots may stand side
+    by side at the mark, and a side sliced from those flags keeps one of
+    them, so each run stays collapsed.  The next states depend on the
+    flags, the slot mark (a move to slot j is an ascent when j is at or
+    above it) and the basis alone, so each (flags, mark) has its transfer
+    map {next state: slots}, the number of allowed slots that lead to each
+    next state, found once per call and shared by every level and every
+    statistic.  A next state's last step
     says whether the move there is an ascent; with the state's own last
     step, it chooses only whether the move ends the statistic's factor.
 
@@ -361,15 +393,15 @@ def count_lengths(max_n: int, basis, stats,
         raise UnsupportedBasisError(
             f"basis {key!r} has a pattern of length other than 3")
     class_cap(max_n, key, caps)
-    rules = [_FORBID[p] for p in key]
+    sides = _sides(key)
     moves: dict[tuple[bytes, int], dict[tuple, int]] = {}
     width = 2 * max_n + 2
     return {stat: [_unpack(total, width) for total in _walk_levels(
-                max_n, rules, moves, STEP_GAINS[stat], width)]
+                max_n, sides, moves, STEP_GAINS[stat], width)]
             for stat in stats}
 
 
-def _walk_levels(max_n: int, rules, moves: dict, gains,
+def _walk_levels(max_n: int, sides: dict, moves: dict, gains,
                  width: int) -> list[int]:
     # the packed total of every length 0..max_n for one statistic
     shifts = [[gain * width for gain in row] for row in gains]
@@ -381,7 +413,7 @@ def _walk_levels(max_n: int, rules, moves: dict, gains,
         for (flags, mark, prev), tally in level.items():
             found = moves.get((flags, mark))
             if found is None:
-                found = moves[flags, mark] = _moves(flags, mark, rules)
+                found = moves[flags, mark] = _moves(flags, mark, sides)
             down, up = shifts[prev]
             # a shift by 0 or a product by 1 would copy the int
             fall = tally << down if down else tally

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive and shares no code with the package:
 containment tries every subsequence, statistics and Dyck factor counts
-apply their definitions window by window, and classes are built by
-filtering itertools output.
+apply their definitions window by window, classes are built by filtering
+itertools output, and the moves of the slot automaton come from an
+interval of forbidden slots per pattern and a regex collapse.
 """
 
 import itertools
+import re
 
 
 def naive_contains(host, pattern):
@@ -109,3 +111,50 @@ def random_dyck(rng, n):
         if h < low:
             low, cut = h, i + 1
     return "".join(steps[cut:] + steps[:cut])[:-1]
+
+
+# pattern -> the slots lo..hi that a value placed in slot j forbids, among
+# the slots 0..top around the prefix's values once it is placed, with the
+# new value between slots j and j + 1; none when lo > hi
+_FORBID = {
+    # above it, unless it is the minimum
+    (1, 2, 3): lambda j, top: (j + 1, top if j else j),
+    # below it, unless it is the maximum
+    (3, 2, 1): lambda j, top: (0 if j < top - 1 else j + 1, j),
+    # between the minimum and it
+    (1, 3, 2): lambda j, top: (1, j),
+    # between it and the maximum
+    (3, 1, 2): lambda j, top: (j + 1, top - 1),
+    # above its upper neighbour
+    (2, 1, 3): lambda j, top: (j + 2, top),
+    # below its lower neighbour
+    (2, 3, 1): lambda j, top: (0, j - 1),
+}
+
+
+def interval_moves(flags, mark, key):
+    """The transfer map {next state: slots} of a slot-automaton state of
+    these flags and mark over the length-3 patterns of ``key``.
+
+    Each allowed slot j is split in two around a new value, every pattern
+    forbids one interval of the slots (``_FORBID``), and the flags below
+    and above the new value each have their runs of forbidden slots
+    collapsed by a regex.  A next state is (flags, the number of flags
+    below the new value, whether j is at or above ``mark``).
+    """
+    slots = {}
+    top = len(flags)
+    for j in range(top):
+        if not flags[j]:
+            continue
+        new = bytearray(flags)
+        new.insert(j, 1)
+        for p in key:
+            lo, hi = _FORBID[p](j, top)
+            if lo <= hi:
+                new[lo:hi + 1] = bytes(hi + 1 - lo)
+        below = re.sub(b"\0\0+", b"\0", bytes(new[:j + 1]))
+        above = re.sub(b"\0\0+", b"\0", bytes(new[j + 1:]))
+        state = (below + above, len(below), j >= mark)
+        slots[state] = slots.get(state, 0) + 1
+    return slots

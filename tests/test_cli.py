@@ -598,6 +598,26 @@ _PINNED_DIST_STDOUT = {
 }
 
 
+# the same at `--n 0-14`, the class cap: pins the counted rows of the
+# lengths where the slot automaton has the most states
+_PINNED_DIST_STDOUT_14 = {
+    "231":
+        "f80550cd3ce8f7515d188f8576a66f4fab92ff86dc0d1e48ede5336248b4f265",
+    "321":
+        "1d8388c9dc04c2d86bd534a888e0bb881acb1f32cd0d5203c130d20e104ae8af",
+    "213,312":
+        "d468d5267b4c11083401ce0bbb3730609804ae80990cccefcabdebe59629d987",
+    "132,213":
+        "163f48ae72ac7710b1fdbf9648c68e8971d3bcc6a184d4586cf1e3900057aa5f",
+    "213,231":
+        "a7996157ced2e0fba19c964e44930ce3ac2c1b799e70a994b6cbbae9b264bef6",
+    "123,132":
+        "0399e071c2afe8f4cea5f9d36b3d4d42820085ffddde99d4a2a6589dd78f1d19",
+    "132,321":
+        "d4acbff0904aef4e7ce5e649bce9a766b1b88bc3afa6507d32a7d2d1229b68d9",
+}
+
+
 # the same for `dist ... --n 0-10 --format json` over bases the filter
 # route walks; pins the rows and the order of its members' tally
 _PINNED_FILTER_DIST_STDOUT = {
@@ -629,6 +649,12 @@ def _dist_digest(capsys, basis, ns):
 @pytest.mark.parametrize("basis", list(_PINNED_DIST_STDOUT))
 def test_dist_stdout_is_pinned(capsys, basis):
     assert _dist_digest(capsys, basis, "0-12") == _PINNED_DIST_STDOUT[basis]
+
+
+@pytest.mark.parametrize("basis", list(_PINNED_DIST_STDOUT_14))
+def test_dist_stdout_to_the_class_cap_is_pinned(capsys, basis):
+    assert (_dist_digest(capsys, basis, "0-14")
+            == _PINNED_DIST_STDOUT_14[basis])
 
 
 @pytest.mark.parametrize("basis", list(_PINNED_FILTER_DIST_STDOUT))

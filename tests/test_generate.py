@@ -30,7 +30,12 @@ from patternstats.perms import (
 )
 from patternstats.stats import STATS
 
-from helpers import naive_class, split_at_max_231, subsets_213_312
+from helpers import (
+    interval_moves,
+    naive_class,
+    split_at_max_231,
+    subsets_213_312,
+)
 
 
 def test_gen_all_counts_and_order():
@@ -394,12 +399,12 @@ def test_count_moves_are_found_per_call_and_per_basis():
 def _states_reached(key, max_n):
     # [the distinct states of the slot automaton over lengths 1..n, for
     # each n <= max_n], walked over the transfer maps of _moves
-    rules = [generate._FORBID[p] for p in key]
+    sides = generate._sides(key)
     level = {(b"\1\1", 1, 2)}
     seen, counts = set(level), [0, 1]
     for _ in range(max_n - 1):
         level = {state for flags, mark, _ in level
-                 for state in generate._moves(flags, mark, rules)}
+                 for state in generate._moves(flags, mark, sides)}
         seen |= level
         counts.append(len(seen))
     return counts
@@ -429,28 +434,50 @@ def test_slot_automaton_reaches_the_pinned_states():
         assert (counts[20] == want) == finite, format_basis(key)
 
 
-def _shifted(rule, end, by):
-    def shifted(j, top):
-        ends = list(rule(j, top))
-        ends[end] += by
-        return tuple(ends)
-    return shifted
+def test_side_moves_match_the_interval_model_on_every_state_reached():
+    # the side table against a model in which each pattern forbids an
+    # interval of slots and each side's forbidden runs are collapsed by a
+    # regex: the same transfer map out of every (flags, mark) reached by
+    # length 12.  Where two forbidden slots meet at the mark, a side taken
+    # from the flags must drop one of them; 32 bases reach such a state
+    met = 0
+    for key in BASES3:
+        sides = generate._sides(key)
+        level = {(b"\1\1", 1)}
+        seen = set(level)
+        for _ in range(12):
+            after = set()
+            for flags, mark in level:
+                moves = generate._moves(flags, mark, sides)
+                assert moves == interval_moves(flags, mark, key), (
+                    format_basis(key), flags, mark)
+                after |= {state[:2] for state in moves}
+            level = after - seen
+            seen |= level
+        met += any(b"\0\0" in flags for flags, _ in seen)
+    assert met == 32
+
+
+_FLIPPED = {"below": "above", "above": "below", "first": "last",
+            "last": "first"}
 
 
 @pytest.mark.parametrize("pattern", PATTERNS3, ids=format_perm)
-def test_a_one_slot_error_in_any_interval_rule_fails(pattern, monkeypatch):
-    # moving either end of a rule's interval by one slot gives rows that
-    # differ from the listing for some basis holding the pattern, n <= 7.
-    # Two shifts reach past the slots, 213's hi + 1 and 231's lo - 1: they
-    # forbid no other slot, but the slice they assign then changes the
-    # number of slots, so they fail too
+def test_a_one_field_error_in_any_side_rule_fails(pattern, monkeypatch):
+    # each single change to a pattern's entry of the side table: its side
+    # flipped, the slot it keeps changed to either other one, or the end
+    # that spares it flipped, gives rows that differ from the listing for
+    # some basis holding the pattern, n <= 7
     holding = [key for key in BASES3 if pattern in key]
     listed = {key: _listed_rows(7, key) for key in holding}
-    rule = generate._FORBID[pattern]
-    for end, by in itertools.product((0, 1), (-1, 1)):
-        monkeypatch.setitem(generate._FORBID, pattern, _shifted(rule, end, by))
-        assert any(_counted_rows(7, key) != listed[key] for key in holding), (
-            "lo" if end == 0 else "hi", by)
+    side, keep, spared = generate._SIDES[pattern]
+    faults = [(_FLIPPED[side], keep, spared), (side, keep, _FLIPPED[spared])]
+    faults += [(side, other, spared) for other in (None, "outer", "inner")
+               if other != keep]
+    for fault in faults:
+        monkeypatch.setitem(generate._SIDES, pattern, fault)
+        assert any(_counted_rows(7, key) != listed[key]
+                   for key in holding), fault
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,12 +8,23 @@ is, in order of precedence, the explicit argument, the
 ``~/.cache/patternstats/oeis``.
 
 Locally computed reference terms come from the package's own formulas and
-series: no sequence data is embedded in the source.  Each registry entry
-records how a distribution triangle flattens into the sequence (row-by-row
-in k within n, from a formula's first valid n) and how many leading remote
-terms to skip, since triangle offsets vary between entries.
+series: no sequence data is embedded in the source.  Each entry of
+:data:`REGISTRY` names the one source it flattens: a formula id, whose
+rows start at the formula's first valid n; a :data:`series.SERIES` name,
+whose rows start at n = 1; or None, the Catalan numbers from n = 0.  Rows
+are read row-by-row in k within n.  An entry also records how many leading
+remote terms to skip, since triangle offsets vary between entries.
 ``skip_remote`` values are assumptions about the remote convention and are
 only exercised by online comparisons.
+
+:data:`FORMULA_SEQUENCES`, the other names ``oeis --formula`` accepts, is
+derived from the sources, not listed: an entry's names are every id of
+``formulas.FORMULAS`` with the evaluator and first n of the entry's
+formula, so their rows are the entry's, and each (statistic, basis) cell
+of the entry's series, spelled ``STAT_PATTERN_PATTERN``.  The four cells
+of ``ddes132213`` (DASC_132_213, DDES_132_213, DASC_213_231 and
+DDES_213_231) name A076791.  A formula no entry's source shares an
+evaluator with, such as DES_123_132, has no sequence.
 """
 
 from __future__ import annotations
@@ -21,8 +32,8 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from . import formulas, series
 
@@ -183,89 +194,71 @@ def compare(local: list[int], ref: OeisRef, offset: int = 0) -> MatchReport:
 class SequenceEntry:
     id: str
     description: str
-    local_terms: Callable[[int], list[int]]  # flatten rows for n <= max_n
+    source: str | None  # a formula id, a series.SERIES name, or None: Catalan
     skip_remote: int = 0
 
-
-def _flatten(row_of: Callable[[int], dict[int, int]], start_n: int,
-             max_n: int) -> list[int]:
-    """Rows n = start_n..max_n, each read for k = 0..its largest k."""
-    out: list[int] = []
-    for n in range(start_n, max_n + 1):
-        row = row_of(n)
-        top = max(row) if row else 0
-        out.extend(row.get(k, 0) for k in range(top + 1))
-    return out
-
-
-def _formula_rows(fid: str, max_n: int) -> list[int]:
-    """A formula's rows from its first valid n to max_n."""
-    return _flatten(lambda n: formulas.closed_form_row(fid, n),
-                    formulas.formula(fid).min_n, max_n)
+    def local_terms(self, max_n: int) -> list[int]:
+        """The source's rows n <= max_n from its first n, each read for
+        k = 0..its largest k; the Catalan numbers from n = 0."""
+        if self.source is None:
+            return [formulas.catalan(n) for n in range(max_n + 1)]
+        if self.source in series.SERIES:
+            row_of, start = series.expand(self.source, max_n).row_counts, 1
+        else:
+            row_of = partial(formulas.closed_form_row, self.source)
+            start = formulas.formula(self.source).min_n
+        rows = map(row_of, range(start, max_n + 1))
+        return [row.get(k, 0) for row in rows
+                for k in range(max(row, default=0) + 1)]
 
 
-def _ddes_132_213_terms(max_n: int) -> list[int]:
-    return _flatten(series.series_ddes_132_213(max_n).row_counts, 1, max_n)
+REGISTRY: dict[str, SequenceEntry] = {entry.id: entry for entry in (
+    SequenceEntry("A000108", "Catalan numbers: single-pattern class sizes, "
+                  "n >= 0", None),
+    SequenceEntry("A001263", "Narayana triangle: ascents over one-pattern "
+                  "classes, rows n >= 1, k = 0..n-1", "ASC231"),
+    SequenceEntry("A007318", "Pascal's triangle: ascents over S_n(213,312), "
+                  "rows n >= 1, k = 0..n-1", "ASC_213_312"),
+    SequenceEntry("A091894", "peaks over S_n(231): rows n >= 1; the remote "
+                  "triangle carries a leading row for the empty permutation",
+                  "PK231", skip_remote=1),
+    SequenceEntry("A076791", "double descents over S_n(132,213): rows n >= 1 "
+                  "(binary words of length n-1 by their 00 count)",
+                  "ddes132213"),
+    SequenceEntry("A034867", "peaks over S_n(132,213): rows n >= 1",
+                  "PK_132_213"),
+    SequenceEntry("A034839", "ascents over S_n(123,132): rows n >= 1; the "
+                  "remote triangle carries a leading row for the empty "
+                  "permutation", "ASC_123_132", skip_remote=1),
+    SequenceEntry("A093560", "double descents over S_n(123,132): rows n >= 3; "
+                  "the remote triangle carries one leading boundary row",
+                  "DDES_123_132", skip_remote=1),
+    SequenceEntry("A119462", "valleys over S_n(123,132): rows n >= 2; the "
+                  "remote triangle carries one leading boundary row",
+                  "VL_123_132", skip_remote=1),
+    SequenceEntry("A299927", "double ascents over S_n(213,312): rows n >= 1",
+                  "DASC_213_312"),
+)}
 
 
-REGISTRY: dict[str, SequenceEntry] = {}
+def _names(source: str | None) -> list[str]:
+    """The names that flatten to the terms of ``source``: each formula
+    with its evaluator and first n, or each cell of its series."""
+    if source in series.SERIES:
+        return [f"{stat}_{basis}".upper().replace(",", "_")
+                for stat, basis in series.SERIES[source][1]]
+    spec = formulas.FORMULAS.get(source)
+    return [fid for fid, other in formulas.FORMULAS.items()
+            if spec and (other.fn, other.min_n) == (spec.fn, spec.min_n)]
 
 
-def _entry(sid: str, description: str, local_terms, skip_remote: int = 0) -> None:
-    REGISTRY[sid] = SequenceEntry(sid, description, local_terms, skip_remote)
-
-
-_entry("A000108", "Catalan numbers: single-pattern class sizes, n >= 0",
-       lambda max_n: [formulas.catalan(n) for n in range(max_n + 1)])
-_entry("A001263", "Narayana triangle: ascents over one-pattern classes, "
-       "rows n >= 1, k = 0..n-1",
-       lambda max_n: _formula_rows("ASC231", max_n))
-_entry("A007318", "Pascal's triangle: ascents over S_n(213,312), "
-       "rows n >= 1, k = 0..n-1",
-       lambda max_n: _formula_rows("ASC_213_312", max_n))
-_entry("A091894", "peaks over S_n(231): rows n >= 1; the remote triangle "
-       "carries a leading row for the empty permutation",
-       lambda max_n: _formula_rows("PK231", max_n), skip_remote=1)
-_entry("A076791", "double descents over S_n(132,213): rows n >= 1 "
-       "(binary words of length n-1 by their 00 count)", _ddes_132_213_terms)
-_entry("A034867", "peaks over S_n(132,213): rows n >= 1",
-       lambda max_n: _formula_rows("PK_132_213", max_n))
-_entry("A034839", "ascents over S_n(123,132): rows n >= 1; the remote "
-       "triangle carries a leading row for the empty permutation",
-       lambda max_n: _formula_rows("ASC_123_132", max_n), skip_remote=1)
-_entry("A093560", "double descents over S_n(123,132): rows n >= 3; the "
-       "remote triangle carries one leading boundary row",
-       lambda max_n: _formula_rows("DDES_123_132", max_n), skip_remote=1)
-_entry("A119462", "valleys over S_n(123,132): rows n >= 2; the remote "
-       "triangle carries one leading boundary row",
-       lambda max_n: _formula_rows("VL_123_132", max_n), skip_remote=1)
-_entry("A299927", "double ascents over S_n(213,312): rows n >= 1",
-       lambda max_n: _formula_rows("DASC_213_312", max_n))
-
-
-FORMULA_SEQUENCES = {
-    "PK231": "A091894",
-    "ASC132": "A001263", "DES132": "A001263",
-    "ASC213": "A001263", "DES213": "A001263",
-    "ASC231": "A001263", "DES231": "A001263",
-    "ASC312": "A001263", "DES312": "A001263",
-    "ASC_213_312": "A007318", "DES_213_312": "A007318",
-    "ASC_132_213": "A007318", "DES_132_213": "A007318",
-    "ASC_213_231": "A007318", "DES_213_231": "A007318",
-    "PK_132_213": "A034867", "VL_132_213": "A034867",
-    "PK_213_231": "A034867", "VL_213_231": "A034867",
-    "PK_123_132": "A034867",
-    "ASC_123_132": "A034839",
-    "DDES_123_132": "A093560",
-    "VL_123_132": "A119462",
-    "DASC_213_312": "A299927", "DDES_213_312": "A299927",
-    "DASC_132_213": "A076791", "DDES_132_213": "A076791",
-    "DASC_213_231": "A076791", "DDES_213_231": "A076791",
-}
+# formula id or series cell -> the A-number its rows flatten to
+FORMULA_SEQUENCES = {name: entry.id for entry in REGISTRY.values()
+                     for name in _names(entry.source)}
 
 
 def sequence_for(name: str) -> SequenceEntry:
-    """Registry entry for an A-number or a formula id."""
+    """Registry entry for an A-number or a name of FORMULA_SEQUENCES."""
     sid = FORMULA_SEQUENCES.get(name, name)
     if sid not in REGISTRY:
         raise KeyError(f"no registered flattening for {name!r}")
@@ -273,7 +266,7 @@ def sequence_for(name: str) -> SequenceEntry:
 
 
 def local_terms(name: str, max_n: int) -> list[int]:
-    """Locally computed terms of an A-number or a formula id, n <= max_n."""
+    """Locally computed terms of an A-number or a derived name, n <= max_n."""
     series._check_max_n(max_n)
     return sequence_for(name).local_terms(max_n)
 

@@ -578,8 +578,9 @@ def test_verify_stdout_is_pinned(capsys, argv):
 
 
 # sha256 of the stdout of `dist --stat S --avoid B --n 0-12 --format json`
-# for the six statistics in STATS order, one digest per structured basis;
-# pins the rows every structured generator feeds the tally
+# for the six statistics in STATS order, one digest per basis of
+# generate.STRUCTURED; pins the rows generate.count_lengths counts for each
+# basis and the JSON that dist prints them in
 _PINNED_DIST_STDOUT = {
     "231":
         "efc39fb5e6d35651580f63be6b37ba90ba1e3749ece537580addf491c14bc68a",
@@ -618,8 +619,9 @@ _PINNED_DIST_STDOUT_14 = {
 }
 
 
-# the same for `dist ... --n 0-10 --format json` over bases the filter
-# route walks; pins the rows and the order of its members' tally
+# the same for `dist ... --n 0-10 --format json` over length-3 bases
+# outside generate.STRUCTURED; count_lengths counts them like the others,
+# and each digest pins their rows and the JSON that dist prints them in
 _PINNED_FILTER_DIST_STDOUT = {
     "123":
         "794f2a737a4d8a8a329828cf366349cddfb85274794f380d96fc2cc7d5d7a65c",
@@ -698,6 +700,28 @@ def test_series_stdout_is_pinned(capsys, name, fmt):
             == _PINNED_SERIES_STDOUT[name, fmt])
 
 
+# sha256 of the stdout of `oeis --formula NAME --max-n 12` for each name of
+# oeis.FORMULA_SEQUENCES in sorted order, then of `oeis --sequence SID` for
+# each A-number of oeis.REGISTRY in sorted order, each in bfile then json;
+# recorded while the names were still listed by hand, so it pins every
+# derived name, the sequence it prints and every term of it
+_PINNED_OEIS_STDOUT = (
+    "27e4c2fe2a7bef035665e4976c623a56a28c318bffe7b6c71b090c623b6893f0")
+
+
+def test_oeis_stdout_is_pinned(capsys):
+    argvs = [("--formula", name, "--max-n", "12")
+             for name in sorted(oeis.FORMULA_SEQUENCES)]
+    argvs += [("--sequence", sid) for sid in sorted(oeis.REGISTRY)]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        for fmt in ("bfile", "json"):
+            code, out, _ = run(capsys, "oeis", *argv, "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == _PINNED_OEIS_STDOUT
+
+
 _WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 
@@ -722,7 +746,7 @@ def test_ci_exit_code_table_holds_in_process(capsys, tmp_path, monkeypatch):
     # writes to a fresh temporary directory lands in tmp_path
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     table = _expect_lines()
-    assert len(table) == 84
+    assert len(table) == 87
     assert sum('"$P"' in text for _, text, _ in table) == 4
     wrong = []
     for want, text, build in table:

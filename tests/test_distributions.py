@@ -381,6 +381,58 @@ def test_structured_check_catches_a_fault_in_the_catalan_walk(
         f"structured vs {reference} for {walked} at n=3: got ")
 
 
+def _bump_row_4_of_213_231(real, max_n, basis, stats, caps=generate.Caps()):
+    counted = real(max_n, basis, stats, caps)
+    if basis == perms.parse_basis("213,231") and max_n >= 4:
+        for rows in counted.values():
+            row = rows[4] = dict(rows[4])
+            row[min(row)] += 1
+    return counted
+
+
+# check -> (owner, name, fault(real, *args), the failure it reports): one
+# planted fault for each check that no other test makes fail
+_PLANTED_FAULTS = {
+    "PHI231_TRANSPORT": (
+        bijections, "to_dyck_231",
+        lambda real, p: "UDUUDD" if p == (2, 1, 3) else real(p),
+        "round trip for (2, 1, 3): got (1, 3, 2), expected (2, 1, 3)"),
+    "PSI_HAT_DES_TRANSPORT": (
+        bijections, "from_dyck_321",
+        lambda real, d: real(d)[::-1] if d == "UDUD" else real(d),
+        "descents vs wrapped interior UUD for UDUD: got 0, expected 1"),
+    "UUD_DES_EQUIDISTRIBUTION": (
+        distributions, "uud_count",
+        lambda real, d: real(d) + (d == "UUDD"),
+        "UUD tally vs descents at n=2: got {0: 1, 2: 1}, expected "
+        "{0: 1, 1: 1}"),
+    "CLASS_132_213_EQ_213_231": (
+        generate, "count_lengths", _bump_row_4_of_213_231,
+        "asc rows at n=4: got {0: 1, 1: 3, 2: 3, 3: 1}, expected "
+        "{0: 2, 1: 3, 2: 3, 3: 1}"),
+    "ENC_213_231_TRANSPORT": (
+        bijections, "decode_213_231",
+        lambda real, b: (1, 3, 2) if b == "01" else real(b),
+        "round trip for 01: got '10', expected '01'"),
+    "ENC_123_132_TRANSPORT": (
+        bijections, "decode_123_132",
+        lambda real, b: (1, 2, 3) if b == "11" else real(b),
+        "decoded member avoids basis for 11"),
+}
+
+
+@pytest.mark.parametrize("name", _PLANTED_FAULTS)
+def test_a_planted_fault_fails_its_check(monkeypatch, name):
+    # each check passes alone, then fails alone once its fault is planted
+    owner, attr, fault, failure = _PLANTED_FAULTS[name]
+    report, = verify_all(6, selection=name)
+    assert report.passed, report.failure
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args: fault(real, *args))
+    report, = verify_all(6, selection=name)
+    assert (report.passed, report.failure) == (False, failure)
+
+
 def test_cap_and_size_errors_still_raise():
     with pytest.raises(generate.CapExceededError):
         verify_all(6, selection="CARD_SINGLE_CATALAN",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from patternstats import formulas, oeis
+from patternstats import formulas, oeis, series
 from patternstats.distributions import distribution
 from patternstats.formulas import catalan, closed_form
 from patternstats.perms import parse_basis
@@ -206,16 +206,37 @@ def _own_row(key, n):
                         method="series")
 
 
+def _own_terms(key):
+    # the key's own rows to n = 12, from its first n, flattened as oeis does
+    start = formulas.formula(key).min_n if key in formulas.FORMULAS else 1
+    want = []
+    for n in range(start, 13):
+        row = _own_row(key, n)
+        want += [row.get(k, 0) for k in range(max(row, default=0) + 1)]
+    return want
+
+
 def test_each_formula_sequence_matches_its_own_cell():
     # a sequence's terms are computed from one cell, so a key mapped to the
     # wrong sequence would print another cell's rows
     for key in oeis.FORMULA_SEQUENCES:
-        start = formulas.formula(key).min_n if key in formulas.FORMULAS else 1
-        want = []
-        for n in range(start, 13):
-            row = _own_row(key, n)
-            want += [row.get(k, 0) for k in range(max(row, default=0) + 1)]
-        assert oeis.sequence_for(key).local_terms(12) == want, key
+        assert oeis.sequence_for(key).local_terms(12) == _own_terms(key), key
+
+
+def test_a_name_maps_to_a_sequence_exactly_when_its_terms_match():
+    # the other direction, by row equality and not by the rule that derives
+    # the names: every formula and every series cell maps to a sequence
+    # exactly when its own terms are that sequence's terms
+    names = list(formulas.FORMULAS) + [
+        f"{stat}_{basis}".upper().replace(",", "_")
+        for _, cells in series.SERIES.values() for stat, basis in cells]
+    own = {name: _own_terms(name) for name in names}
+    wrong = [(name, sid) for name in names
+             for sid, entry in oeis.REGISTRY.items()
+             if (oeis.FORMULA_SEQUENCES.get(name) == sid)
+             != (own[name] == entry.local_terms(12))]
+    assert wrong == []
+    assert set(oeis.FORMULA_SEQUENCES) <= set(names)
 
 
 @pytest.mark.skipif(os.environ.get("PATTERNSTATS_ONLINE") != "1",

@@ -211,7 +211,10 @@ _SERIES_FOR = {(stat, parse_basis(text)): name
 
 
 def _oracle(cell: tuple[str, tuple], ns: Sequence[int], caps: Caps) -> dict:
-    # the one run counts to the largest n, once every n is checked
+    # the one run counts to the largest n, taken only after run.sizes has
+    # checked every n: max iterates a range rather than reading its end, so
+    # max(ns) first would walk an unchecked range such as 0-10^12 to its
+    # end before run.sizes refuses it at its first capped n
     stat, key = cell
     run = _Run(caps, 0, (stat,))
     run.top = max(run.sizes(ns, key), default=0)

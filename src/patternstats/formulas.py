@@ -11,8 +11,10 @@ carries a smallest valid n; querying below it raises
 :func:`closed_form_row` is the one builder of a formula's row: the
 verification harness, the closed-form method and the OEIS export all read
 rows through it.  This module alone says which formula gives a
-(statistic, basis) cell: registering a formula records its cell, and
-:func:`formula_for` looks the cell up.
+(statistic, basis) cell: each entry of :data:`FORMULAS` names its cell, and
+:func:`formula_for` returns the entry that names a cell, so an entry
+replaced later is the one found.  Each row is stated once: the descent rows
+over 123,132 and 132,321 are their ascent rows read k -> n - 1 - k.
 Binomials use the convention C(a, b) = 0 for b < 0 or b > a, which
 collapses piecewise case lists into single expressions.
 """
@@ -93,10 +95,6 @@ def _asc_123_132(n: int, k: int) -> int:
     return binom(n, 2 * k)
 
 
-def _des_123_132(n: int, k: int) -> int:
-    return binom(n, 2 * (n - k - 1))
-
-
 def _ddes_123_132(n: int, k: int) -> int:
     return binom(n - 2, k) + 2 * binom(n - 3, k)
 
@@ -109,14 +107,6 @@ def _asc_132_321(n: int, k: int) -> int:
     if k == n - 1:
         return 1
     if k == n - 2:
-        return binom(n, 2)
-    return 0
-
-
-def _des_132_321(n: int, k: int) -> int:
-    if k == 0:
-        return 1
-    if k == 1:
         return binom(n, 2)
     return 0
 
@@ -151,15 +141,17 @@ def _vl_132_321(n: int, k: int) -> int:
     return 0
 
 
+def _mirror(fn: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    # a class's des row is its asc row read k -> n - 1 - k, as asc + des =
+    # n - 1 for every member of length n >= 1
+    return lambda n, k: fn(n, n - 1 - k)
+
+
 FORMULAS: dict[str, FormulaSpec] = {}
-# (statistic, basis) -> formula id; ids, not specs, so that an entry of
-# FORMULAS replaced later is the one a lookup returns
-_FORMULA_FOR: dict[tuple, str] = {}
 
 
 def _register(fid: str, stat: str, basis: str, fn, min_n: int = 1) -> None:
-    spec = FORMULAS[fid] = FormulaSpec(fid, stat, parse_basis(basis), fn, min_n)
-    _FORMULA_FOR[(stat, spec.basis)] = fid
+    FORMULAS[fid] = FormulaSpec(fid, stat, parse_basis(basis), fn, min_n)
 
 
 _register("PK231", "pk", "231", _pk231)
@@ -185,7 +177,7 @@ for _pair in ("132,213", "213,231"):
     _register(f"VL_{_tag}", "vl", _pair, _choose_odd)
 
 _register("ASC_123_132", "asc", "123,132", _asc_123_132)
-_register("DES_123_132", "des", "123,132", _des_123_132)
+_register("DES_123_132", "des", "123,132", _mirror(_asc_123_132))
 _register("DASC_123_132", "dasc", "123,132", _pow2_at_zero, min_n=3)
 _register("DDES_123_132", "ddes", "123,132", _ddes_123_132, min_n=3)
 _register("PK_123_132", "pk", "123,132", _choose_odd)
@@ -193,7 +185,7 @@ _register("PK_123_132", "pk", "123,132", _choose_odd)
 _register("VL_123_132", "vl", "123,132", _vl_123_132, min_n=2)
 
 _register("ASC_132_321", "asc", "132,321", _asc_132_321)
-_register("DES_132_321", "des", "132,321", _des_132_321)
+_register("DES_132_321", "des", "132,321", _mirror(_asc_132_321))
 # cases collide below n = 3 (k = n-2 and k = n-3 describe too few members)
 _register("DASC_132_321", "dasc", "132,321", _dasc_132_321, min_n=3)
 _register("DDES_132_321", "ddes", "132,321", _ddes_132_321, min_n=3)
@@ -236,9 +228,10 @@ def closed_form_row(fid: str, n: int) -> dict[int, int]:
 
 
 def formula_for(stat: str, basis) -> FormulaSpec | None:
-    """The registered formula for a (statistic, basis) pair, if any."""
-    fid = _FORMULA_FOR.get((stat, normalize_basis(basis)))
-    return None if fid is None else FORMULAS[fid]
+    """The entry of :data:`FORMULAS` for a (statistic, basis) pair, if any."""
+    cell = (stat, normalize_basis(basis))
+    return next((spec for spec in FORMULAS.values()
+                 if (spec.stat, spec.basis) == cell), None)
 
 
 def formula_ids() -> tuple[str, ...]:

@@ -746,7 +746,7 @@ def test_ci_exit_code_table_holds_in_process(capsys, tmp_path, monkeypatch):
     # writes to a fresh temporary directory lands in tmp_path
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     table = _expect_lines()
-    assert len(table) == 87
+    assert len(table) == 89
     assert sum('"$P"' in text for _, text, _ in table) == 4
     wrong = []
     for want, text, build in table:

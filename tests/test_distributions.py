@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 import re
 
 import pytest
@@ -390,9 +391,23 @@ def _bump_row_4_of_213_231(real, max_n, basis, stats, caps=generate.Caps()):
     return counted
 
 
+def _one_more_member(text, at):
+    # class_size with one member too many in |S_at(text)|
+    key = perms.parse_basis(text)
+    return lambda real, n, basis, caps: real(n, basis, caps) + (
+        n == at and basis == key)
+
+
 # check -> (owner, name, fault(real, *args), the failure it reports): one
-# planted fault for each check that no other test makes fail
+# planted fault for each check that no test named in _FAILED_ELSEWHERE
+# makes fail
 _PLANTED_FAULTS = {
+    "CARD_SINGLE_CATALAN": (
+        distributions, "class_size", _one_more_member("231", 4),
+        "|S_4(231)|: got 15, expected 14"),
+    "CARD_123_321_EMPTY": (
+        distributions, "class_size", _one_more_member("123,321", 5),
+        "|S_5(123,321)|: got 1, expected 0"),
     "PHI231_TRANSPORT": (
         bijections, "to_dyck_231",
         lambda real, p: "UDUUDD" if p == (2, 1, 3) else real(p),
@@ -431,6 +446,40 @@ def test_a_planted_fault_fails_its_check(monkeypatch, name):
     monkeypatch.setattr(owner, attr, lambda *args: fault(real, *args))
     report, = verify_all(6, selection=name)
     assert (report.passed, report.failure) == (False, failure)
+
+
+# Tier-1 test -> the checks (a regex over their names) that the fault it
+# plants makes fail
+_FAILED_ELSEWHERE = {
+    "test_verify_checks_the_rows_of_each_dist_method":
+        r"FORMULA_\w+|SERIES_\w+|INTERIOR_UUD_INDEC_DES",
+    "test_each_wrong_stat_image_entry_fails_a_symmetry_check": r"SYMMETRY_\w+",
+    "test_structured_check_catches_a_fault_in_the_catalan_walk":
+        "STRUCTURED_MATCHES_FILTER",
+    "test_card_checks_report_an_off_by_one_size": "CARD_PAIRS",
+    "test_map_error_after_a_failure_keeps_the_first_failure":
+        "PSI321_TRANSPORT",
+    "test_map_error_is_reported_as_the_failure": "IOTA_INVOLUTION",
+    "test_a_tuple_label_keeps_its_text": "ZETA_PROPERTIES",
+    "test_a_verify_run_reads_no_rows_an_earlier_run_counted": "PK_312_EQ_321",
+    # in tests/test_cli.py
+    "test_verify_reports_a_raising_decoder_as_a_failed_check":
+        "ENC_132_213_TRANSPORT",
+}
+
+
+def test_every_check_fails_under_a_planted_fault():
+    # each registered check has a row of _PLANTED_FAULTS or is one that a
+    # named fault test makes fail, and no check has both
+    elsewhere = {name for name in distributions.checks()
+                 if any(re.fullmatch(checks, name)
+                        for checks in _FAILED_ELSEWHERE.values())}
+    assert elsewhere.isdisjoint(_PLANTED_FAULTS)
+    assert elsewhere | set(_PLANTED_FAULTS) == set(distributions.checks())
+    assert len(elsewhere) == 50 and len(_PLANTED_FAULTS) == 8
+    cli = pathlib.Path(__file__).with_name("test_cli.py").read_text()
+    tests = set(globals()) | set(re.findall(r"^def (test_\w+)", cli, re.M))
+    assert set(_FAILED_ELSEWHERE) <= tests
 
 
 def test_cap_and_size_errors_still_raise():

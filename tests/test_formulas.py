@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import itertools
+
 import pytest
 
 from patternstats.formulas import (
@@ -13,7 +17,14 @@ from patternstats.formulas import (
     formula_ids,
 )
 
+from patternstats.perms import format_basis, normalize_basis
+from patternstats.stats import STATS
+
 from helpers import naive_dist
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def test_binom_conventions():
@@ -84,6 +95,40 @@ def test_formula_for_lookup():
     assert formula_for("pk", [(1, 2, 3)]) is None
     by_pair = formula_for("ddes", [(2, 1, 3), (3, 1, 2)])
     assert by_pair is not None and by_pair.id == "DDES_213_312"
+
+
+def test_formula_for_answers_each_registered_cell_with_its_entry(
+        monkeypatch):
+    # of the 126 (statistic, one- or two-pattern basis) cells, the 35 it
+    # answers and their ids, as the separate cell index answered them
+    patterns = list(itertools.permutations((1, 2, 3)))
+    bases = [(p,) for p in patterns] + list(itertools.combinations(patterns, 2))
+    answers = {}
+    for stat, key in itertools.product(STATS, bases):
+        spec = formula_for(stat, key)
+        if spec is not None:
+            assert FORMULAS[spec.id] is spec
+            assert (spec.stat, spec.basis) == (stat, normalize_basis(key))
+            answers[stat, format_basis(key)] = spec.id
+    assert (len(STATS) * len(bases), len(answers)) == (126, 35)
+    assert _sha256(sorted(answers.items())) == (
+        "6b13f297e36244aea5c597e3903176e25044ff4d67b8acaced10afb076ed42a8")
+    # an entry replaced later is the one found
+    replaced = dataclasses.replace(FORMULAS["PK231"], fn=lambda n, k: 0)
+    monkeypatch.setitem(FORMULAS, "PK231", replaced)
+    assert formula_for("pk", [(2, 3, 1)]) is replaced
+
+
+def test_closed_form_values_are_pinned():
+    # every id, min_n <= n <= 30 and 0 <= k <= n + 2, k past the row
+    # included; recorded when each descent row over 123,132 and 132,321 had
+    # an evaluator of its own
+    values = [(fid, n, k, closed_form(fid, n, k))
+              for fid, spec in FORMULAS.items()
+              for n in range(spec.min_n, 31) for k in range(n + 3)]
+    assert len(values) == 19377
+    assert _sha256(values) == (
+        "110b085265a24dfa2c219d6f476d4182b46f8eab1995c084ba3da8cf829405b2")
 
 
 def test_row_sums_equal_class_sizes():
